@@ -8,10 +8,14 @@ order.  Results are curves (abscissa, value, 95% confidence halfwidth)
 plus a flat string metadata block, written to and read back from CSV
 losslessly.
 
-Two channel modes are available: "tdl" draws tapped-delay-line fading
-and runs the full time-domain pipeline, while "iid" draws an
+At zero carrier offset every tag-bit simulation runs one
+frequency-domain kernel that draws only the bins the detectors read.
+Its two channel modes differ in the tag's gain per bin: "tdl" evaluates
+the response of tapped-delay-line fading, while "iid" draws an
 independent complex-normal gain per subcarrier — the analytical model's
-own assumptions — and exists to validate the analysis module.
+own assumptions — and exists to validate the analysis module.  A
+nonzero offset and primary-link detection run the full time-domain
+pipeline (tdl only).
 """
 from __future__ import annotations
 
@@ -26,13 +30,13 @@ import numpy as np
 from . import analysis
 from .backscatter import apply_backscatter, bd_waveform
 from .channel import (CfoSpec, add_awgn, apply_cfo, apply_channel,
-                      complex_normal, sample_channels, snr_to_noise_variance)
+                      sample_channels, snr_to_noise_variance)
 from .crc import crc5_check_many, crc5_encode_many
 from .detector import (fsk_detect, fsk_metrics, ook_detect, ook_test_statistic,
                        primary_detect)
-from .waveform import (SCHEMES, ConfigurationError, FreqGrid, TimeSignal,
-                       build_subcarrier_plan, map_symbols, ofdm_demodulate,
-                       ofdm_modulate)
+from .waveform import (SCHEMES, ConfigurationError, FreqGrid, SubcarrierPlan,
+                       TimeSignal, build_subcarrier_plan, map_symbols,
+                       ofdm_demodulate, ofdm_modulate)
 
 CSV_HEADER = ("abscissa", "value", "ci95", "scheme", "N", "gamma",
               "pfa_target", "cfo", "seed", "trials")
@@ -258,8 +262,10 @@ def _bd_waves(cfg: SystemConfig, plan):
 def _tdl_grid(rng, size, cfg, plan, bits, noise, waves):
     """Full time-domain link for one batch of symbols.
 
-    Returns the demodulated grid, the channel draw, and the primary data
-    bits, so callers can detect either the tag bit or the primary data.
+    The reference path, and the only one for a carrier offset (which
+    spreads energy across bins) and for primary-link detection (which
+    needs the data bits and the direct response).  Returns the
+    demodulated grid, the channel draw, and the primary data bits.
     """
     data_bits = rng.integers(0, 2, size=(size, plan.n_data))
     sig = ofdm_modulate(map_symbols(1.0 - 2.0 * data_bits, plan), cfg.cp_len)
@@ -267,9 +273,13 @@ def _tdl_grid(rng, size, cfg, plan, bits, noise, waves):
                          plan.n, shape=(size,))
     direct = apply_channel(sig, ch.taps_direct)
     forward = apply_channel(sig, ch.taps_forward)
-    r0 = apply_backscatter(forward, waves[0], cfg.gamma_mag)
-    r1 = apply_backscatter(forward, waves[1], cfg.gamma_mag)
-    reflected = np.where((np.asarray(bits) == 1)[:, None], r1.samples, r0.samples)
+    bits = np.asarray(bits)
+    reflected = np.empty_like(forward.samples)
+    for bit, wave in enumerate(waves):
+        rows = bits == bit
+        reflected[rows] = apply_backscatter(
+            TimeSignal(forward.samples[rows], cfg.cp_len), wave,
+            cfg.gamma_mag).samples
     received = TimeSignal(
         direct.samples + ch.taps_backward[:, 0][:, None] * reflected, cfg.cp_len)
     received = add_awgn(received, noise, rng)
@@ -278,31 +288,108 @@ def _tdl_grid(rng, size, cfg, plan, bits, noise, waves):
     return ofdm_demodulate(received), ch, data_bits
 
 
-def _iid_grid(rng, size, cfg, plan, bits, noise):
-    """Per-subcarrier model: independent unit gains on the landing bins.
+@dataclass(frozen=True)
+class _TagLink:
+    """What a batch of tag bits needs besides its random draws.
 
-    Matches the analytical error model bin for bin; only the detection
-    bins carry signal structure, the rest of the grid is noise.
+    At a nonzero offset ``waves`` drives the time-domain path and
+    ``plan`` is the config's plan.  At zero offset the grid holds only
+    the detection bins, kb0 then kb1 (kb0 alone for ook, whose sets
+    coincide), and ``plan`` numbers them as its columns.  ``landings``
+    holds per bit None, when the bit does not reflect, or the columns
+    its tone lands on and the (l_forward, width) matrix that maps
+    forward taps to Hf at their source bins.  Every plan builds its
+    landing sets as shifted data bins, so every column has a source.
     """
-    bits = np.asarray(bits)
-    nvar_bin = noise.variance * plan.n
-    values = complex_normal(rng, (size, plan.n), nvar_bin)
-    hb = complex_normal(rng, (size,), cfg.sigma_v ** 2)
-    g0 = complex_normal(rng, (size, len(plan.kb0)), 1.0)
-    g1 = complex_normal(rng, (size, len(plan.kb1)), 1.0)
-    amp = cfg.gamma_mag * hb
-    if plan.scheme == "ook":
-        values[:, plan.kb0] += (amp * bits)[:, None] * g0
-    else:
-        values[:, plan.kb0] += (amp * (bits == 0))[:, None] * g0
-        values[:, plan.kb1] += (amp * (bits == 1))[:, None] * g1
-    return FreqGrid(values)
+
+    cfg: SystemConfig
+    plan: SubcarrierPlan
+    waves: tuple = ()
+    landings: tuple = ()
 
 
-def _bd_grid(rng, size, cfg, plan, bits, noise, waves):
-    if cfg.channel_mode == "iid":
-        return _iid_grid(rng, size, cfg, plan, bits, noise), None, None
-    return _tdl_grid(rng, size, cfg, plan, bits, noise, waves)
+def _tag_link(cfg: SystemConfig) -> _TagLink:
+    """The link for ``cfg``: the kernel at zero offset, else the time domain."""
+    plan = cfg.plan()
+    if cfg.cfo_eps:
+        return _TagLink(cfg, plan, waves=_bd_waves(cfg, plan))
+    width = len(plan.kb0) + (0 if plan.scheme == "ook" else len(plan.kb1))
+    cols = (slice(0, len(plan.kb0)), slice(width - len(plan.kb1), width))
+    lags = np.arange(cfg.l_forward)[:, None]
+    landings = []
+    for bit, kb in enumerate((plan.kb0, plan.kb1)):
+        shift = bd_waveform(cfg.scheme, bit, plan.zeta, plan.n).shift
+        if shift is None:
+            landings.append(None)
+            continue
+        src = (kb - shift) % plan.n
+        landings.append((cols[bit], np.exp(-2j * np.pi * lags * src / plan.n)))
+    grid_plan = dataclasses.replace(
+        plan, n=width, data_idx=np.empty(0, dtype=np.int64),
+        null_idx=np.arange(width), kb0=np.arange(width)[cols[0]],
+        kb1=np.arange(width)[cols[1]])
+    return _TagLink(cfg, grid_plan, landings=tuple(landings))
+
+
+def _complex_normal_draw(rng, shape, variance) -> np.ndarray:
+    """Circular complex normals of the given total variance, as one draw."""
+    z = rng.standard_normal(tuple(shape) + (2,)).view(np.complex128)[..., 0]
+    z *= math.sqrt(variance / 2.0)
+    return z
+
+
+def _reflect_onto(out, link: _TagLink, bits, hb, taps, rng) -> None:
+    """Add each row's tag term gamma*hb*H on its bit's landing columns.
+
+    H is Hf at the source bins, from ``taps``; with ``taps`` None it is
+    an independent unit-variance gain per landing bin, drawn from
+    ``rng`` (the iid channel model).
+    """
+    for bit, landing in enumerate(link.landings):
+        if landing is None:
+            continue
+        cols, response = landing
+        rows = np.flatnonzero(bits == bit)
+        if taps is None:
+            gain = _complex_normal_draw(rng, (len(rows), response.shape[1]),
+                                        1.0)
+        else:
+            # einsum, not matmul: a threaded BLAS call this thin costs
+            # more in thread wake-up than in arithmetic
+            gain = np.einsum("rl,lk->rk", taps[rows], response)
+        gain *= link.cfg.gamma_mag * hb[rows, None]
+        out[rows, cols] += gain
+
+
+def _fd_grid(rng, size, link: _TagLink, bits, noise) -> FreqGrid:
+    """Detection bins of one batch at zero offset, in the frequency domain.
+
+    The channel memory fits the cyclic prefix and tag tones are integer
+    bins, so on the landing bins of the sent bit's tone shift s each bin
+    a detector reads is exactly Y[k] = gamma*hb*Hf[k-s]*X[k-s] + W[k],
+    with X[k-s] a +-1 data symbol, and Y[k] = W[k] on the others: the
+    direct link leaves the null bins empty.  W is white with per-bin
+    variance ``noise.variance * n``.  The data signs are not drawn: W is
+    circular and independent across bins, so |X*a + W|^2 has the law
+    of |a + W|^2 jointly over the bins.
+    """
+    cfg = link.cfg
+    out = _complex_normal_draw(rng, (size, link.plan.n),
+                               noise.variance * cfg.n)
+    hb = _complex_normal_draw(rng, (size,), cfg.sigma_v ** 2)
+    taps = (_complex_normal_draw(rng, (size, cfg.l_forward),
+                                 1.0 / cfg.l_forward)
+            if cfg.channel_mode == "tdl" else None)
+    _reflect_onto(out, link, np.asarray(bits), hb, taps, rng)
+    return FreqGrid(out)
+
+
+def _bd_grid(rng, size, link: _TagLink, bits, noise) -> FreqGrid:
+    """One batch of tag symbols, as the grid ``link.plan`` reads."""
+    if link.waves:
+        return _tdl_grid(rng, size, link.cfg, link.plan, bits, noise,
+                         link.waves)[0]
+    return _fd_grid(rng, size, link, bits, noise)
 
 
 def _decide_bits(grid, plan, eta):
@@ -339,7 +426,7 @@ def run_pmd_sweep(cfg: SystemConfig,
             f"trials must be at least {TARGET_ERROR_EVENTS}/pfa_target "
             f"= {math.ceil(TARGET_ERROR_EVENTS / cfg.pfa_target)}, got {cfg.trials}")
     plan = cfg.plan()
-    waves = _bd_waves(cfg, plan)
+    link = _tag_link(cfg)
     stop = None if target_events is None else 0
     events = TARGET_ERROR_EVENTS if target_events is None else target_events
     values, halfwidths = [], []
@@ -349,8 +436,8 @@ def run_pmd_sweep(cfg: SystemConfig,
 
         def kernel(rng, size):
             bits = np.ones(size, dtype=np.int8)
-            grid, _, _ = _bd_grid(rng, size, cfg, plan, bits, noise, waves)
-            stat = ook_test_statistic(grid, plan)
+            stat = ook_test_statistic(
+                _bd_grid(rng, size, link, bits, noise), link.plan)
             return np.array([np.count_nonzero(stat <= eta)]), size
 
         counts, used = _accumulate(kernel, cfg.trials, cfg.seed, i,
@@ -378,18 +465,17 @@ def run_roc(cfg: SystemConfig, eta_grid) -> SimCurve:
     etas = np.asarray(eta_grid, dtype=np.float64)
     if etas.ndim != 1 or len(etas) == 0 or np.any(~(etas >= 0)):
         raise ValueError("eta_grid must be a nonempty vector of thresholds >= 0")
-    plan = cfg.plan()
-    waves = _bd_waves(cfg, plan)
-    noise = snr_to_noise_variance(cfg.snr_db[0], plan)
+    link = _tag_link(cfg)
+    noise = snr_to_noise_variance(cfg.snr_db[0], cfg.plan())
     k = len(etas)
 
     def kernel(rng, size):
         bits0 = np.zeros(size, dtype=np.int8)
         bits1 = np.ones(size, dtype=np.int8)
-        grid0, _, _ = _bd_grid(rng, size, cfg, plan, bits0, noise, waves)
-        grid1, _, _ = _bd_grid(rng, size, cfg, plan, bits1, noise, waves)
-        stat0 = ook_test_statistic(grid0, plan)
-        stat1 = ook_test_statistic(grid1, plan)
+        stat0 = ook_test_statistic(
+            _bd_grid(rng, size, link, bits0, noise), link.plan)
+        stat1 = ook_test_statistic(
+            _bd_grid(rng, size, link, bits1, noise), link.plan)
         above0 = np.count_nonzero(stat0[:, None] > etas[None, :], axis=0)
         above1 = np.count_nonzero(stat1[:, None] > etas[None, :], axis=0)
         return np.concatenate([above0, above1]), size
@@ -424,6 +510,7 @@ def run_ber_sweep(cfg: SystemConfig, target: str = "bd",
         _require_tdl(cfg, "primary-link detection")
     plan = cfg.plan()
     waves = _bd_waves(cfg, plan)
+    link = _tag_link(cfg)
     stop = None if target_events is None else 0
     events = TARGET_ERROR_EVENTS if target_events is None else target_events
     values, halfwidths = [], []
@@ -432,11 +519,12 @@ def run_ber_sweep(cfg: SystemConfig, target: str = "bd",
 
         def kernel(rng, size):
             bits = rng.integers(0, 2, size=size).astype(np.int8)
-            grid, ch, data_bits = _bd_grid(rng, size, cfg, plan, bits, noise,
-                                           waves)
             if target == "bd":
-                decided = _decide_bits(grid, plan, None)
+                grid = _bd_grid(rng, size, link, bits, noise)
+                decided = _decide_bits(grid, link.plan, None)
                 return np.array([np.count_nonzero(decided != bits)]), size
+            grid, ch, data_bits = _tdl_grid(rng, size, cfg, plan, bits, noise,
+                                            waves)
             decided = primary_detect(grid, ch, plan)
             errors = np.count_nonzero(decided != data_bits)
             return np.array([errors]), size * plan.n_data
@@ -452,10 +540,12 @@ def run_ber_sweep(cfg: SystemConfig, target: str = "bd",
 
 def run_cfo_study(cfg: SystemConfig, eps_grid,
                   target_events: int | None = TARGET_ERROR_EVENTS) -> list:
-    """One tag BER curve per frequency offset, on shared random draws.
+    """One tag BER curve per frequency offset.
 
-    Reusing the (seed, point, batch) streams across offsets pairs the
-    sweeps, so degradation factors between curves are not washed out by
+    The zero-offset curve is the plain sweep, run by the frequency-domain
+    kernel.  The nonzero offsets run the time-domain link on the same
+    (seed, point, batch) streams, which pairs those sweeps with each
+    other, so differences between them are not washed out by
     independent sampling noise.
     """
     eps = np.atleast_1d(np.asarray(eps_grid, dtype=np.float64))
@@ -466,13 +556,12 @@ def run_cfo_study(cfg: SystemConfig, eps_grid,
             for e in eps]
 
 
-def _retx_kernel(cfg, plan, noise, eta, waves):
+def _retx_kernel(cfg, link, noise, eta):
     def kernel(rng, size):
         payloads = rng.integers(0, 2, size=(size, FRAME_PAYLOAD_BITS))
         tx = crc5_encode_many(payloads, cfg.crc_preset)
-        grid, _, _ = _bd_grid(rng, size * FRAME_BITS, cfg, plan,
-                              tx.reshape(-1), noise, waves)
-        decided = _decide_bits(grid, plan, eta).reshape(size, FRAME_BITS)
+        grid = _bd_grid(rng, size * FRAME_BITS, link, tx.reshape(-1), noise)
+        decided = _decide_bits(grid, link.plan, eta).reshape(size, FRAME_BITS)
         failures = np.count_nonzero(~crc5_check_many(decided, cfg.crc_preset))
         return np.array([failures]), size
 
@@ -491,7 +580,7 @@ def run_retx(cfg: SystemConfig,
     if cfg.cfo_eps:
         _require_tdl(cfg, "simulating a frequency offset")
     plan = cfg.plan()
-    waves = _bd_waves(cfg, plan)
+    link = _tag_link(cfg)
     stop = None if target_events is None else 0
     events = TARGET_ERROR_EVENTS if target_events is None else target_events
     values, halfwidths = [], []
@@ -499,7 +588,7 @@ def run_retx(cfg: SystemConfig,
         noise = snr_to_noise_variance(snr, plan)
         eta = (_ook_threshold(cfg, snr, len(plan.kb0))
                if cfg.scheme == "ook" else None)
-        kernel = _retx_kernel(cfg, plan, noise, eta, waves)
+        kernel = _retx_kernel(cfg, link, noise, eta)
         counts, used = _accumulate(kernel, cfg.trials, cfg.seed, i,
                                    threads=cfg.threads, stop_channel=stop,
                                    target_events=events,
@@ -519,11 +608,10 @@ def simulate_frame_failures(cfg: SystemConfig, snr_db: float, n_frames: int,
     memory stays bounded.
     """
     plan = cfg.plan()
-    waves = _bd_waves(cfg, plan)
     noise = snr_to_noise_variance(snr_db, plan)
     eta = (_ook_threshold(cfg, snr_db, len(plan.kb0))
            if cfg.scheme == "ook" else None)
-    kernel = _retx_kernel(cfg, plan, noise, eta, waves)
+    kernel = _retx_kernel(cfg, _tag_link(cfg), noise, eta)
     failures = 0
     done = 0
     while done < n_frames:

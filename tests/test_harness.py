@@ -5,6 +5,9 @@ import filecmp
 import numpy as np
 import pytest
 
+from srbc.backscatter import bd_waveform
+from srbc.channel import NoiseSpec, snr_to_noise_variance
+from srbc.detector import fsk_detect, fsk_metrics, ook_test_statistic
 from srbc.harness import (
     CSV_HEADER,
     SimCurve,
@@ -20,8 +23,10 @@ from srbc.harness import (
     run_roc,
     simulate_frame_failures,
 )
+from srbc.harness import (_TagLink, _accumulate, _bd_grid, _bd_waves, _ci95,
+                          _ook_threshold, _reflect_onto, _tag_link, _tdl_grid)
 from srbc import cli
-from srbc.waveform import ConfigurationError
+from srbc.waveform import ConfigurationError, map_symbols
 
 
 def small_curve():
@@ -253,3 +258,71 @@ def test_cli_rejects_bad_input(tmp_path):
     conf = tmp_path / "bad.conf"
     conf.write_text("unknown_key = 3\n")
     assert cli.main(["theory", "--config", str(conf), "--out", str(out)]) == 2
+
+
+@pytest.mark.parametrize("n", (64, 512))
+@pytest.mark.parametrize("scheme", ("ook", "fsk1", "fsk2"))
+def test_frequency_kernel_matches_time_domain_bins(scheme, n):
+    # same taps, backward gain and bits, no noise: the kernel's
+    # detection bins are the time-domain link's, up to each source
+    # bin's data sign, which the kernel leaves out
+    cfg = SystemConfig(scheme=scheme, n=n, gamma_mag=0.5, snr_db=(10.0,))
+    plan = cfg.plan()
+    link = _tag_link(cfg)
+    rng = np.random.default_rng(229)
+    bits = rng.integers(0, 2, size=64).astype(np.int8)
+    grid, ch, data_bits = _tdl_grid(rng, 64, cfg, plan, bits, NoiseSpec(0.0),
+                                    _bd_waves(cfg, plan))
+    out = np.zeros((64, link.plan.n), dtype=np.complex128)
+    _reflect_onto(out, link, bits, ch.taps_backward[:, 0], ch.taps_forward,
+                  None)
+    sets = (plan.kb0,) if scheme == "ook" else (plan.kb0, plan.kb1)
+    bins = np.concatenate(sets)
+    shifts = np.concatenate([
+        np.full(len(s), bd_waveform(scheme, 1 if scheme == "ook" else b,
+                                    plan.zeta, n).shift)
+        for b, s in enumerate(sets)])
+    symbols = map_symbols(1.0 - 2.0 * data_bits, plan).values
+    expected = grid.values[:, bins]
+    got = out * symbols[:, (bins - shifts) % n]
+    scale = np.abs(expected).max()
+    assert scale > 0
+    assert np.abs(got - expected).max() <= 1e-10 * scale
+    if scheme == "ook":
+        assert not out[bits == 0].any()
+
+
+def _tag_error_rate(cfg, link, trials, seed):
+    plan = cfg.plan()
+    noise = snr_to_noise_variance(cfg.snr_db[0], plan)
+    if cfg.scheme == "ook":
+        eta = _ook_threshold(cfg, cfg.snr_db[0], len(plan.kb0))
+
+    def kernel(rng, size):
+        if cfg.scheme == "ook":
+            bits = np.ones(size, dtype=np.int8)
+            grid = _bd_grid(rng, size, link, bits, noise)
+            return np.array([np.count_nonzero(
+                ook_test_statistic(grid, link.plan) <= eta)]), size
+        bits = rng.integers(0, 2, size=size).astype(np.int8)
+        grid = _bd_grid(rng, size, link, bits, noise)
+        decided = fsk_detect(*fsk_metrics(grid, link.plan))
+        return np.array([np.count_nonzero(decided != bits)]), size
+
+    counts, used = _accumulate(kernel, trials, seed, 0, threads=2)
+    p = counts[0] / used
+    return p, float(_ci95(p, used))
+
+
+@pytest.mark.parametrize("scheme", ("ook", "fsk2"))
+def test_frequency_kernel_matches_time_domain_statistically(scheme):
+    # ook missed detection and fsk2 bit errors at 20 dB, 200k symbols
+    # each way: the two paths agree within their combined intervals
+    cfg = SystemConfig(scheme=scheme, n=64, gamma_mag=0.25, snr_db=(20.0,),
+                       pfa_target=1e-3)
+    plan = cfg.plan()
+    time_link = _TagLink(cfg, plan, waves=_bd_waves(cfg, plan))
+    p_fd, ci_fd = _tag_error_rate(cfg, _tag_link(cfg), 200_000, 233)
+    p_td, ci_td = _tag_error_rate(cfg, time_link, 200_000, 239)
+    assert 0.005 < p_fd < 0.5
+    assert abs(p_fd - p_td) <= ci_fd + ci_td, (p_fd, ci_fd, p_td, ci_td)
