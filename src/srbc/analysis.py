@@ -6,15 +6,25 @@ total complex variance.  All variances are per-bin energies after the
 receiver DFT, so with unit-power symbols and unit-gain links the
 per-bin noise energy at snr_db is 10**(-snr_db/10) and a landing bin
 conditioned on backward gain v adds gamma_sq * v**2 * sigma_h_sq.
-Characteristic functions are products of (1 - i*t*mean)**-1 factors;
-CDFs come from the sign-split inversion integral
+Characteristic functions are products of (1 - i*t*mean)**-1 factors
+(a negative mean is a subtracted exponential, as in the FSK energy
+difference); CDFs come from the sign-split inversion integral
 F(x) = 1/2 - (1/pi) * int_0^T Im[phi(t) exp(-i t x)] / t dt,
-evaluated with oscillation-aware adaptive quadrature.  The backward
-link magnitude is Rayleigh; marginals use a 64-node rule on [0, 6*sigma_v]
-with weights normalized to unit mass over the truncated support.
+evaluated with oscillation-aware adaptive quadrature.
+
+The backward link magnitude is Rayleigh, averaged with a 64-node rule
+on [0, 6*sigma_v] whose weights are normalized to unit mass over the
+truncated support.  The inversion integral is linear in phi, so a
+marginal is one inversion of the node-averaged characteristic function
+sum_j w_j phi_j(t), not one inversion per node.  The truncation T is
+the first doubling at which a certified bound on the dropped tail,
+taken node by node so that phase cancellation between nodes cannot
+hide a slowly decaying one, falls below a tenth of the absolute
+tolerance.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,29 +99,90 @@ def noise_bin_variance(snr_db: float) -> float:
     return 10.0 ** (-snr_db / 10.0)
 
 
-def _prod_charfn(t, means: np.ndarray):
-    """Characteristic function of a sum of exponentials with the given means.
+_T_BLOCK = 2048  # t values per block: one (64 nodes, t) float array is 1 MB
 
-    Equal means are grouped into a single complex power, so evaluation
-    cost scales with the number of distinct values, not components.
-    The base 1 - i*t*m has real part 1, keeping the principal power
-    continuous in t.
+
+@dataclass(frozen=True)
+class _ExpMixture:
+    """Characteristic function sum_j w_j * prod_g (1 - i*t*m_jg)**-c_g.
+
+    Node j (of the backward-gain rule, or the only one) has weight w_j
+    and c_g independent exponentials of mean m_jg in column g; a
+    negative mean is a subtracted exponential, as in an energy difference.
+    """
+
+    weights: np.ndarray  # (nodes,)
+    means: np.ndarray  # (nodes, columns)
+    counts: np.ndarray  # (columns,)
+
+    def __call__(self, t):
+        return _prod_charfn(t, self)
+
+    def tail_bound(self, truncation, x: float = 0.0) -> np.ndarray:
+        """Certified bound on |int_T^inf phi(t) exp(-i*t*x) / t dt| at each T.
+
+        Each factor has |1 - i*t*m| >= t*|m|, so |phi_j(t)| <= P_j(t) =
+        prod_g (t*|m_jg|)**-c_g and the tail is at most P(T) / K, with
+        P = sum_j w_j P_j and K = sum_g c_g.  For x != 0, integrating by
+        parts, with |phi_j'| <= K*|phi_j|/t <= K*P_j/t, bounds it by
+        (E(T) + P(T)) / (T*|x|), where E(T) = sum_j w_j*|phi_j(T)|.
+        Both bound every node's magnitude, so no phase cancellation
+        between nodes can hide a slowly decaying one.
+        """
+        truncation = np.asarray(truncation, dtype=np.float64)
+        tm = np.multiply.outer(truncation, np.abs(self.means))
+        power = np.exp(np.minimum(-np.log(tm) @ self.counts, 700.0)) @ self.weights
+        if x == 0:
+            return power / self.counts.sum()
+        envelope = np.exp(-0.5 * np.log1p(tm * tm) @ self.counts) @ self.weights
+        with np.errstate(over="ignore"):  # an infinite bound is a true one
+            by_parts = (envelope + power) / (truncation * abs(x))
+        return np.minimum(power / self.counts.sum(), by_parts)
+
+
+def _prod_charfn(t, mix: _ExpMixture):
+    """Evaluate the mixture's characteristic function at t.
+
+    Each factor is exp(-c*log(1 - i*t*m)).  The base has real part 1,
+    so the principal log is continuous in t, and at large t*m the
+    magnitude underflows to 0 where a complex power overflows to NaN.
+    The node average runs over blocks of t so that no (nodes, t) array
+    outgrows a few MB, however many panels the quadrature sends.
     """
     t_arr = np.asarray(t, dtype=np.float64)
-    out = np.ones(t_arr.shape, dtype=np.complex128)
-    for m, count in zip(*np.unique(means, return_counts=True)):
-        out = out * (1.0 - 1j * t_arr * m) ** (-int(count))
-    return complex(out) if np.isscalar(t) else out
+    flat = t_arr.ravel()
+    out = np.empty(flat.shape, dtype=np.complex128)
+    for lo in range(0, len(flat), _T_BLOCK):
+        tb = flat[lo:lo + _T_BLOCK]
+        log_mag = phase = 0.0
+        for m, c in zip(mix.means.T, mix.counts):
+            a = m[:, None] * tb
+            log_mag = log_mag - 0.5 * c * np.log1p(a * a)
+            phase = phase + c * np.arctan(a)
+        mag = np.exp(log_mag)
+        out[lo:lo + _T_BLOCK] = (mix.weights @ (mag * np.cos(phase))
+                                 + 1j * (mix.weights @ (mag * np.sin(phase))))
+    return complex(out[0]) if np.isscalar(t) else out.reshape(t_arr.shape)
+
+
+def _noise_mixture(spec: ExpMixSpec) -> _ExpMixture:
+    means, counts = np.unique(spec.means, return_counts=True)
+    return _ExpMixture(np.ones(1), means[None, :], counts)
 
 
 def charfn_h0(t, spec: ExpMixSpec):
     """Characteristic function of the noise-only statistic."""
-    return _prod_charfn(t, spec.means)
+    return _prod_charfn(t, _noise_mixture(spec))
 
 
-def _h1_means(gamma_sq: float, v: float, sigma_h_sq, sigma_w_sq: float,
-              n_b: int) -> np.ndarray:
-    if v < 0 or gamma_sq < 0:
+def _h1_means(gamma_sq: float, v, sigma_h_sq, sigma_w_sq: float, n_b: int):
+    """Distinct bin means of the signal-bearing statistic and their counts.
+
+    The means have one row per gain in v and one column per distinct
+    value of ``sigma_h_sq``.
+    """
+    v = np.atleast_1d(np.asarray(v, dtype=np.float64))
+    if np.any(v < 0) or gamma_sq < 0:
         raise ValueError("v and gamma_sq must be >= 0")
     if sigma_w_sq <= 0:
         raise ValueError("sigma_w_sq must be > 0")
@@ -120,25 +191,33 @@ def _h1_means(gamma_sq: float, v: float, sigma_h_sq, sigma_w_sq: float,
     sigma_h_sq = np.broadcast_to(np.asarray(sigma_h_sq, dtype=np.float64), (n_b,))
     if np.any(sigma_h_sq <= 0):
         raise ValueError("sigma_h_sq must be > 0")
-    return gamma_sq * v * v * sigma_h_sq + sigma_w_sq
+    gains, counts = np.unique(sigma_h_sq, return_counts=True)
+    return gamma_sq * (v * v)[:, None] * gains + sigma_w_sq, counts
 
 
 def charfn_h1(t, gamma_sq: float, v: float, sigma_h_sq, sigma_w_sq: float,
               n_b: int):
     """Characteristic function of the signal-bearing statistic given v."""
-    return _prod_charfn(t, _h1_means(gamma_sq, v, sigma_h_sq, sigma_w_sq, n_b))
+    return _prod_charfn(t, _ExpMixture(
+        np.ones(1), *_h1_means(gamma_sq, v, sigma_h_sq, sigma_w_sq, n_b)))
 
 
 def auto_quadrature(charfn, rel_tol: float = 1e-8, abs_tol: float = 1e-9,
-                    max_evals: int = 3_000_000) -> QuadratureSpec:
-    """Pick the truncation point: smallest doubling with |phi(T)|/T below abs_tol/10."""
-    t = 1e-3
-    for _ in range(100):
-        if abs(charfn(t)) / t < abs_tol / 10.0:
-            return QuadratureSpec(t, rel_tol, abs_tol, max_evals)
-        t *= 2.0
-    raise QuadratureError("characteristic function decays too slowly to truncate",
-                          np.nan, np.inf)
+                    max_evals: int = 3_000_000, x: float = 0.0) -> QuadratureSpec:
+    """Pick the truncation: the first T = 1e-3 * 2**k with its tail below abs_tol/10.
+
+    A mixture built here is truncated on its certified ``tail_bound`` at
+    the evaluation point x; any other callable on the heuristic
+    |phi(T)|/T, which is not a bound.
+    """
+    ts = 1e-3 * 2.0 ** np.arange(100)
+    tail = getattr(charfn, "tail_bound", None)
+    bounds = tail(ts, x) if tail is not None else np.abs(charfn(ts)) / ts
+    below = np.flatnonzero(bounds < abs_tol / 10.0)
+    if len(below) == 0:
+        raise QuadratureError("characteristic function decays too slowly to truncate",
+                              np.nan, np.inf)
+    return QuadratureSpec(float(ts[below[0]]), rel_tol, abs_tol, max_evals)
 
 
 def _inversion_edges(truncation: float, x: float) -> np.ndarray:
@@ -168,7 +247,7 @@ def gil_pelaez_cdf(charfn, x: float, q: QuadratureSpec | None = None) -> float:
     if not np.isfinite(x):
         raise ValueError(f"x must be finite, got {x}")
     if q is None:
-        q = auto_quadrature(charfn)
+        q = auto_quadrature(charfn, x=x)
     return float(np.clip(0.5 - _inversion_integral(charfn, x, q) / np.pi, 0.0, 1.0))
 
 
@@ -183,28 +262,39 @@ def pfa_of_threshold(eta: float, noise_spec: ExpMixSpec,
         raise ValueError(f"eta must be >= 0, got {eta}")
     if eta == 0:
         return 1.0
-
-    def charfn(t):
-        return charfn_h0(t, noise_spec)
-
+    charfn = _noise_mixture(noise_spec)
     if q is None:
-        q = auto_quadrature(charfn, abs_tol=1e-11)
+        q = auto_quadrature(charfn, abs_tol=1e-11, x=eta)
     return float(np.clip(0.5 + _inversion_integral(charfn, eta, q) / np.pi, 0.0, 1.0))
+
+
+def _missed_detection(eta: float, v, weights, gamma_sq: float, sigma_h_sq,
+                      sigma_w_sq: float, n_b: int,
+                      q: QuadratureSpec | None) -> float:
+    """F(eta) of the signal statistic averaged over gains v with weights."""
+    if eta < 0:
+        raise ValueError(f"eta must be >= 0, got {eta}")
+    if eta == 0:
+        return 0.0
+    charfn = _ExpMixture(weights, *_h1_means(gamma_sq, v, sigma_h_sq, sigma_w_sq, n_b))
+    return gil_pelaez_cdf(charfn, eta, q)
 
 
 def pmd_given_v(eta: float, v: float, gamma_sq: float, sigma_h_sq,
                 sigma_w_sq: float, n_b: int,
                 q: QuadratureSpec | None = None) -> float:
     """Missed-detection probability F(eta) of the signal statistic at fixed v."""
-    if eta < 0:
-        raise ValueError(f"eta must be >= 0, got {eta}")
-    if eta == 0:
-        return 0.0
+    return _missed_detection(eta, v, np.ones(1), gamma_sq, sigma_h_sq, sigma_w_sq,
+                             n_b, q)
 
-    def charfn(t):
-        return charfn_h1(t, gamma_sq, v, sigma_h_sq, sigma_w_sq, n_b)
 
-    return gil_pelaez_cdf(charfn, eta, q)
+@functools.lru_cache(maxsize=4)
+def _legendre_rule(n_nodes: int):
+    """Gauss-Legendre nodes and weights, computed once per size and read-only."""
+    rule = np.polynomial.legendre.leggauss(n_nodes)
+    for part in rule:
+        part.flags.writeable = False
+    return rule
 
 
 def rayleigh_nodes(sigma_v: float, n_nodes: int = 64):
@@ -217,7 +307,7 @@ def rayleigh_nodes(sigma_v: float, n_nodes: int = 64):
     """
     if sigma_v <= 0:
         raise ValueError(f"sigma_v must be > 0, got {sigma_v}")
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x, w = _legendre_rule(n_nodes)
     v = 3.0 * sigma_v * (x + 1.0)
     density = (v / sigma_v ** 2) * np.exp(-(v / sigma_v) ** 2)
     weights = w * density
@@ -227,12 +317,14 @@ def rayleigh_nodes(sigma_v: float, n_nodes: int = 64):
 def pmd_marginal(eta: float, sigma_v: float, gamma_sq: float, sigma_h_sq,
                  sigma_w_sq: float, n_b: int, q: QuadratureSpec | None = None,
                  n_nodes: int = 64) -> float:
-    """Missed-detection probability averaged over the Rayleigh backward gain."""
+    """Missed-detection probability averaged over the Rayleigh backward gain.
+
+    One inversion of the node-averaged characteristic function; bins
+    with unequal ``sigma_h_sq`` give unequal means at every node.
+    """
     v_nodes, weights = rayleigh_nodes(sigma_v, n_nodes)
-    total = 0.0
-    for v, w in zip(v_nodes, weights):
-        total += w * pmd_given_v(eta, v, gamma_sq, sigma_h_sq, sigma_w_sq, n_b, q)
-    return float(np.clip(total, 0.0, 1.0))
+    return _missed_detection(eta, v_nodes, weights, gamma_sq, sigma_h_sq,
+                             sigma_w_sq, n_b, q)
 
 
 def optimal_threshold(pfa_target: float, noise_spec: ExpMixSpec,
@@ -241,16 +333,14 @@ def optimal_threshold(pfa_target: float, noise_spec: ExpMixSpec,
 
     PFA(eta) falls monotonically from 1, so a doubling bracket followed
     by bisection converges; iteration stops when PFA is within 1e-6
-    relative of the target.
+    relative of the target.  Without ``q`` every step shares the
+    truncation whose certified tail bound holds at any eta.
     """
     if not 0 < pfa_target < 1:
         raise ValueError(f"pfa_target must be in (0, 1), got {pfa_target}")
-
-    def charfn(t):
-        return charfn_h0(t, noise_spec)
-
     if q is None:
-        q = auto_quadrature(charfn, abs_tol=min(1e-11, pfa_target * 1e-8))
+        q = auto_quadrature(_noise_mixture(noise_spec),
+                            abs_tol=min(1e-11, pfa_target * 1e-8))
     tol = 1e-6 * pfa_target
     lo, hi = 0.0, float(noise_spec.means.sum())
     for _ in range(200):
@@ -272,45 +362,23 @@ def optimal_threshold(pfa_target: float, noise_spec: ExpMixSpec,
         f"bisection stalled: PFA {pfa:.6g} vs target {pfa_target:.6g}")
 
 
-def _fsk_conditional_error(v: float, gamma_sq: float, sigma_h_sq,
-                           sigma_w_sq: float, n_b: int,
-                           q: QuadratureSpec | None) -> float:
-    """P(wrong bit | v) for the two-set energy comparison.
-
-    Conditioned on the sent bit, one hypothesis set carries signal plus
-    noise and the other noise only; the two sums are independent, so
-    the difference statistic has characteristic function
-    phi_signal(t) * conj(phi_noise(t)).  Both conditioning directions
-    are evaluated and averaged under the equiprobable prior.
-    """
-    sig_means = _h1_means(gamma_sq, v, sigma_h_sq, sigma_w_sq, n_b)
-    noise_means = np.full(n_b, sigma_w_sq)
-
-    def diff_charfn(first: np.ndarray, second: np.ndarray):
-        def charfn(t):
-            return _prod_charfn(t, first) * np.conj(_prod_charfn(t, second))
-        return charfn
-
-    # bit 0 sent: error when the signal-bearing set loses the comparison
-    cf0 = diff_charfn(sig_means, noise_means)
-    f0 = gil_pelaez_cdf(cf0, 0.0, q if q is not None else auto_quadrature(cf0))
-    # bit 1 sent: roles swap; error when the noise-only set wins
-    cf1 = diff_charfn(noise_means, sig_means)
-    f1 = gil_pelaez_cdf(cf1, 0.0, q if q is not None else auto_quadrature(cf1))
-    return 0.5 * f0 + 0.5 * (1.0 - f1)
-
-
 def fsk_error_prob(gamma_sq: float, sigma_v: float, sigma_h_sq,
                    sigma_w_sq: float, n_b: int,
                    q: QuadratureSpec | None = None,
                    n_nodes: int = 64) -> float:
-    """Bit error probability of the two-set energy detector, Rayleigh-averaged."""
+    """Bit error probability of the two-set energy detector, Rayleigh-averaged.
+
+    With bit 0 sent, set 0 carries signal plus noise and set 1 noise
+    only; the bit is lost when D = E0 - E1 < 0.  The noise sum enters D
+    as exponentials of negative mean, so phi_D = phi_signal *
+    conj(phi_noise), and one inversion of its node average at 0 gives
+    the error rate.  Bit 1 sent gives -D, whose CF is the conjugate: the
+    same inversion, so the equiprobable average needs nothing more.
+    """
     v_nodes, weights = rayleigh_nodes(sigma_v, n_nodes)
-    total = 0.0
-    for v, w in zip(v_nodes, weights):
-        total += w * _fsk_conditional_error(v, gamma_sq, sigma_h_sq,
-                                            sigma_w_sq, n_b, q)
-    return float(np.clip(total, 0.0, 1.0))
+    signal, counts = _h1_means(gamma_sq, v_nodes, sigma_h_sq, sigma_w_sq, n_b)
+    means = np.column_stack([signal, np.full(len(v_nodes), -sigma_w_sq)])
+    return gil_pelaez_cdf(_ExpMixture(weights, means, np.append(counts, n_b)), 0.0, q)
 
 
 def theory_sweep(kind: str, snr_grid, params: TheoryParams,
@@ -336,14 +404,17 @@ def theory_sweep(kind: str, snr_grid, params: TheoryParams,
     gamma_sq = params.gamma_mag ** 2
     values = np.empty(len(snr_grid))
     failed: list[int] = []
+    unit_eta = None
     for i, snr_db in enumerate(snr_grid):
         w_bin = noise_bin_variance(snr_db)
         try:
             if kind == "OOK_PMD":
-                noise = ExpMixSpec(np.full(n_b, 1.0 / w_bin))
-                eta = optimal_threshold(params.pfa_target, noise, q)
-                values[i] = pmd_marginal(eta, params.sigma_v, gamma_sq, 1.0,
-                                         w_bin, n_b, q)
+                # the noise statistic at bin energy w is w times the unit one
+                if unit_eta is None:
+                    unit_eta = optimal_threshold(params.pfa_target,
+                                                 ExpMixSpec(np.ones(n_b)), q)
+                values[i] = pmd_marginal(unit_eta * w_bin, params.sigma_v,
+                                         gamma_sq, 1.0, w_bin, n_b, q)
             else:
                 values[i] = fsk_error_prob(gamma_sq, params.sigma_v, 1.0,
                                            w_bin, n_b, q)

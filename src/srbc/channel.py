@@ -44,12 +44,6 @@ class ChannelRealization:
     freq_backward: np.ndarray
     n: int
 
-    @property
-    def tap_backward(self) -> complex:
-        if self.taps_backward.shape[-1] != 1:
-            raise ValueError("backward link has more than one tap")
-        return complex(self.taps_backward[..., 0])
-
 
 def complex_normal(rng: np.random.Generator, shape, variance) -> np.ndarray:
     """Circularly symmetric complex Gaussian draws of the given total variance."""

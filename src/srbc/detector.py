@@ -28,7 +28,22 @@ class DetectionOutcome:
 
 
 def _energy(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    return np.sum(np.abs(values[..., idx]) ** 2, axis=-1)
+    """Sum of |values|**2 over the bins idx of the last axis.
+
+    An evenly spaced ascending idx (every kernel grid's sets, and every
+    plan's but ook's at zeta 2) is sliced, not copied; the sum runs over
+    the real and imaginary parts, as one flat run when bins are adjacent.
+    """
+    step = int(idx[1] - idx[0]) if len(idx) > 1 else 1
+    if step > 0 and np.all(np.diff(idx) == step):
+        values = values[..., idx[0]:idx[-1] + 1:step]
+    else:
+        values = values[..., idx]
+    if values.strides[-1] == values.itemsize:
+        parts = [values.view(values.real.dtype)]
+    else:
+        parts = [values.real, values.imag]
+    return sum(np.einsum("...i,...i->...", p, p) for p in parts)
 
 
 def ook_test_statistic(grid: FreqGrid, plan: SubcarrierPlan):

@@ -398,10 +398,17 @@ def _decide_bits(grid, plan, eta):
     return np.asarray(fsk_detect(*fsk_metrics(grid, plan)))
 
 
+def _unit_ook_threshold(cfg: SystemConfig, n_b: int) -> float:
+    """OOK threshold at unit bin noise energy.
+
+    The noise-only statistic at bin energy w is w times the unit one, so
+    a sweep bisects once and scales by noise_bin_variance at each point.
+    """
+    return analysis.optimal_threshold(cfg.pfa_target, analysis.ExpMixSpec(np.ones(n_b)))
+
+
 def _ook_threshold(cfg: SystemConfig, snr_db: float, n_b: int) -> float:
-    w_bin = analysis.noise_bin_variance(snr_db)
-    noise = analysis.ExpMixSpec(np.full(n_b, 1.0 / w_bin))
-    return analysis.optimal_threshold(cfg.pfa_target, noise)
+    return _unit_ook_threshold(cfg, n_b) * analysis.noise_bin_variance(snr_db)
 
 
 # ---------------------------------------------------------------------------
@@ -429,10 +436,11 @@ def run_pmd_sweep(cfg: SystemConfig,
     link = _tag_link(cfg)
     stop = None if target_events is None else 0
     events = TARGET_ERROR_EVENTS if target_events is None else target_events
+    unit_eta = _unit_ook_threshold(cfg, len(plan.kb0))
     values, halfwidths = [], []
     for i, snr in enumerate(cfg.snr_db):
         noise = snr_to_noise_variance(snr, plan)
-        eta = _ook_threshold(cfg, snr, len(plan.kb0))
+        eta = unit_eta * analysis.noise_bin_variance(snr)
 
         def kernel(rng, size):
             bits = np.ones(size, dtype=np.int8)
@@ -583,11 +591,12 @@ def run_retx(cfg: SystemConfig,
     link = _tag_link(cfg)
     stop = None if target_events is None else 0
     events = TARGET_ERROR_EVENTS if target_events is None else target_events
+    unit_eta = (_unit_ook_threshold(cfg, len(plan.kb0))
+                if cfg.scheme == "ook" else None)
     values, halfwidths = [], []
     for i, snr in enumerate(cfg.snr_db):
         noise = snr_to_noise_variance(snr, plan)
-        eta = (_ook_threshold(cfg, snr, len(plan.kb0))
-               if cfg.scheme == "ook" else None)
+        eta = None if unit_eta is None else unit_eta * analysis.noise_bin_variance(snr)
         kernel = _retx_kernel(cfg, link, noise, eta)
         counts, used = _accumulate(kernel, cfg.trials, cfg.seed, i,
                                    threads=cfg.threads, stop_channel=stop,

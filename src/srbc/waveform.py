@@ -42,17 +42,6 @@ class SubcarrierPlan:
     def n_data(self) -> int:
         return len(self.data_idx)
 
-    def metadata(self) -> dict[str, str]:
-        """Plan summary as flat strings (index lists comma-joined)."""
-        return {
-            "scheme": self.scheme,
-            "n": str(self.n),
-            "zeta": str(self.zeta),
-            "data_idx": ",".join(str(k) for k in self.data_idx),
-            "kb0": ",".join(str(k) for k in self.kb0),
-            "kb1": ",".join(str(k) for k in self.kb1),
-        }
-
 
 @dataclass
 class FreqGrid:

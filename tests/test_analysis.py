@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import integrate, special, stats
 
 from srbc.analysis import (
     ExpMixSpec,
@@ -199,3 +201,91 @@ def test_theory_sweep_matches_direct_evaluation():
     eta = optimal_threshold(1e-3, spec)
     direct = pmd_marginal(eta, 1.0, 0.0625, 1.0, w, 32)
     assert curve.values[0] == pytest.approx(direct, rel=1e-9)
+
+
+def rayleigh_average(sigma_v, per_node, n_nodes=64):
+    nodes, weights = rayleigh_nodes(sigma_v, n_nodes)
+    return float(weights @ per_node(nodes))
+
+
+@pytest.mark.parametrize("gamma", [0.25, 1.0])
+def test_fsk1_theory_holds_at_high_snr(gamma):
+    # fsk1 collects one bin per hypothesis at every n, so the difference
+    # statistic's characteristic function decays only like 1/t**2
+    snr = np.arange(30.0, 51.0, 5.0)
+    curve = theory_sweep("FSK_BER", snr, TheoryParams("fsk1", 64, gamma))
+    for s, value in zip(snr, curve.values):
+        w = noise_bin_variance(s)
+        ref = rayleigh_average(1.0, lambda v: special.betainc(
+            1, 1, w / (gamma ** 2 * v * v + 2 * w)))
+        assert value == pytest.approx(ref, rel=1e-7), s
+
+
+DFT_SIZES = st.sampled_from([8, 16, 32, 64, 128, 256, 512, 1024])
+# bins per hypothesis set that a plan reaches: ook n/2 (the only scheme
+# with a missed-detection rate), fsk2 (n-1)//(zeta+1), fsk1 always 1
+OOK_SET_SIZES = DFT_SIZES.map(lambda n: n // 2)
+FSK_SET_SIZES = st.one_of(
+    st.just(1),
+    st.tuples(DFT_SIZES, st.integers(2, 4)).map(lambda p: (p[0] - 1) // (p[1] + 1)),
+)
+SNR_DB = st.floats(-10.0, 50.0)
+GAMMA = st.floats(0.02, 2.0)
+SIGMA_V = st.floats(0.3, 3.0)
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(n_b=FSK_SET_SIZES, snr_db=SNR_DB, gamma=GAMMA, sigma_v=SIGMA_V)
+def test_fsk_error_matches_closed_form(n_b, snr_db, gamma, sigma_v):
+    # two independent Gamma(n_b) energies: P(signal set loses) is a
+    # regularized incomplete beta function at every backward gain
+    w = noise_bin_variance(snr_db)
+    value = fsk_error_prob(gamma ** 2, sigma_v, 1.0, w, n_b)
+    ref = rayleigh_average(sigma_v, lambda v: special.betainc(
+        n_b, n_b, w / (gamma ** 2 * v * v + 2 * w)))
+    assert abs(value - ref) <= 1e-8 + 1e-6 * ref
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(n_b=OOK_SET_SIZES, snr_db=SNR_DB, gamma=GAMMA, sigma_v=SIGMA_V,
+       pfa=st.floats(1e-4, 0.1))
+def test_pmd_marginal_matches_closed_form(n_b, snr_db, gamma, sigma_v, pfa):
+    # the statistic is Gamma(n_b) with the bin mean as scale at every gain
+    w = noise_bin_variance(snr_db)
+    eta = w * special.gammainccinv(n_b, pfa)
+    value = pmd_marginal(eta, sigma_v, gamma ** 2, 1.0, w, n_b)
+    ref = rayleigh_average(sigma_v, lambda v: special.gammainc(
+        n_b, eta / (gamma ** 2 * v * v + w)))
+    assert abs(value - ref) <= 1e-8 + 1e-6 * ref
+
+
+@pytest.mark.parametrize("v, snr_db", [(0.3, 0.0), (1.0, 10.0), (2.0, 20.0)])
+def test_pmd_given_v_with_two_bin_gains(v, snr_db):
+    # three bins of gain 0.5 and two of gain 2: the statistic is the sum
+    # of two independent Gamma variables, whose CDF is a convolution
+    gamma_sq, w = 0.25, noise_bin_variance(snr_db)
+    gains = np.array([0.5, 2.0, 0.5, 2.0, 0.5])
+    m_lo, m_hi = gamma_sq * v * v * 0.5 + w, gamma_sq * v * v * 2.0 + w
+    eta = 5 * (m_lo + m_hi) / 2
+    ref, _ = integrate.quad(
+        lambda s: (stats.gamma.pdf(s, 3, scale=m_lo)
+                   * stats.gamma.cdf(eta - s, 2, scale=m_hi)),
+        0.0, eta, epsabs=1e-12, epsrel=1e-10)
+    assert pmd_given_v(eta, v, gamma_sq, gains, w, 5) == pytest.approx(ref, abs=1e-8)
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(sigma_h_sq=st.lists(st.floats(0.2, 3.0), min_size=2, max_size=6),
+       snr_db=SNR_DB, gamma=GAMMA, sigma_v=SIGMA_V, pfa=st.floats(1e-4, 0.1))
+def test_pmd_marginal_with_unequal_bin_variances(sigma_h_sq, snr_db, gamma,
+                                                 sigma_v, pfa):
+    # unequal bin gains give unequal means at every node; the one
+    # inversion of the averaged characteristic function must equal the
+    # average of the per-node inversions (on a short rule, for speed)
+    n_b, w = len(sigma_h_sq), noise_bin_variance(snr_db)
+    gains = np.array(sigma_h_sq)
+    eta = w * special.gammainccinv(n_b, pfa)
+    value = pmd_marginal(eta, sigma_v, gamma ** 2, gains, w, n_b, n_nodes=8)
+    ref = rayleigh_average(sigma_v, lambda nodes: np.array([
+        pmd_given_v(eta, float(v), gamma ** 2, gains, w, n_b) for v in nodes]), 8)
+    assert abs(value - ref) <= 1e-8
