@@ -18,13 +18,12 @@ from .channel import (CfoSpec, ChannelRealization, NoiseSpec, add_awgn,
                       apply_cfo, apply_channel, complex_normal, rayleigh_taps,
                       sample_channels, snr_to_noise_variance)
 from .crc import (GEN2_PRESET, GENERATOR, Frame, crc5_check, crc5_check_many,
-                  crc5_encode, crc5_encode_many, retransmission_probability)
+                  crc5_encode, crc5_encode_many)
 from .detector import (DetectionOutcome, detect_bd, fsk_detect, fsk_metrics,
                        ook_detect, ook_test_statistic, primary_detect)
 from .harness import (CSV_HEADER, SimCurve, SystemConfig, compare_theory_sim,
                       emit_csv, parse_csv, run_ber_sweep, run_cfo_study,
-                      run_compare, run_pmd_sweep, run_retx, run_roc,
-                      simulate_frame_failures)
+                      run_compare, run_pmd_sweep, run_retx, run_roc)
 from .quadrature import PanelIntegral, QuadratureError, integrate_adaptive
 from .waveform import (SCHEMES, ConfigurationError, FreqGrid, SubcarrierPlan,
                        TimeSignal, build_subcarrier_plan, map_symbols,

@@ -1,4 +1,4 @@
-"""5-bit cyclic redundancy check and the frame-retransmission metric.
+"""5-bit cyclic redundancy check and its frame structure.
 
 The generator polynomial is x^5 + x^3 + 1, run most-significant bit
 first through the usual Galois shift register.  The register preset is
@@ -110,22 +110,3 @@ def crc5_check_many(frame_bits, preset: int = 0) -> np.ndarray:
     preset = _validate_preset(preset)
     return _register(frame_bits.astype(np.int8), preset) == 0
 
-
-def retransmission_probability(config, n_frames: int, rng) -> float:
-    """Fraction of simulated frames whose received bits fail the check.
-
-    Each frame carries 7 payload bits plus the 5 check bits, one bit per
-    OFDM symbol over an independently drawn channel; the receiver decodes
-    non-coherently and re-requests the frame when the check fails.  The
-    configuration must pin a single SNR point.
-    """
-    from .harness import simulate_frame_failures
-
-    if n_frames < 1:
-        raise ValueError(f"n_frames must be >= 1, got {n_frames}")
-    if len(config.snr_db) != 1:
-        raise ValueError(
-            f"configuration carries {len(config.snr_db)} SNR points; "
-            "the retransmission probability is defined at exactly one")
-    failures = simulate_frame_failures(config, config.snr_db[0], n_frames, rng)
-    return failures / n_frames

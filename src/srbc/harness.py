@@ -8,20 +8,22 @@ order.  Results are curves (abscissa, value, 95% confidence halfwidth)
 plus a flat string metadata block, written to and read back from CSV
 losslessly.
 
-At zero carrier offset every tag-bit simulation runs one
-frequency-domain kernel that draws only the bins the detectors read.
-Its two channel modes differ in the tag's gain per bin: "tdl" evaluates
-the response of tapped-delay-line fading, while "iid" draws an
-independent complex-normal gain per subcarrier — the analytical model's
-own assumptions — and exists to validate the analysis module.  A
-nonzero offset and primary-link detection run the full time-domain
-pipeline (tdl only).
+Every tag-bit simulation runs one frequency-domain kernel that draws
+only the bins the detectors read.  Its two channel modes differ in the
+tag's gain per bin: "tdl" evaluates the response of tapped-delay-line
+fading, while "iid" draws an independent complex-normal gain per
+subcarrier — the analytical model's own assumptions — and exists to
+validate the analysis module.  A carrier offset (tdl only) enters the
+kernel as one exact matrix per link from the data bins to the detection
+bins.  Primary-link detection runs the full time-domain pipeline, which
+also serves the tests as the reference for the kernel.
 """
 from __future__ import annotations
 
 import csv
 import dataclasses
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -209,9 +211,11 @@ def _accumulate(batch_fn, total: int, seed: int, point_index: int, *,
     """Sum batch counts under the in-order adaptive stop rule.
 
     ``batch_fn(rng, size)`` returns (counts vector, trials consumed).
-    Batches are executed in waves, possibly concurrently, but the stop
-    rule walks results in batch order and discards everything past the
-    stopping batch, so the outcome is schedule-independent.
+    Batches may run concurrently, but the stop rule walks results in
+    batch order and discards everything past the stopping batch, so the
+    outcome is schedule-independent.  At most ``threads`` batches are in
+    flight, the one the scan waits for included, so a stop throws away
+    at most threads - 1 computed batches.
     """
     sizes = _batch_sizes(total, batch_size)
     counts = np.zeros(n_channels, dtype=np.int64)
@@ -220,28 +224,31 @@ def _accumulate(batch_fn, total: int, seed: int, point_index: int, *,
     def run(j):
         return batch_fn(_batch_rng(seed, point_index, j), sizes[j])
 
-    def scan(results):
+    def consume(result) -> bool:
         nonlocal used
-        for c, t in results:
-            counts[:] += np.asarray(c, dtype=np.int64)
-            used += int(t)
-            if (stop_channel is not None
-                    and counts[stop_channel] >= target_events):
-                return True
-        return False
+        c, t = result
+        counts[:] += np.asarray(c, dtype=np.int64)
+        used += int(t)
+        return stop_channel is not None and counts[stop_channel] >= target_events
 
-    wave = max(8, 4 * threads)
     if threads == 1:
-        for start in range(0, len(sizes), wave):
-            js = range(start, min(start + wave, len(sizes)))
-            if scan(map(run, js)):
+        for j in range(len(sizes)):
+            if consume(run(j)):
                 break
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for start in range(0, len(sizes), wave):
-                js = range(start, min(start + wave, len(sizes)))
-                if scan(pool.map(run, js)):
+        return counts, used
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        ahead = deque()
+        try:
+            for j in range(len(sizes)):
+                ahead.append(pool.submit(run, j))
+                if len(ahead) == threads and consume(ahead.popleft().result()):
+                    return counts, used
+            while ahead:
+                if consume(ahead.popleft().result()):
                     break
+        finally:
+            for future in ahead:
+                future.cancel()
     return counts, used
 
 
@@ -262,10 +269,12 @@ def _bd_waves(cfg: SystemConfig, plan):
 def _tdl_grid(rng, size, cfg, plan, bits, noise, waves):
     """Full time-domain link for one batch of symbols.
 
-    The reference path, and the only one for a carrier offset (which
-    spreads energy across bins) and for primary-link detection (which
-    needs the data bits and the direct response).  Returns the
-    demodulated grid, the channel draw, and the primary data bits.
+    OFDM synthesis with cyclic prefix, both channels, the tag's
+    reflection, noise, the carrier offset and the DFT.  Primary-link
+    detection runs it, because it needs the data bits and the direct
+    response, and the tests use it as the reference for the
+    frequency-domain kernel.  Returns the demodulated grid, the channel
+    draw, and the primary data bits.
     """
     data_bits = rng.integers(0, 2, size=(size, plan.n_data))
     sig = ofdm_modulate(map_symbols(1.0 - 2.0 * data_bits, plan), cfg.cp_len)
@@ -292,43 +301,66 @@ def _tdl_grid(rng, size, cfg, plan, bits, noise, waves):
 class _TagLink:
     """What a batch of tag bits needs besides its random draws.
 
-    At a nonzero offset ``waves`` drives the time-domain path and
-    ``plan`` is the config's plan.  At zero offset the grid holds only
-    the detection bins, kb0 then kb1 (kb0 alone for ook, whose sets
-    coincide), and ``plan`` numbers them as its columns.  ``landings``
-    holds per bit None, when the bit does not reflect, or the columns
-    its tone lands on and the (l_forward, width) matrix that maps
-    forward taps to Hf at their source bins.  Every plan builds its
-    landing sets as shifted data bins, so every column has a source.
+    The grid holds only the detection bins, kb0 then kb1 (kb0 alone for
+    ook, whose sets coincide), and ``plan`` numbers them as its columns.
+    At zero offset ``landings`` holds per bit None, when the bit does
+    not reflect, or the columns its tone lands on and the (l_forward,
+    width) matrix that maps forward taps to Hf at their source bins.
+    Every plan builds its landing sets as shifted data bins, so every
+    column has a source.  At a nonzero offset ``spectra`` is the
+    block-diagonal matrix that maps [direct taps, forward taps] to
+    [Hd, Hf] on the data bins, and ``leakage`` holds per bit the matrix
+    that maps the data-bin terms [X*Hd, gamma*hb*X*Hf] onto every
+    column: M_d stacked on the bit's M_s, or M_d alone when the bit
+    does not reflect.
     """
 
     cfg: SystemConfig
     plan: SubcarrierPlan
-    waves: tuple = ()
     landings: tuple = ()
+    spectra: np.ndarray | None = None
+    leakage: tuple = ()
+
+
+def _tap_response(n_taps: int, bins, n: int) -> np.ndarray:
+    """(n_taps, len(bins)) matrix mapping channel taps to their DFT at bins."""
+    return np.exp(-2j * np.pi * np.arange(n_taps)[:, None] * bins / n)
 
 
 def _tag_link(cfg: SystemConfig) -> _TagLink:
-    """The link for ``cfg``: the kernel at zero offset, else the time domain."""
+    """The kernel's link for ``cfg``, built once per configuration."""
     plan = cfg.plan()
-    if cfg.cfo_eps:
-        return _TagLink(cfg, plan, waves=_bd_waves(cfg, plan))
     width = len(plan.kb0) + (0 if plan.scheme == "ook" else len(plan.kb1))
     cols = (slice(0, len(plan.kb0)), slice(width - len(plan.kb1), width))
-    lags = np.arange(cfg.l_forward)[:, None]
-    landings = []
-    for bit, kb in enumerate((plan.kb0, plan.kb1)):
-        shift = bd_waveform(cfg.scheme, bit, plan.zeta, plan.n).shift
-        if shift is None:
-            landings.append(None)
-            continue
-        src = (kb - shift) % plan.n
-        landings.append((cols[bit], np.exp(-2j * np.pi * lags * src / plan.n)))
     grid_plan = dataclasses.replace(
         plan, n=width, data_idx=np.empty(0, dtype=np.int64),
         null_idx=np.arange(width), kb0=np.arange(width)[cols[0]],
         kb1=np.arange(width)[cols[1]])
-    return _TagLink(cfg, grid_plan, landings=tuple(landings))
+    shifts = [bd_waveform(cfg.scheme, bit, plan.zeta, plan.n).shift
+              for bit in (0, 1)]
+    if cfg.cfo_eps:
+        # the offset ramp starts on the first body sample, so it maps
+        # the spectrum Z to Y[k] = sum_m D[k-m] Z[m]
+        t = np.arange(plan.n)
+        d = np.fft.fft(np.exp(2j * np.pi * cfg.cfo_eps * t / plan.n)) / plan.n
+        det = (plan.kb0 if plan.scheme == "ook"
+               else np.concatenate((plan.kb0, plan.kb1)))
+        lag = det[None, :] - plan.data_idx[:, None]
+        m_d = d[lag % plan.n]
+        leakage = tuple(m_d if s is None else np.vstack((m_d, d[(lag - s) % plan.n]))
+                        for s in shifts)
+        spectra = np.zeros((cfg.l_direct + cfg.l_forward, 2 * plan.n_data),
+                           dtype=np.complex128)
+        spectra[:cfg.l_direct, :plan.n_data] = _tap_response(
+            cfg.l_direct, plan.data_idx, plan.n)
+        spectra[cfg.l_direct:, plan.n_data:] = _tap_response(
+            cfg.l_forward, plan.data_idx, plan.n)
+        return _TagLink(cfg, grid_plan, spectra=spectra, leakage=leakage)
+    landings = tuple(
+        None if s is None
+        else (cols[bit], _tap_response(cfg.l_forward, (kb - s) % plan.n, plan.n))
+        for bit, (s, kb) in enumerate(zip(shifts, (plan.kb0, plan.kb1))))
+    return _TagLink(cfg, grid_plan, landings=landings)
 
 
 def _complex_normal_draw(rng, shape, variance) -> np.ndarray:
@@ -361,35 +393,58 @@ def _reflect_onto(out, link: _TagLink, bits, hb, taps, rng) -> None:
         out[rows, cols] += gain
 
 
+def _leak_onto(out, link: _TagLink, bits, hb, taps, direct, signs) -> None:
+    """Add each row's offset-spread direct and tag terms on every column.
+
+    ``taps`` and ``direct`` are the forward and direct taps, ``signs``
+    the +-1 data symbols on the data bins.
+    """
+    size, n_data = signs.shape
+    # matmul, unlike _reflect_onto: the leakage products call BLAS anyway
+    terms = np.concatenate(
+        (direct, taps * (link.cfg.gamma_mag * hb[:, None])), axis=1) @ link.spectra
+    terms.reshape(size, 2, n_data)[...] *= signs[:, None, :]
+    for bit, leak in enumerate(link.leakage):
+        rows = np.flatnonzero(bits == bit)
+        out[rows] += terms[rows, :len(leak)] @ leak
+
+
 def _fd_grid(rng, size, link: _TagLink, bits, noise) -> FreqGrid:
-    """Detection bins of one batch at zero offset, in the frequency domain.
+    """Detection bins of one batch of tag symbols, in the frequency domain.
 
     The channel memory fits the cyclic prefix and tag tones are integer
-    bins, so on the landing bins of the sent bit's tone shift s each bin
-    a detector reads is exactly Y[k] = gamma*hb*Hf[k-s]*X[k-s] + W[k],
-    with X[k-s] a +-1 data symbol, and Y[k] = W[k] on the others: the
-    direct link leaves the null bins empty.  W is white with per-bin
-    variance ``noise.variance * n``.  The data signs are not drawn: W is
-    circular and independent across bins, so |X*a + W|^2 has the law
-    of |a + W|^2 jointly over the bins.
+    bins, so without an offset bin k of the DFT is exactly
+    Z[k] = Hd[k]*X[k] + gamma*hb*Hf[k-s]*X[k-s] + W[k], with X the +-1
+    data symbols (zero off the data bins), s the sent bit's tone shift
+    and W white with per-bin variance ``noise.variance * n``.
+
+    At zero offset the direct term leaves the null bins empty and each
+    detection bin holds one tag term.  The data signs are not drawn: W
+    is circular and independent across bins, so |X*a + W|^2 has the law
+    of |a + W|^2 jointly over the bins.  An offset eps multiplies the
+    body by exp(2j*pi*eps*t/n), which keeps W white and maps the rest
+    of Z through the link's leakage matrices.  Several data bins then
+    add coherently on each detection bin, so the signs are drawn, with
+    the direct taps, after the draws the zero-offset kernel makes: an
+    offset run shares its noise, hb and forward taps with the
+    zero-offset run on the same stream.
     """
     cfg = link.cfg
+    bits = np.asarray(bits)
     out = _complex_normal_draw(rng, (size, link.plan.n),
                                noise.variance * cfg.n)
     hb = _complex_normal_draw(rng, (size,), cfg.sigma_v ** 2)
     taps = (_complex_normal_draw(rng, (size, cfg.l_forward),
                                  1.0 / cfg.l_forward)
             if cfg.channel_mode == "tdl" else None)
-    _reflect_onto(out, link, np.asarray(bits), hb, taps, rng)
+    if not link.leakage:
+        _reflect_onto(out, link, bits, hb, taps, rng)
+        return FreqGrid(out)
+    n_data = link.spectra.shape[1] // 2
+    signs = 1.0 - 2.0 * rng.integers(0, 2, size=(size, n_data))
+    direct = _complex_normal_draw(rng, (size, cfg.l_direct), 1.0 / cfg.l_direct)
+    _leak_onto(out, link, bits, hb, taps, direct, signs)
     return FreqGrid(out)
-
-
-def _bd_grid(rng, size, link: _TagLink, bits, noise) -> FreqGrid:
-    """One batch of tag symbols, as the grid ``link.plan`` reads."""
-    if link.waves:
-        return _tdl_grid(rng, size, link.cfg, link.plan, bits, noise,
-                         link.waves)[0]
-    return _fd_grid(rng, size, link, bits, noise)
 
 
 def _decide_bits(grid, plan, eta):
@@ -405,10 +460,6 @@ def _unit_ook_threshold(cfg: SystemConfig, n_b: int) -> float:
     a sweep bisects once and scales by noise_bin_variance at each point.
     """
     return analysis.optimal_threshold(cfg.pfa_target, analysis.ExpMixSpec(np.ones(n_b)))
-
-
-def _ook_threshold(cfg: SystemConfig, snr_db: float, n_b: int) -> float:
-    return _unit_ook_threshold(cfg, n_b) * analysis.noise_bin_variance(snr_db)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +496,7 @@ def run_pmd_sweep(cfg: SystemConfig,
         def kernel(rng, size):
             bits = np.ones(size, dtype=np.int8)
             stat = ook_test_statistic(
-                _bd_grid(rng, size, link, bits, noise), link.plan)
+                _fd_grid(rng, size, link, bits, noise), link.plan)
             return np.array([np.count_nonzero(stat <= eta)]), size
 
         counts, used = _accumulate(kernel, cfg.trials, cfg.seed, i,
@@ -481,9 +532,9 @@ def run_roc(cfg: SystemConfig, eta_grid) -> SimCurve:
         bits0 = np.zeros(size, dtype=np.int8)
         bits1 = np.ones(size, dtype=np.int8)
         stat0 = ook_test_statistic(
-            _bd_grid(rng, size, link, bits0, noise), link.plan)
+            _fd_grid(rng, size, link, bits0, noise), link.plan)
         stat1 = ook_test_statistic(
-            _bd_grid(rng, size, link, bits1, noise), link.plan)
+            _fd_grid(rng, size, link, bits1, noise), link.plan)
         above0 = np.count_nonzero(stat0[:, None] > etas[None, :], axis=0)
         above1 = np.count_nonzero(stat1[:, None] > etas[None, :], axis=0)
         return np.concatenate([above0, above1]), size
@@ -528,7 +579,7 @@ def run_ber_sweep(cfg: SystemConfig, target: str = "bd",
         def kernel(rng, size):
             bits = rng.integers(0, 2, size=size).astype(np.int8)
             if target == "bd":
-                grid = _bd_grid(rng, size, link, bits, noise)
+                grid = _fd_grid(rng, size, link, bits, noise)
                 decided = _decide_bits(grid, link.plan, None)
                 return np.array([np.count_nonzero(decided != bits)]), size
             grid, ch, data_bits = _tdl_grid(rng, size, cfg, plan, bits, noise,
@@ -550,11 +601,12 @@ def run_cfo_study(cfg: SystemConfig, eps_grid,
                   target_events: int | None = TARGET_ERROR_EVENTS) -> list:
     """One tag BER curve per frequency offset.
 
-    The zero-offset curve is the plain sweep, run by the frequency-domain
-    kernel.  The nonzero offsets run the time-domain link on the same
-    (seed, point, batch) streams, which pairs those sweeps with each
-    other, so differences between them are not washed out by
-    independent sampling noise.
+    Every curve runs the frequency-domain kernel on the same (seed,
+    point, batch) streams, and the zero-offset curve is the plain sweep.
+    An offset curve draws the same bits, noise, backward gains and
+    forward taps as the zero-offset one, and only then its data signs
+    and direct taps, so the curves are paired: differences between them
+    are not washed out by independent sampling noise.
     """
     eps = np.atleast_1d(np.asarray(eps_grid, dtype=np.float64))
     if len(eps) == 0 or not np.isfinite(eps).all():
@@ -562,18 +614,6 @@ def run_cfo_study(cfg: SystemConfig, eps_grid,
     _require_tdl(cfg, "simulating a frequency offset")
     return [run_ber_sweep(cfg.replace(cfo_eps=float(e)), "bd", target_events)
             for e in eps]
-
-
-def _retx_kernel(cfg, link, noise, eta):
-    def kernel(rng, size):
-        payloads = rng.integers(0, 2, size=(size, FRAME_PAYLOAD_BITS))
-        tx = crc5_encode_many(payloads, cfg.crc_preset)
-        grid = _bd_grid(rng, size * FRAME_BITS, link, tx.reshape(-1), noise)
-        decided = _decide_bits(grid, link.plan, eta).reshape(size, FRAME_BITS)
-        failures = np.count_nonzero(~crc5_check_many(decided, cfg.crc_preset))
-        return np.array([failures]), size
-
-    return kernel
 
 
 def run_retx(cfg: SystemConfig,
@@ -597,7 +637,15 @@ def run_retx(cfg: SystemConfig,
     for i, snr in enumerate(cfg.snr_db):
         noise = snr_to_noise_variance(snr, plan)
         eta = None if unit_eta is None else unit_eta * analysis.noise_bin_variance(snr)
-        kernel = _retx_kernel(cfg, link, noise, eta)
+
+        def kernel(rng, size):
+            payloads = rng.integers(0, 2, size=(size, FRAME_PAYLOAD_BITS))
+            tx = crc5_encode_many(payloads, cfg.crc_preset)
+            grid = _fd_grid(rng, size * FRAME_BITS, link, tx.reshape(-1), noise)
+            decided = _decide_bits(grid, link.plan, eta).reshape(size, FRAME_BITS)
+            failures = np.count_nonzero(~crc5_check_many(decided, cfg.crc_preset))
+            return np.array([failures]), size
+
         counts, used = _accumulate(kernel, cfg.trials, cfg.seed, i,
                                    threads=cfg.threads, stop_channel=stop,
                                    target_events=events,
@@ -606,29 +654,6 @@ def run_retx(cfg: SystemConfig,
         values.append(p)
         halfwidths.append(float(_ci95(p, used)))
     return SimCurve(np.asarray(cfg.snr_db), values, halfwidths, _config_meta(cfg))
-
-
-def simulate_frame_failures(cfg: SystemConfig, snr_db: float, n_frames: int,
-                            rng: np.random.Generator) -> int:
-    """Count check failures over ``n_frames`` frames using one generator.
-
-    Single-threaded companion to the sweep runner for callers that hold
-    their own generator; frames are processed in fixed-size chunks so
-    memory stays bounded.
-    """
-    plan = cfg.plan()
-    noise = snr_to_noise_variance(snr_db, plan)
-    eta = (_ook_threshold(cfg, snr_db, len(plan.kb0))
-           if cfg.scheme == "ook" else None)
-    kernel = _retx_kernel(cfg, _tag_link(cfg), noise, eta)
-    failures = 0
-    done = 0
-    while done < n_frames:
-        size = min(_BATCH_FRAMES, n_frames - done)
-        counts, _ = kernel(rng, size)
-        failures += int(counts[0])
-        done += size
-    return failures
 
 
 # ---------------------------------------------------------------------------

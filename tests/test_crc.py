@@ -11,9 +11,7 @@ from srbc.crc import (
     crc5_check_many,
     crc5_encode,
     crc5_encode_many,
-    retransmission_probability,
 )
-from srbc.harness import SystemConfig
 
 # independently computed by long division of x^5 + x^3 + 1 into the
 # payload polynomial (MSB first), for both register presets
@@ -123,15 +121,3 @@ def test_check_many_validates_shape():
     short = crc5_encode(np.array([1], dtype=np.int8))
     assert crc5_check_many(short.bits[None, :])[0]
 
-
-def test_retransmission_probability_wiring():
-    cfg = SystemConfig(scheme="fsk2", n=64, gamma_mag=0.0, snr_db=(10.0,),
-                       trials=512, seed=151)
-    rng = np.random.default_rng(151)
-    p = retransmission_probability(cfg, 256, rng)
-    assert 0.85 <= p <= 1.0  # a silent tag almost always forces a resend
-    again = retransmission_probability(cfg, 256, np.random.default_rng(151))
-    assert p == again
-    multi = cfg.replace(snr_db=(0.0, 10.0))
-    with pytest.raises(ValueError):
-        retransmission_probability(multi, 64, rng)

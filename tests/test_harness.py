@@ -4,7 +4,10 @@ import filecmp
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from srbc import analysis
 from srbc.backscatter import bd_waveform
 from srbc.channel import NoiseSpec, snr_to_noise_variance
 from srbc.detector import fsk_detect, fsk_metrics, ook_test_statistic
@@ -21,10 +24,10 @@ from srbc.harness import (
     run_pmd_sweep,
     run_retx,
     run_roc,
-    simulate_frame_failures,
 )
-from srbc.harness import (_TagLink, _accumulate, _bd_grid, _bd_waves, _ci95,
-                          _ook_threshold, _reflect_onto, _tag_link, _tdl_grid)
+from srbc.harness import (DFT_SIZES, _accumulate, _bd_waves, _ci95, _fd_grid,
+                          _leak_onto, _reflect_onto, _tag_link, _tdl_grid,
+                          _unit_ook_threshold)
 from srbc import cli
 from srbc.waveform import ConfigurationError, map_symbols
 
@@ -198,12 +201,23 @@ def test_cfo_study_zero_offset_matches_plain_sweep():
     assert shifted.values[0] > zero.values[0]
 
 
-def test_frame_failures_reproducible():
-    cfg = SystemConfig(scheme="ook", n=64, gamma_mag=0.5, snr_db=(15.0,),
-                       trials=512, seed=199)
-    a = simulate_frame_failures(cfg, 15.0, 300, np.random.default_rng(3))
-    b = simulate_frame_failures(cfg, 15.0, 300, np.random.default_rng(3))
-    assert a == b and 0 <= a <= 300
+def test_offset_kernel_shares_the_zero_offset_draws():
+    # an offset draws its data signs and direct taps after the noise,
+    # hb and forward taps, so on one stream a vanishing offset keeps
+    # those: its tag term is the zero-offset one up to each source
+    # bin's data sign, which leaves the magnitudes alone
+    cfg = SystemConfig(scheme="fsk2", n=64, gamma_mag=0.5, snr_db=(10.0,))
+    noise = snr_to_noise_variance(10.0, cfg.plan())
+    bits = np.random.default_rng(5).integers(0, 2, size=512).astype(np.int8)
+
+    def grid(c):
+        return _fd_grid(np.random.default_rng(7), 512, _tag_link(c), bits,
+                        noise).values
+
+    w = grid(cfg.replace(gamma_mag=0.0))
+    zero = np.abs(grid(cfg) - w)
+    tiny = np.abs(grid(cfg.replace(cfo_eps=1e-9)) - w)
+    assert np.abs(tiny - zero).max() <= 1e-6 * zero.max()
 
 
 def test_compare_smoke():
@@ -292,21 +306,68 @@ def test_frequency_kernel_matches_time_domain_bins(scheme, n):
         assert not out[bits == 0].any()
 
 
-def _tag_error_rate(cfg, link, trials, seed):
+def _offset_bins_error(cfg, rows, seed):
+    # same taps, backward gain, data signs and bits, no noise: the
+    # largest gap between the kernel's detection bins and the
+    # time-domain link's, relative to the largest bin
     plan = cfg.plan()
-    noise = snr_to_noise_variance(cfg.snr_db[0], plan)
+    link = _tag_link(cfg)
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2, size=rows).astype(np.int8)
+    grid, ch, data_bits = _tdl_grid(rng, rows, cfg, plan, bits, NoiseSpec(0.0),
+                                    _bd_waves(cfg, plan))
+    out = np.zeros((rows, link.plan.n), dtype=np.complex128)
+    _leak_onto(out, link, bits, ch.taps_backward[:, 0], ch.taps_forward,
+               ch.taps_direct, 1.0 - 2.0 * data_bits)
+    sets = (plan.kb0,) if cfg.scheme == "ook" else (plan.kb0, plan.kb1)
+    expected = grid.values[:, np.concatenate(sets)]
+    scale = np.abs(expected).max()
+    assert scale > 0
+    return np.abs(out - expected).max() / scale
+
+
+@pytest.mark.parametrize("eps", (0.05, -0.2, 0.3, 1.0))
+@pytest.mark.parametrize("n", (64, 512))
+@pytest.mark.parametrize("scheme", ("ook", "fsk1", "fsk2"))
+def test_offset_kernel_matches_time_domain_bins(scheme, n, eps):
+    cfg = SystemConfig(scheme=scheme, n=n, gamma_mag=0.5, cfo_eps=eps,
+                       snr_db=(10.0,))
+    assert _offset_bins_error(cfg, 64, 241) <= 1e-10
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(scheme=st.sampled_from(("ook", "fsk1", "fsk2")),
+       n=st.sampled_from(DFT_SIZES),
+       eps=st.floats(-0.5, 0.5).filter(lambda e: e != 0.0),
+       gamma=st.floats(0.05, 1.0),
+       seed=st.integers(0, 2 ** 32 - 1),
+       data=st.data())
+def test_offset_kernel_matches_time_domain_everywhere(scheme, n, eps, gamma,
+                                                      seed, data):
+    # any channel memory up to the cyclic prefix
+    taps = st.integers(1, n // 8 + 1)
+    cfg = SystemConfig(scheme=scheme, n=n, gamma_mag=gamma, cfo_eps=eps,
+                       l_direct=data.draw(taps), l_forward=data.draw(taps),
+                       snr_db=(10.0,))
+    assert _offset_bins_error(cfg, 16, seed) <= 1e-10
+
+
+def _tag_error_rate(cfg, grid_of, plan, trials, seed):
+    # grid_of(rng, size, bits, noise) is the grid that ``plan`` reads
+    noise = snr_to_noise_variance(cfg.snr_db[0], cfg.plan())
     if cfg.scheme == "ook":
-        eta = _ook_threshold(cfg, cfg.snr_db[0], len(plan.kb0))
+        eta = (_unit_ook_threshold(cfg, len(plan.kb0))
+               * analysis.noise_bin_variance(cfg.snr_db[0]))
 
     def kernel(rng, size):
         if cfg.scheme == "ook":
             bits = np.ones(size, dtype=np.int8)
-            grid = _bd_grid(rng, size, link, bits, noise)
+            grid = grid_of(rng, size, bits, noise)
             return np.array([np.count_nonzero(
-                ook_test_statistic(grid, link.plan) <= eta)]), size
+                ook_test_statistic(grid, plan) <= eta)]), size
         bits = rng.integers(0, 2, size=size).astype(np.int8)
-        grid = _bd_grid(rng, size, link, bits, noise)
-        decided = fsk_detect(*fsk_metrics(grid, link.plan))
+        grid = grid_of(rng, size, bits, noise)
+        decided = fsk_detect(*fsk_metrics(grid, plan))
         return np.array([np.count_nonzero(decided != bits)]), size
 
     counts, used = _accumulate(kernel, trials, seed, 0, threads=2)
@@ -314,15 +375,26 @@ def _tag_error_rate(cfg, link, trials, seed):
     return p, float(_ci95(p, used))
 
 
-@pytest.mark.parametrize("scheme", ("ook", "fsk2"))
-def test_frequency_kernel_matches_time_domain_statistically(scheme):
-    # ook missed detection and fsk2 bit errors at 20 dB, 200k symbols
-    # each way: the two paths agree within their combined intervals
-    cfg = SystemConfig(scheme=scheme, n=64, gamma_mag=0.25, snr_db=(20.0,),
-                       pfa_target=1e-3)
+@pytest.mark.parametrize("scheme, eps", (("ook", 0.0), ("fsk2", 0.0),
+                                         ("fsk2", 0.1)),
+                         ids=("ook", "fsk2", "fsk2-cfo0.1"))
+def test_frequency_kernel_matches_time_domain_statistically(scheme, eps):
+    # ook missed detection and fsk2 bit errors at 20 dB, with and
+    # without a carrier offset, 200k symbols each way: the two paths
+    # agree within their combined intervals
+    cfg = SystemConfig(scheme=scheme, n=64, gamma_mag=0.25,
+                       snr_db=(20.0,), pfa_target=1e-3, cfo_eps=eps)
     plan = cfg.plan()
-    time_link = _TagLink(cfg, plan, waves=_bd_waves(cfg, plan))
-    p_fd, ci_fd = _tag_error_rate(cfg, _tag_link(cfg), 200_000, 233)
-    p_td, ci_td = _tag_error_rate(cfg, time_link, 200_000, 239)
+    waves = _bd_waves(cfg, plan)
+    link = _tag_link(cfg)
+
+    def kernel_grid(rng, size, bits, noise):
+        return _fd_grid(rng, size, link, bits, noise)
+
+    def time_grid(rng, size, bits, noise):
+        return _tdl_grid(rng, size, cfg, plan, bits, noise, waves)[0]
+
+    p_fd, ci_fd = _tag_error_rate(cfg, kernel_grid, link.plan, 200_000, 233)
+    p_td, ci_td = _tag_error_rate(cfg, time_grid, plan, 200_000, 239)
     assert 0.005 < p_fd < 0.5
     assert abs(p_fd - p_td) <= ci_fd + ci_td, (p_fd, ci_fd, p_td, ci_td)
