@@ -14,15 +14,10 @@ import sys
 import numpy as np
 
 from . import analysis
-from .harness import (SystemConfig, emit_csv, run_ber_sweep, run_cfo_study,
-                      run_compare, run_pmd_sweep, run_retx, run_roc)
-from .waveform import ConfigurationError
-
-_CONFIG_FIELDS = ("scheme", "n", "zeta", "gamma_mag", "snr_db", "cfo_eps",
-                  "l_direct", "l_forward", "sigma_v", "pfa_target", "trials",
-                  "seed", "channel_mode", "crc_preset", "threads")
-_INT_FIELDS = {"n", "zeta", "l_direct", "l_forward", "trials", "seed", "threads"}
-_FLOAT_FIELDS = {"gamma_mag", "cfo_eps", "sigma_v", "pfa_target"}
+from .harness import (CHANNEL_MODES, SystemConfig, _theory_curve, emit_csv,
+                      run_ber_sweep, run_cfo_study, run_compare, run_pmd_sweep,
+                      run_retx, run_roc)
+from .waveform import SCHEMES, ConfigurationError
 
 
 def _parse_float_list(text: str):
@@ -32,16 +27,29 @@ def _parse_float_list(text: str):
         raise argparse.ArgumentTypeError(f"bad number list {text!r}") from exc
 
 
-def _parse_config_value(key: str, text: str):
-    if key in _INT_FIELDS:
-        return int(text)
-    if key in _FLOAT_FIELDS:
-        return float(text)
-    if key == "snr_db":
-        return _parse_float_list(text)
-    if key == "crc_preset":
-        return int(text, 0)
-    return text
+# Every SystemConfig field: its flag and the argparse options of that
+# flag.  The config-file key parses with the flag's type.
+_FIELDS = {
+    "scheme": ("--scheme", dict(choices=SCHEMES)),
+    "n": ("--n", dict(type=int, help="DFT size")),
+    "zeta": ("--zeta", dict(type=int, help="data/null spacing parameter")),
+    "gamma_mag": ("--gamma", dict(type=float, help="reflection magnitude")),
+    "snr_db": ("--snr", dict(type=_parse_float_list,
+                             help="SNR grid in dB, comma separated")),
+    "cfo_eps": ("--cfo", dict(type=float,
+                              help="carrier offset (subcarrier fraction)")),
+    "l_direct": ("--l-direct", dict(type=int, help="direct-link tap count")),
+    "l_forward": ("--l-forward", dict(type=int, help="forward-link tap count")),
+    "sigma_v": ("--sigma-v", dict(type=float, help="backward-link RMS gain")),
+    "pfa_target": ("--pfa-target", dict(type=float, help="false-alarm design point")),
+    "trials": ("--trials", dict(type=int, help="per-point trial cap")),
+    "seed": ("--seed", dict(type=int, help="master seed")),
+    "channel_mode": ("--channel-mode", dict(choices=CHANNEL_MODES)),
+    "crc_preset": ("--crc-preset", dict(
+        type=lambda s: int(s, 0),
+        help="5-bit register preset (0b01001 for the Gen2 variant)")),
+    "threads": ("--threads", dict(type=int, help="worker threads")),
+}
 
 
 def load_config_file(path: str) -> dict:
@@ -56,49 +64,24 @@ def load_config_file(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in _CONFIG_FIELDS:
+            if key not in _FIELDS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            out[key] = _parse_config_value(key, value.strip())
+            out[key] = _FIELDS[key][1].get("type", str)(value.strip())
     return out
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="FILE",
                         help="key=value file supplying config fields")
-    parser.add_argument("--scheme", choices=("ook", "fsk1", "fsk2"))
-    parser.add_argument("--n", type=int, help="DFT size")
-    parser.add_argument("--zeta", type=int, help="data/null spacing parameter")
-    parser.add_argument("--gamma", type=float, help="reflection magnitude")
-    parser.add_argument("--snr", type=_parse_float_list,
-                        help="SNR grid in dB, comma separated")
-    parser.add_argument("--cfo", type=float, help="carrier offset (subcarrier fraction)")
-    parser.add_argument("--l-direct", type=int, help="direct-link tap count")
-    parser.add_argument("--l-forward", type=int, help="forward-link tap count")
-    parser.add_argument("--sigma-v", type=float, help="backward-link RMS gain")
-    parser.add_argument("--pfa-target", type=float, help="false-alarm design point")
-    parser.add_argument("--trials", type=int, help="per-point trial cap")
-    parser.add_argument("--seed", type=int, help="master seed")
-    parser.add_argument("--channel-mode", choices=("tdl", "iid"))
-    parser.add_argument("--crc-preset", type=lambda s: int(s, 0),
-                        help="5-bit register preset (0b01001 for the Gen2 variant)")
-    parser.add_argument("--threads", type=int, help="worker threads")
+    for flag, options in _FIELDS.values():
+        parser.add_argument(flag, **options)
     parser.add_argument("--out", metavar="CSV", help="write the curve(s) here")
 
 
 def build_config(args: argparse.Namespace) -> SystemConfig:
-    kwargs = {}
-    if args.config:
-        kwargs.update(load_config_file(args.config))
-    flag_map = (
-        ("scheme", args.scheme), ("n", args.n), ("zeta", args.zeta),
-        ("gamma_mag", args.gamma), ("snr_db", args.snr), ("cfo_eps", args.cfo),
-        ("l_direct", args.l_direct), ("l_forward", args.l_forward),
-        ("sigma_v", args.sigma_v), ("pfa_target", args.pfa_target),
-        ("trials", args.trials), ("seed", args.seed),
-        ("channel_mode", args.channel_mode), ("crc_preset", args.crc_preset),
-        ("threads", args.threads),
-    )
-    for key, value in flag_map:
+    kwargs = load_config_file(args.config) if args.config else {}
+    for key, (flag, _) in _FIELDS.items():
+        value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None:
             kwargs[key] = value
     return SystemConfig(**kwargs)
@@ -131,32 +114,29 @@ def _auto_eta_grid(cfg: SystemConfig) -> np.ndarray:
     return np.array([0.0] + etas)
 
 
-def _cmd_pmd(args) -> int:
-    cfg = build_config(args)
-    curve = run_pmd_sweep(cfg)
-    _print_curve(curve, "missed-detection probability vs SNR")
-    if args.out:
-        emit_csv(curve, args.out)
-    return 0
+def _eta_grid(cfg: SystemConfig, text: str) -> np.ndarray:
+    if text == "auto":
+        return _auto_eta_grid(cfg)
+    return np.asarray(_parse_float_list(text))
 
 
-def _cmd_roc(args) -> int:
-    cfg = build_config(args)
-    if args.eta_grid == "auto":
-        etas = _auto_eta_grid(cfg)
-    else:
-        etas = np.asarray(_parse_float_list(args.eta_grid))
-    curve = run_roc(cfg, etas)
-    _print_curve(curve, "detection vs false-alarm probability")
-    if args.out:
-        emit_csv(curve, args.out)
-    return 0
+# Curve commands: the run and the printed label, formatted with the args.
+_CURVES = {
+    "pmd": (lambda cfg, args: run_pmd_sweep(cfg),
+            "missed-detection probability vs SNR"),
+    "roc": (lambda cfg, args: run_roc(cfg, _eta_grid(cfg, args.eta_grid)),
+            "detection vs false-alarm probability"),
+    "ber": (lambda cfg, args: run_ber_sweep(cfg, args.target),
+            "{target} bit error rate vs SNR"),
+    "retx": (lambda cfg, args: run_retx(cfg),
+             "frame retransmission probability vs SNR"),
+}
 
 
-def _cmd_ber(args) -> int:
-    cfg = build_config(args)
-    curve = run_ber_sweep(cfg, args.target)
-    _print_curve(curve, f"{args.target} bit error rate vs SNR")
+def _cmd_curve(args) -> int:
+    run, label = _CURVES[args.command]
+    curve = run(build_config(args), args)
+    _print_curve(curve, label.format_map(vars(args)))
     if args.out:
         emit_csv(curve, args.out)
     return 0
@@ -173,24 +153,8 @@ def _cmd_cfo(args) -> int:
     return 0
 
 
-def _cmd_retx(args) -> int:
-    cfg = build_config(args)
-    curve = run_retx(cfg)
-    _print_curve(curve, "frame retransmission probability vs SNR")
-    if args.out:
-        emit_csv(curve, args.out)
-    return 0
-
-
 def _cmd_theory(args) -> int:
-    cfg = build_config(args)
-    if args.kind == "auto":
-        kind = "OOK_PMD" if cfg.scheme == "ook" else "FSK_BER"
-    else:
-        kind = args.kind
-    params = analysis.TheoryParams(cfg.scheme, cfg.n, cfg.gamma_mag, cfg.zeta,
-                                   cfg.sigma_v, cfg.pfa_target)
-    curve = analysis.theory_sweep(kind, np.asarray(cfg.snr_db), params)
+    kind, curve = _theory_curve(build_config(args), args.kind)
     _print_curve(curve, f"analytical {kind}")
     if args.out:
         emit_csv(curve, args.out)
@@ -229,29 +193,26 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     specs = (
-        ("pmd", _cmd_pmd, "missed-detection probability sweep (ook)"),
-        ("roc", _cmd_roc, "detection vs false-alarm curve (ook, single SNR)"),
-        ("ber", _cmd_ber, "bit error rate sweep"),
-        ("cfo", _cmd_cfo, "bit error rate under carrier offsets"),
-        ("retx", _cmd_retx, "frame retransmission probability sweep"),
-        ("theory", _cmd_theory, "analytical curve without simulation"),
+        ("pmd", _cmd_curve, "missed-detection probability sweep (ook)"),
+        ("roc", _cmd_curve, "detection vs false-alarm curve (ook, single SNR)",
+         "--eta-grid", dict(default="auto",
+                            help="comma-separated thresholds, or 'auto'")),
+        ("ber", _cmd_curve, "bit error rate sweep",
+         "--target", dict(choices=("bd", "primary"), default="bd")),
+        ("cfo", _cmd_cfo, "bit error rate under carrier offsets",
+         "--eps-grid", dict(default="0.0,0.05",
+                            help="comma-separated carrier offsets")),
+        ("retx", _cmd_curve, "frame retransmission probability sweep"),
+        ("theory", _cmd_theory, "analytical curve without simulation",
+         "--kind", dict(choices=("auto", "OOK_PMD", "FSK_BER"), default="auto")),
         ("compare", _cmd_compare, "analytical vs iid-mode simulation"),
     )
-    for name, func, help_text in specs:
+    for name, func, help_text, *extra in specs:
         p = sub.add_parser(name, help=help_text)
         _add_common_flags(p)
         p.set_defaults(func=func)
-        if name == "roc":
-            p.add_argument("--eta-grid", default="auto",
-                           help="comma-separated thresholds, or 'auto'")
-        if name == "ber":
-            p.add_argument("--target", choices=("bd", "primary"), default="bd")
-        if name == "cfo":
-            p.add_argument("--eps-grid", default="0.0,0.05",
-                           help="comma-separated carrier offsets")
-        if name == "theory":
-            p.add_argument("--kind", choices=("auto", "OOK_PMD", "FSK_BER"),
-                           default="auto")
+        if extra:
+            p.add_argument(extra[0], **extra[1])
 
     args = parser.parse_args(argv)
     try:

@@ -4,27 +4,15 @@ The tag bit is detected non-coherently from null-bin energies: OOK
 compares the landing-set energy against a threshold, the FSK schemes
 compare the energies collected on the two hypothesis sets.  The primary
 data is detected coherently with known per-bin channel gains.  All
-functions accept batched grids (leading axes) and return matching
-shapes; scalars come back as Python floats/ints.
+functions accept batched grids (leading axes) and return numpy values
+of matching shape.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelRealization
 from .waveform import FreqGrid, SubcarrierPlan
-
-
-@dataclass
-class DetectionOutcome:
-    """Decision plus the statistics it was based on."""
-
-    decided: np.ndarray | int
-    stat0: np.ndarray | float
-    stat1: np.ndarray | float | None = None
-    threshold: float | None = None
 
 
 def _energy(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -48,8 +36,7 @@ def _energy(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 def ook_test_statistic(grid: FreqGrid, plan: SubcarrierPlan):
     """Total received energy on the OOK landing set."""
-    stat = _energy(grid.values, plan.kb0)
-    return float(stat) if stat.ndim == 0 else stat
+    return _energy(grid.values, plan.kb0)
 
 
 def ook_detect(stat, threshold: float):
@@ -59,35 +46,17 @@ def ook_detect(stat, threshold: float):
     """
     if threshold < 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
-    decided = (np.asarray(stat) > threshold).astype(np.int8)
-    return int(decided) if decided.ndim == 0 else decided
+    return (np.asarray(stat) > threshold).astype(np.int8)
 
 
 def fsk_metrics(grid: FreqGrid, plan: SubcarrierPlan):
     """Energies on the bit-0 and bit-1 hypothesis sets."""
-    ts0 = _energy(grid.values, plan.kb0)
-    ts1 = _energy(grid.values, plan.kb1)
-    if ts0.ndim == 0:
-        return float(ts0), float(ts1)
-    return ts0, ts1
+    return _energy(grid.values, plan.kb0), _energy(grid.values, plan.kb1)
 
 
 def fsk_detect(ts0, ts1):
     """Pick the hypothesis with more collected energy; ties go to bit 0."""
-    decided = (np.asarray(ts1) > np.asarray(ts0)).astype(np.int8)
-    return int(decided) if decided.ndim == 0 else decided
-
-
-def detect_bd(grid: FreqGrid, plan: SubcarrierPlan,
-              threshold: float | None = None) -> DetectionOutcome:
-    """Run the scheme's tag-bit detector on a demodulated grid."""
-    if plan.scheme == "ook":
-        if threshold is None:
-            raise ValueError("ook detection needs a threshold")
-        stat = ook_test_statistic(grid, plan)
-        return DetectionOutcome(ook_detect(stat, threshold), stat, None, threshold)
-    ts0, ts1 = fsk_metrics(grid, plan)
-    return DetectionOutcome(fsk_detect(ts0, ts1), ts0, ts1, None)
+    return (np.asarray(ts1) > np.asarray(ts0)).astype(np.int8)
 
 
 def primary_detect(grid: FreqGrid, chan: ChannelRealization,

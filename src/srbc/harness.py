@@ -17,6 +17,9 @@ validate the analysis module.  A carrier offset (tdl only) enters the
 kernel as one exact matrix per link from the data bins to the detection
 bins.  Primary-link detection runs the full time-domain pipeline, which
 also serves the tests as the reference for the kernel.
+
+Every simulated curve runs one per-point loop, ``_sweep``: each runner
+supplies only its validation and its batch kernel.
 """
 from __future__ import annotations
 
@@ -81,17 +84,20 @@ class SystemConfig:
     def __post_init__(self):
         for name in ("gamma_mag", "cfo_eps", "sigma_v", "pfa_target"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        for name in ("n", "l_direct", "l_forward", "trials", "seed",
+        if self.zeta is None:
+            object.__setattr__(self, "zeta", 2 if self.scheme == "fsk2" else 1)
+        for name in ("n", "zeta", "l_direct", "l_forward", "trials", "seed",
                      "crc_preset", "threads"):
-            object.__setattr__(self, name, int(getattr(self, name)))
+            value = getattr(self, name)
+            if int(value) != value and not isinstance(value, str):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.scheme not in SCHEMES:
             raise ConfigurationError(
                 f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
         if self.n not in DFT_SIZES:
             raise ConfigurationError(
                 f"DFT size must be one of {DFT_SIZES}, got {self.n}")
-        if self.zeta is None:
-            object.__setattr__(self, "zeta", 2 if self.scheme == "fsk2" else 1)
         snr = np.atleast_1d(np.asarray(self.snr_db, dtype=np.float64))
         if snr.ndim != 1 or len(snr) == 0 or not np.isfinite(snr).all():
             raise ConfigurationError("snr_db must be a finite scalar or vector")
@@ -204,32 +210,31 @@ def _batch_sizes(total: int, batch_size: int) -> list:
 
 
 def _accumulate(batch_fn, total: int, seed: int, point_index: int, *,
-                threads: int = 1, n_channels: int = 1,
-                stop_channel: int | None = None,
-                target_events: int = TARGET_ERROR_EVENTS,
+                threads: int = 1, target_events: int | None = None,
                 batch_size: int = _BATCH_SYMBOLS):
     """Sum batch counts under the in-order adaptive stop rule.
 
     ``batch_fn(rng, size)`` returns (counts vector, trials consumed).
-    Batches may run concurrently, but the stop rule walks results in
-    batch order and discards everything past the stopping batch, so the
-    outcome is schedule-independent.  At most ``threads`` batches are in
-    flight, the one the scan waits for included, so a stop throws away
-    at most threads - 1 computed batches.
+    The run stops after the batch that brings the first count to
+    ``target_events``, and runs every batch for None.  Batches may run
+    concurrently, but the stop rule walks results in batch order and
+    discards everything past the stopping batch, so the outcome is
+    schedule-independent.  At most ``threads`` batches are in flight,
+    the one the scan waits for included, so a stop throws away at most
+    threads - 1 computed batches.
     """
     sizes = _batch_sizes(total, batch_size)
-    counts = np.zeros(n_channels, dtype=np.int64)
-    used = 0
+    counts = used = 0
 
     def run(j):
         return batch_fn(_batch_rng(seed, point_index, j), sizes[j])
 
     def consume(result) -> bool:
-        nonlocal used
+        nonlocal counts, used
         c, t = result
-        counts[:] += np.asarray(c, dtype=np.int64)
+        counts = counts + np.asarray(c, dtype=np.int64)
         used += int(t)
-        return stop_channel is not None and counts[stop_channel] >= target_events
+        return target_events is not None and counts[0] >= target_events
 
     if threads == 1:
         for j in range(len(sizes)):
@@ -449,8 +454,8 @@ def _fd_grid(rng, size, link: _TagLink, bits, noise) -> FreqGrid:
 
 def _decide_bits(grid, plan, eta):
     if plan.scheme == "ook":
-        return np.asarray(ook_detect(ook_test_statistic(grid, plan), eta))
-    return np.asarray(fsk_detect(*fsk_metrics(grid, plan)))
+        return ook_detect(ook_test_statistic(grid, plan), eta)
+    return fsk_detect(*fsk_metrics(grid, plan))
 
 
 def _unit_ook_threshold(cfg: SystemConfig, n_b: int) -> float:
@@ -466,6 +471,30 @@ def _unit_ook_threshold(cfg: SystemConfig, n_b: int) -> float:
 # Experiment runners
 
 
+def _sweep(cfg: SystemConfig, point_kernel, target_events: int | None,
+           batch_size: int = _BATCH_SYMBOLS):
+    """Run one batch kernel per point of the SNR grid under the stop rule.
+
+    ``point_kernel(snr, noise)`` returns the batch kernel of the point at
+    ``snr``.  Each point draws from its own (seed, point index) streams
+    and stops once its first count reaches ``target_events`` (never, for
+    None).  Returns the counts as a (points, counts per batch) array and
+    the trials each point used.
+    """
+    if cfg.cfo_eps:
+        _require_tdl(cfg, "simulating a frequency offset")
+    plan = cfg.plan()
+    runs = [_accumulate(point_kernel(snr, snr_to_noise_variance(snr, plan)),
+                        cfg.trials, cfg.seed, i, threads=cfg.threads,
+                        target_events=target_events, batch_size=batch_size)
+            for i, snr in enumerate(cfg.snr_db)]
+    return np.array([c for c, _ in runs]), np.array([u for _, u in runs])
+
+
+def _curve(cfg: SystemConfig, abscissa, p, used) -> SimCurve:
+    return SimCurve(abscissa, p, _ci95(p, used), _config_meta(cfg))
+
+
 def run_pmd_sweep(cfg: SystemConfig,
                   target_events: int | None = TARGET_ERROR_EVENTS) -> SimCurve:
     """Missed-detection probability of the OOK tag bit across the SNR grid.
@@ -477,35 +506,25 @@ def run_pmd_sweep(cfg: SystemConfig,
     """
     if cfg.scheme != "ook":
         raise ConfigurationError("the missed-detection sweep is defined for ook")
-    if cfg.cfo_eps:
-        _require_tdl(cfg, "simulating a frequency offset")
     if cfg.trials * cfg.pfa_target < TARGET_ERROR_EVENTS:
         raise ConfigurationError(
             f"trials must be at least {TARGET_ERROR_EVENTS}/pfa_target "
             f"= {math.ceil(TARGET_ERROR_EVENTS / cfg.pfa_target)}, got {cfg.trials}")
-    plan = cfg.plan()
     link = _tag_link(cfg)
-    stop = None if target_events is None else 0
-    events = TARGET_ERROR_EVENTS if target_events is None else target_events
-    unit_eta = _unit_ook_threshold(cfg, len(plan.kb0))
-    values, halfwidths = [], []
-    for i, snr in enumerate(cfg.snr_db):
-        noise = snr_to_noise_variance(snr, plan)
+    unit_eta = _unit_ook_threshold(cfg, len(link.plan.kb0))
+
+    def point_kernel(snr, noise):
         eta = unit_eta * analysis.noise_bin_variance(snr)
 
         def kernel(rng, size):
             bits = np.ones(size, dtype=np.int8)
             stat = ook_test_statistic(
                 _fd_grid(rng, size, link, bits, noise), link.plan)
-            return np.array([np.count_nonzero(stat <= eta)]), size
+            return [np.count_nonzero(stat <= eta)], size
+        return kernel
 
-        counts, used = _accumulate(kernel, cfg.trials, cfg.seed, i,
-                                   threads=cfg.threads, stop_channel=stop,
-                                   target_events=events)
-        p = counts[0] / used
-        values.append(p)
-        halfwidths.append(float(_ci95(p, used)))
-    return SimCurve(np.asarray(cfg.snr_db), values, halfwidths, _config_meta(cfg))
+    counts, used = _sweep(cfg, point_kernel, target_events)
+    return _curve(cfg, cfg.snr_db, counts[:, 0] / used, used)
 
 
 def run_roc(cfg: SystemConfig, eta_grid) -> SimCurve:
@@ -519,34 +538,25 @@ def run_roc(cfg: SystemConfig, eta_grid) -> SimCurve:
         raise ConfigurationError("the ROC sweep is defined for ook")
     if len(cfg.snr_db) != 1:
         raise ConfigurationError("the ROC is computed at exactly one SNR point")
-    if cfg.cfo_eps:
-        _require_tdl(cfg, "simulating a frequency offset")
     etas = np.asarray(eta_grid, dtype=np.float64)
     if etas.ndim != 1 or len(etas) == 0 or np.any(~(etas >= 0)):
         raise ValueError("eta_grid must be a nonempty vector of thresholds >= 0")
     link = _tag_link(cfg)
-    noise = snr_to_noise_variance(cfg.snr_db[0], cfg.plan())
-    k = len(etas)
 
-    def kernel(rng, size):
-        bits0 = np.zeros(size, dtype=np.int8)
-        bits1 = np.ones(size, dtype=np.int8)
-        stat0 = ook_test_statistic(
-            _fd_grid(rng, size, link, bits0, noise), link.plan)
-        stat1 = ook_test_statistic(
-            _fd_grid(rng, size, link, bits1, noise), link.plan)
-        above0 = np.count_nonzero(stat0[:, None] > etas[None, :], axis=0)
-        above1 = np.count_nonzero(stat1[:, None] > etas[None, :], axis=0)
-        return np.concatenate([above0, above1]), size
+    def point_kernel(snr, noise):
+        def kernel(rng, size):
+            above = [np.count_nonzero(ook_test_statistic(
+                _fd_grid(rng, size, link, np.full(size, bit, dtype=np.int8),
+                         noise), link.plan)[:, None] > etas, axis=0)
+                for bit in (0, 1)]
+            return np.concatenate(above), size
+        return kernel
 
-    counts, used = _accumulate(kernel, cfg.trials, cfg.seed, 0,
-                               threads=cfg.threads, n_channels=2 * k,
-                               stop_channel=None)
-    pfa = counts[:k] / used
-    pd = counts[k:] / used
+    # one point, counting false alarms then detections, that never stops
+    counts, used = _sweep(cfg, point_kernel, None)
+    pfa, pd = np.split(counts[0] / used[0], 2)
     order = np.argsort(pfa, kind="stable")
-    return SimCurve(pfa[order], pd[order], _ci95(pd[order], used),
-                    _config_meta(cfg))
+    return _curve(cfg, pfa[order], pd[order], used[0])
 
 
 def run_ber_sweep(cfg: SystemConfig, target: str = "bd",
@@ -560,8 +570,6 @@ def run_ber_sweep(cfg: SystemConfig, target: str = "bd",
     """
     if target not in ("bd", "primary"):
         raise ValueError(f"target must be 'bd' or 'primary', got {target!r}")
-    if cfg.cfo_eps:
-        _require_tdl(cfg, "simulating a frequency offset")
     if target == "bd" and cfg.scheme not in ("fsk1", "fsk2"):
         raise ConfigurationError(
             "the tag bit error rate compares two hypothesis sets; use fsk1 or fsk2")
@@ -570,31 +578,23 @@ def run_ber_sweep(cfg: SystemConfig, target: str = "bd",
     plan = cfg.plan()
     waves = _bd_waves(cfg, plan)
     link = _tag_link(cfg)
-    stop = None if target_events is None else 0
-    events = TARGET_ERROR_EVENTS if target_events is None else target_events
-    values, halfwidths = [], []
-    for i, snr in enumerate(cfg.snr_db):
-        noise = snr_to_noise_variance(snr, plan)
 
+    def point_kernel(snr, noise):
         def kernel(rng, size):
             bits = rng.integers(0, 2, size=size).astype(np.int8)
             if target == "bd":
                 grid = _fd_grid(rng, size, link, bits, noise)
                 decided = _decide_bits(grid, link.plan, None)
-                return np.array([np.count_nonzero(decided != bits)]), size
+                return [np.count_nonzero(decided != bits)], size
             grid, ch, data_bits = _tdl_grid(rng, size, cfg, plan, bits, noise,
                                             waves)
             decided = primary_detect(grid, ch, plan)
             errors = np.count_nonzero(decided != data_bits)
-            return np.array([errors]), size * plan.n_data
+            return [errors], size * plan.n_data
+        return kernel
 
-        counts, used = _accumulate(kernel, cfg.trials, cfg.seed, i,
-                                   threads=cfg.threads, stop_channel=stop,
-                                   target_events=events)
-        p = counts[0] / used
-        values.append(p)
-        halfwidths.append(float(_ci95(p, used)))
-    return SimCurve(np.asarray(cfg.snr_db), values, halfwidths, _config_meta(cfg))
+    counts, used = _sweep(cfg, point_kernel, target_events)
+    return _curve(cfg, cfg.snr_db, counts[:, 0] / used, used)
 
 
 def run_cfo_study(cfg: SystemConfig, eps_grid,
@@ -625,17 +625,11 @@ def run_retx(cfg: SystemConfig,
     retransmitted when the receiver-side check fails.  ``trials`` caps
     the frame count per point.
     """
-    if cfg.cfo_eps:
-        _require_tdl(cfg, "simulating a frequency offset")
-    plan = cfg.plan()
     link = _tag_link(cfg)
-    stop = None if target_events is None else 0
-    events = TARGET_ERROR_EVENTS if target_events is None else target_events
-    unit_eta = (_unit_ook_threshold(cfg, len(plan.kb0))
+    unit_eta = (_unit_ook_threshold(cfg, len(link.plan.kb0))
                 if cfg.scheme == "ook" else None)
-    values, halfwidths = [], []
-    for i, snr in enumerate(cfg.snr_db):
-        noise = snr_to_noise_variance(snr, plan)
+
+    def point_kernel(snr, noise):
         eta = None if unit_eta is None else unit_eta * analysis.noise_bin_variance(snr)
 
         def kernel(rng, size):
@@ -643,17 +637,11 @@ def run_retx(cfg: SystemConfig,
             tx = crc5_encode_many(payloads, cfg.crc_preset)
             grid = _fd_grid(rng, size * FRAME_BITS, link, tx.reshape(-1), noise)
             decided = _decide_bits(grid, link.plan, eta).reshape(size, FRAME_BITS)
-            failures = np.count_nonzero(~crc5_check_many(decided, cfg.crc_preset))
-            return np.array([failures]), size
+            return [np.count_nonzero(~crc5_check_many(decided, cfg.crc_preset))], size
+        return kernel
 
-        counts, used = _accumulate(kernel, cfg.trials, cfg.seed, i,
-                                   threads=cfg.threads, stop_channel=stop,
-                                   target_events=events,
-                                   batch_size=_BATCH_FRAMES)
-        p = counts[0] / used
-        values.append(p)
-        halfwidths.append(float(_ci95(p, used)))
-    return SimCurve(np.asarray(cfg.snr_db), values, halfwidths, _config_meta(cfg))
+    counts, used = _sweep(cfg, point_kernel, target_events, _BATCH_FRAMES)
+    return _curve(cfg, cfg.snr_db, counts[:, 0] / used, used)
 
 
 # ---------------------------------------------------------------------------
@@ -724,18 +712,24 @@ def compare_theory_sim(theory_curve, sim_curve, min_prob: float = 1e-3):
     return rows, all_ok
 
 
+def _theory_curve(cfg: SystemConfig, kind: str = "auto"):
+    """Analytical ``kind`` curve on the config's SNR grid, as (kind, curve).
+
+    Kind "auto" picks OOK_PMD for ook and FSK_BER for the fsk schemes.
+    """
+    if kind == "auto":
+        kind = "OOK_PMD" if cfg.scheme == "ook" else "FSK_BER"
+    params = analysis.TheoryParams(cfg.scheme, cfg.n, cfg.gamma_mag, cfg.zeta,
+                                   cfg.sigma_v, cfg.pfa_target)
+    return kind, analysis.theory_sweep(kind, np.asarray(cfg.snr_db), params)
+
+
 def run_compare(cfg: SystemConfig):
     """Analytical curve vs. iid-mode simulation on the config's SNR grid.
 
     Returns (theory curve, simulated curve, comparison rows, verdict).
     """
-    if cfg.scheme == "ook":
-        kind = "OOK_PMD"
-    else:
-        kind = "FSK_BER"
-    params = analysis.TheoryParams(cfg.scheme, cfg.n, cfg.gamma_mag, cfg.zeta,
-                                   cfg.sigma_v, cfg.pfa_target)
-    theory = analysis.theory_sweep(kind, np.asarray(cfg.snr_db), params)
+    kind, theory = _theory_curve(cfg)
     sim_cfg = cfg.replace(channel_mode="iid", cfo_eps=0.0)
     if kind == "OOK_PMD":
         sim = run_pmd_sweep(sim_cfg)

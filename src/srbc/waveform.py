@@ -92,6 +92,9 @@ def build_subcarrier_plan(scheme: str, n: int, zeta: int = 1) -> SubcarrierPlan:
     _require_power_of_two(n)
     if scheme not in SCHEMES:
         raise ConfigurationError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
+    if int(zeta) != zeta:
+        raise ConfigurationError(f"zeta must be an integer, got {zeta!r}")
+    zeta = int(zeta)
     if zeta < 1:
         raise ConfigurationError(f"zeta must be >= 1, got {zeta}")
 

@@ -7,7 +7,6 @@ import pytest
 
 from srbc.channel import ChannelRealization, NoiseSpec, add_awgn, snr_to_noise_variance
 from srbc.detector import (
-    detect_bd,
     fsk_detect,
     fsk_metrics,
     ook_detect,
@@ -62,6 +61,7 @@ def test_fsk_metrics_reference_values():
     plan = build_subcarrier_plan("fsk2", 64, zeta=2)
     zero = FreqGrid(np.zeros(64, dtype=np.complex128))
     assert fsk_metrics(zero, plan) == (0.0, 0.0)
+    assert fsk_metrics(zero, build_subcarrier_plan("fsk1", 64)) == (0.0, 0.0)
     grid = FreqGrid(np.zeros(64, dtype=np.complex128))
     grid.values[plan.kb1] = 1.0
     ts0, ts1 = fsk_metrics(grid, plan)
@@ -97,18 +97,6 @@ def test_decisions_are_scale_equivariant():
     eta = float(np.median(stat))
     assert np.array_equal(ook_detect(stat, eta),
                           ook_detect(stat_scaled, eta * 3.7 ** 2))
-
-
-def test_detect_bd_dispatch():
-    plan = build_subcarrier_plan("ook", 64)
-    grid = FreqGrid(np.zeros(64, dtype=np.complex128))
-    with pytest.raises(ValueError):
-        detect_bd(grid, plan)
-    out = detect_bd(grid, plan, threshold=0.5)
-    assert out.decided == 0 and out.threshold == 0.5
-    fsk_plan = build_subcarrier_plan("fsk1", 64)
-    out = detect_bd(grid, fsk_plan)
-    assert out.decided == 0 and out.stat1 == 0.0
 
 
 def test_primary_detect_reference_cases():
@@ -166,7 +154,7 @@ def test_end_to_end_interference_freedom():
             assert np.array_equal(primary_detect(received, chan, plan),
                                   data_bits), (scheme, bit)
             if scheme == "ook":
-                out = detect_bd(received, plan, threshold=1e-6)
+                decided = ook_detect(ook_test_statistic(received, plan), 1e-6)
             else:
-                out = detect_bd(received, plan)
-            assert out.decided == bit, (scheme, bit)
+                decided = fsk_detect(*fsk_metrics(received, plan))
+            assert decided == bit, (scheme, bit)

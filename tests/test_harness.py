@@ -1,5 +1,7 @@
 """Tests for the Monte Carlo harness, CSV interchange, and the CLI."""
 
+import argparse
+import dataclasses
 import filecmp
 
 import numpy as np
@@ -29,7 +31,7 @@ from srbc.harness import (DFT_SIZES, _accumulate, _bd_waves, _ci95, _fd_grid,
                           _leak_onto, _reflect_onto, _tag_link, _tdl_grid,
                           _unit_ook_threshold)
 from srbc import cli
-from srbc.waveform import ConfigurationError, map_symbols
+from srbc.waveform import ConfigurationError, build_subcarrier_plan, map_symbols
 
 
 def small_curve():
@@ -68,6 +70,17 @@ def test_config_validation():
         SystemConfig(trials=0)
     with pytest.raises(ConfigurationError):
         SystemConfig(pfa_target=0.0)
+    # integer fields take integral values only: none is truncated
+    fractional = {"n": 64.7, "zeta": 2.5, "l_direct": 2.5, "l_forward": 2.5,
+                  "trials": 1000.5, "seed": 7.5, "crc_preset": 9.5,
+                  "threads": 1.5}
+    for name, value in fractional.items():
+        with pytest.raises(ConfigurationError):
+            SystemConfig(scheme="fsk2", **{name: value})
+    with pytest.raises(ConfigurationError):
+        build_subcarrier_plan("fsk2", 64, zeta=2.5)
+    whole = SystemConfig(scheme="fsk2", zeta=2.0)
+    assert isinstance(whole.zeta, int) and whole.plan().zeta == 2
 
 
 def test_sim_curve_validation():
@@ -264,6 +277,42 @@ def test_cli_simulation_commands(tmp_path):
     assert code == 0
     assert parse_csv(tmp_path / "cfo_eps0.csv").meta["cfo"] == "0.0"
     assert parse_csv(tmp_path / "cfo_eps0.05.csv").meta["cfo"] == "0.05"
+
+
+def test_cli_table_is_the_config_fields(tmp_path):
+    # one table names every SystemConfig field, and a flag parses its
+    # value exactly as the config-file key does
+    assert list(cli._FIELDS) == [f.name for f in dataclasses.fields(SystemConfig)]
+    values = {"scheme": "fsk2", "n": "128", "zeta": "3", "gamma_mag": "0.5",
+              "snr_db": "10, 20", "cfo_eps": "0.05", "l_direct": "3",
+              "l_forward": "2", "sigma_v": "0.5", "pfa_target": "0.01",
+              "trials": "5000", "seed": "11", "channel_mode": "tdl",
+              "crc_preset": "0b01001", "threads": "2"}
+    assert set(values) == set(cli._FIELDS)
+    conf = tmp_path / "all.conf"
+    conf.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    parser = argparse.ArgumentParser()
+    cli._add_common_flags(parser)
+    flags = [tok for k, v in values.items()
+             for tok in (cli._FIELDS[k][0], v.replace(" ", ""))]
+    assert flags[flags.index("--snr") + 1] == "10,20"
+    from_file = cli.build_config(parser.parse_args(["--config", str(conf)]))
+    from_flags = cli.build_config(parser.parse_args(flags))
+    assert from_file == from_flags == SystemConfig(
+        scheme="fsk2", n=128, zeta=3, gamma_mag=0.5, snr_db=(10.0, 20.0),
+        cfo_eps=0.05, l_direct=3, l_forward=2, sigma_v=0.5, pfa_target=0.01,
+        trials=5000, seed=11, channel_mode="tdl", crc_preset=0b01001,
+        threads=2)
+
+
+def test_cli_offset_needs_tdl(capsys):
+    # every simulating command rejects a carrier offset in iid mode
+    for argv in (["pmd"], ["roc", "--snr", "10"], ["ber", "--scheme", "fsk2"],
+                 ["retx"], ["cfo"]):
+        capsys.readouterr()
+        assert cli.main(argv + ["--channel-mode", "iid", "--cfo", "0.1"]) == 2
+        assert ("simulating a frequency offset needs channel_mode='tdl'"
+                in capsys.readouterr().err), argv
 
 
 def test_cli_rejects_bad_input(tmp_path):
