@@ -3,22 +3,18 @@
 A base station leaves scheme-specific null subcarriers in its OFDM
 grid; a passive tag conveys bits by frequency-shifting the primary
 signal onto them, and the receiver detects those bits non-coherently
-from null-bin energies.  The package provides the waveform and channel
-models, the detectors, characteristic-function error analysis, a CRC-5
-retransmission experiment, and a reproducible Monte Carlo harness with
-a command-line front end.
+from null-bin energies.  The package provides the subcarrier plans, a
+frequency-domain link kernel, the detectors, characteristic-function
+error analysis, a CRC-5 retransmission experiment, and a reproducible
+Monte Carlo harness with a command-line front end.
 """
 from .analysis import (ExpMixSpec, QuadratureSpec, TheoryCurve, TheoryParams,
                        charfn_h0, charfn_h1, fsk_error_prob, gil_pelaez_cdf,
                        noise_bin_variance, optimal_threshold, pfa_of_threshold,
                        pmd_given_v, pmd_marginal, rayleigh_nodes, theory_sweep)
-from .backscatter import (BdWaveform, ReflectionCoefficient, apply_backscatter,
-                          bd_waveform, reflection_coefficient)
-from .channel import (CfoSpec, ChannelRealization, NoiseSpec, add_awgn,
-                      apply_cfo, apply_channel, complex_normal, rayleigh_taps,
-                      sample_channels, snr_to_noise_variance)
-from .crc import (GEN2_PRESET, GENERATOR, Frame, crc5_check, crc5_check_many,
-                  crc5_encode, crc5_encode_many)
+from .backscatter import BdWaveform, bd_waveform
+from .channel import NoiseSpec, snr_to_noise_variance
+from .crc import GEN2_PRESET, GENERATOR, crc5_check_many, crc5_encode_many
 from .detector import (fsk_detect, fsk_metrics, ook_detect, ook_test_statistic,
                        primary_detect)
 from .harness import (CSV_HEADER, SimCurve, SystemConfig, compare_theory_sim,
@@ -26,8 +22,7 @@ from .harness import (CSV_HEADER, SimCurve, SystemConfig, compare_theory_sim,
                       run_compare, run_pmd_sweep, run_retx, run_roc)
 from .quadrature import PanelIntegral, QuadratureError, integrate_adaptive
 from .waveform import (SCHEMES, ConfigurationError, FreqGrid, SubcarrierPlan,
-                       TimeSignal, build_subcarrier_plan, map_symbols,
-                       ofdm_demodulate, ofdm_modulate)
+                       build_subcarrier_plan)
 
 __version__ = "0.1.0"
 

@@ -1,4 +1,4 @@
-"""Backscatter tag model: load reflection and bit-keyed tone waveforms.
+"""Backscatter tag model: bit-keyed tone waveforms and their bin shifts.
 
 A tag conveys one bit per OFDM symbol by multiplying the incident signal
 with a unit-modulus complex tone whose integer frequency moves primary
@@ -11,19 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .waveform import ConfigurationError, TimeSignal
-
-
-@dataclass(frozen=True)
-class ReflectionCoefficient:
-    """Polar form of the tag's complex reflection coefficient."""
-
-    magnitude: float
-    phase: float
-
-    @property
-    def value(self) -> complex:
-        return self.magnitude * np.exp(1j * self.phase)
+from .waveform import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -39,21 +27,6 @@ class BdWaveform:
     scheme: str
     bit: int
     shift: int | None
-
-
-def reflection_coefficient(z_load: complex, z_antenna: complex) -> ReflectionCoefficient:
-    """Reflection coefficient (z_load - conj(z_antenna)) / (z_load - z_antenna).
-
-    A conjugate-matched load (z_load == conj(z_antenna)) gives zero
-    reflection; purely reactive mismatches reflect at unit magnitude.
-    """
-    z_load = complex(z_load)
-    z_antenna = complex(z_antenna)
-    den = z_load - z_antenna
-    if den == 0:
-        raise ValueError("z_load equals z_antenna; reflection coefficient is singular")
-    value = (z_load - z_antenna.conjugate()) / den
-    return ReflectionCoefficient(abs(value), float(np.angle(value)))
 
 
 def _tone(shift: int, n: int) -> np.ndarray:
@@ -84,23 +57,3 @@ def bd_waveform(scheme: str, bit: int, zeta: int, n: int) -> BdWaveform:
     else:
         samples = _tone(shift, n)
     return BdWaveform(samples, scheme, bit, shift)
-
-
-def apply_backscatter(sig: TimeSignal, wave: BdWaveform,
-                      gamma: ReflectionCoefficient | complex) -> TimeSignal:
-    """Multiply a signal by the scaled tag waveform, sample by sample.
-
-    The tag waveform is defined over the symbol body; across the cyclic
-    prefix it is extended cyclically (integer tones are n-periodic, so
-    the prefix sees the tail of the body waveform).
-    """
-    if len(wave.samples) != sig.n:
-        raise ValueError(f"waveform length {len(wave.samples)} != body length {sig.n}")
-    value = gamma.value if isinstance(gamma, ReflectionCoefficient) else complex(gamma)
-    if wave.shift is None:
-        full = np.zeros(sig.n + sig.cp_len, dtype=np.complex128)
-    elif sig.cp_len:
-        full = np.concatenate([wave.samples[sig.n - sig.cp_len:], wave.samples])
-    else:
-        full = wave.samples
-    return TimeSignal(sig.samples * (value * full), sig.cp_len)

@@ -217,7 +217,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, ValueError, OSError) as exc:
+    except (ConfigurationError, ValueError, OSError,
+            argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

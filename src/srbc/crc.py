@@ -1,4 +1,4 @@
-"""5-bit cyclic redundancy check and its frame structure.
+"""5-bit cyclic redundancy check over batches of frames.
 
 The generator polynomial is x^5 + x^3 + 1, run most-significant bit
 first through the usual Galois shift register.  The register preset is
@@ -9,47 +9,12 @@ state, which holds for every preset.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 GENERATOR = 0b101001
 GEN2_PRESET = 0b01001
 CRC_BITS = 5
 _POLY_LOW = GENERATOR & 0x1F
-
-
-@dataclass(frozen=True)
-class Frame:
-    """A payload bit vector together with its 5 check bits."""
-
-    payload: np.ndarray
-    crc: np.ndarray
-
-    def __post_init__(self):
-        payload = _as_bits(self.payload, "payload")
-        crc = _as_bits(self.crc, "crc")
-        if len(payload) < 1:
-            raise ValueError("payload must hold at least one bit")
-        if len(crc) != CRC_BITS:
-            raise ValueError(f"crc must hold exactly {CRC_BITS} bits, got {len(crc)}")
-        object.__setattr__(self, "payload", payload)
-        object.__setattr__(self, "crc", crc)
-
-    @property
-    def bits(self) -> np.ndarray:
-        """Payload followed by check bits, most-significant bit first."""
-        return np.concatenate([self.payload, self.crc])
-
-    def bitstring(self) -> str:
-        return "".join(str(int(b)) for b in self.bits)
-
-
-def _as_bits(bits, name: str) -> np.ndarray:
-    out = np.asarray(bits)
-    if out.ndim != 1 or not np.isin(out, (0, 1)).all():
-        raise ValueError(f"{name} must be a one-dimensional 0/1 vector")
-    return out.astype(np.int8)
 
 
 def _validate_preset(preset: int) -> int:
@@ -72,20 +37,6 @@ def _register(bits: np.ndarray, preset: int) -> np.ndarray:
 def _register_to_bits(reg: np.ndarray) -> np.ndarray:
     shifts = np.arange(CRC_BITS - 1, -1, -1)
     return ((np.asarray(reg)[..., None] >> shifts) & 1).astype(np.int8)
-
-
-def crc5_encode(payload, preset: int = 0) -> Frame:
-    """Append the 5 check bits the register leaves after the payload."""
-    payload = _as_bits(payload, "payload")
-    preset = _validate_preset(preset)
-    reg = _register(payload, preset)
-    return Frame(payload, _register_to_bits(reg))
-
-
-def crc5_check(frame: Frame, preset: int = 0) -> bool:
-    """True when the frame's bits drive the register back to zero."""
-    preset = _validate_preset(preset)
-    return bool(_register(frame.bits, preset) == 0)
 
 
 def crc5_encode_many(payloads, preset: int = 0) -> np.ndarray:

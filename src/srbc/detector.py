@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import ChannelRealization
 from .waveform import FreqGrid, SubcarrierPlan
 
 
@@ -59,15 +58,14 @@ def fsk_detect(ts0, ts1):
     return (np.asarray(ts1) > np.asarray(ts0)).astype(np.int8)
 
 
-def primary_detect(grid: FreqGrid, chan: ChannelRealization,
-                   plan: SubcarrierPlan):
+def primary_detect(grid: FreqGrid, hd, plan: SubcarrierPlan):
     """Coherent BPSK decisions on the data bins with known channel gains.
 
-    Symbol +1 maps to bit 0.  A data bin whose channel gain is exactly
-    zero cannot be equalized; it is marked -1 so callers can count it as
-    an error.
+    ``hd`` is the direct link's gain on each data bin.  Symbol +1 maps
+    to bit 0.  A data bin whose channel gain is exactly zero cannot be
+    equalized; it is marked -1 so callers can count it as an error.
     """
-    h = chan.freq_direct[..., plan.data_idx]
+    h = np.asarray(hd)
     y = grid.values[..., plan.data_idx]
     erased = h == 0
     safe = np.where(erased, 1.0, h)

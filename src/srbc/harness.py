@@ -8,15 +8,17 @@ order.  Results are curves (abscissa, value, 95% confidence halfwidth)
 plus a flat string metadata block, written to and read back from CSV
 losslessly.
 
-Every tag-bit simulation runs one frequency-domain kernel that draws
-only the bins the detectors read.  Its two channel modes differ in the
-tag's gain per bin: "tdl" evaluates the response of tapped-delay-line
-fading, while "iid" draws an independent complex-normal gain per
-subcarrier — the analytical model's own assumptions — and exists to
-validate the analysis module.  A carrier offset (tdl only) enters the
-kernel as one exact matrix per link from the data bins to the detection
-bins.  Primary-link detection runs the full time-domain pipeline, which
-also serves the tests as the reference for the kernel.
+Every simulation runs one frequency-domain kernel that draws only the
+bins the detectors read.  Its two channel modes differ in the tag's
+gain per bin: "tdl" evaluates the response of tapped-delay-line fading,
+while "iid" draws an independent complex-normal gain per subcarrier —
+the analytical model's own assumptions — and exists to validate the
+analysis module.  A carrier offset (tdl only) enters the kernel as one
+exact matrix per link from the data bins to the bins it reads: the
+detection bins for the tag bit, the data bins themselves for primary
+detection.  Without an offset the primary link's matrix is the identity
+on the direct term and zero on the tag's.  The tests check the kernel
+against a time-domain reference link.
 
 Every simulated curve runs one per-point loop, ``_sweep``: each runner
 supplies only its validation and its batch kernel.
@@ -33,15 +35,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis
-from .backscatter import apply_backscatter, bd_waveform
-from .channel import (CfoSpec, add_awgn, apply_cfo, apply_channel,
-                      sample_channels, snr_to_noise_variance)
+from .backscatter import bd_waveform
+from .channel import snr_to_noise_variance
 from .crc import crc5_check_many, crc5_encode_many
 from .detector import (fsk_detect, fsk_metrics, ook_detect, ook_test_statistic,
                        primary_detect)
 from .waveform import (SCHEMES, ConfigurationError, FreqGrid, SubcarrierPlan,
-                       TimeSignal, build_subcarrier_plan, map_symbols,
-                       ofdm_demodulate, ofdm_modulate)
+                       build_subcarrier_plan)
 
 CSV_HEADER = ("abscissa", "value", "ci95", "scheme", "N", "gamma",
               "pfa_target", "cfo", "seed", "trials")
@@ -266,53 +266,19 @@ def _require_tdl(cfg: SystemConfig, why: str) -> None:
         raise ConfigurationError(f"{why} needs channel_mode='tdl'")
 
 
-def _bd_waves(cfg: SystemConfig, plan):
-    return (bd_waveform(cfg.scheme, 0, plan.zeta, plan.n),
-            bd_waveform(cfg.scheme, 1, plan.zeta, plan.n))
-
-
-def _tdl_grid(rng, size, cfg, plan, bits, noise, waves):
-    """Full time-domain link for one batch of symbols.
-
-    OFDM synthesis with cyclic prefix, both channels, the tag's
-    reflection, noise, the carrier offset and the DFT.  Primary-link
-    detection runs it, because it needs the data bits and the direct
-    response, and the tests use it as the reference for the
-    frequency-domain kernel.  Returns the demodulated grid, the channel
-    draw, and the primary data bits.
-    """
-    data_bits = rng.integers(0, 2, size=(size, plan.n_data))
-    sig = ofdm_modulate(map_symbols(1.0 - 2.0 * data_bits, plan), cfg.cp_len)
-    ch = sample_channels(cfg.l_direct, cfg.l_forward, cfg.sigma_v, rng,
-                         plan.n, shape=(size,))
-    direct = apply_channel(sig, ch.taps_direct)
-    forward = apply_channel(sig, ch.taps_forward)
-    bits = np.asarray(bits)
-    reflected = np.empty_like(forward.samples)
-    for bit, wave in enumerate(waves):
-        rows = bits == bit
-        reflected[rows] = apply_backscatter(
-            TimeSignal(forward.samples[rows], cfg.cp_len), wave,
-            cfg.gamma_mag).samples
-    received = TimeSignal(
-        direct.samples + ch.taps_backward[:, 0][:, None] * reflected, cfg.cp_len)
-    received = add_awgn(received, noise, rng)
-    if cfg.cfo_eps:
-        received = apply_cfo(received, CfoSpec(cfg.cfo_eps))
-    return ofdm_demodulate(received), ch, data_bits
-
-
 @dataclass(frozen=True)
 class _TagLink:
-    """What a batch of tag bits needs besides its random draws.
+    """What a batch of symbols needs besides its random draws.
 
-    The grid holds only the detection bins, kb0 then kb1 (kb0 alone for
-    ook, whose sets coincide), and ``plan`` numbers them as its columns.
-    At zero offset ``landings`` holds per bit None, when the bit does
-    not reflect, or the columns its tone lands on and the (l_forward,
-    width) matrix that maps forward taps to Hf at their source bins.
-    Every plan builds its landing sets as shifted data bins, so every
-    column has a source.  At a nonzero offset ``spectra`` is the
+    The grid holds only the bins the link reads, and ``plan`` numbers
+    them as its columns: for the tag bit the detection bins, kb0 then
+    kb1 (kb0 alone for ook, whose sets coincide), for primary detection
+    the data bins.  At zero offset a tag-bit link has ``landings``: per
+    bit None, when the bit does not reflect, or the columns its tone
+    lands on and the (l_forward, width) matrix that maps forward taps to
+    Hf at their source bins.  Every plan builds its landing sets as
+    shifted data bins, so every column has a source.  At a nonzero
+    offset, and always for primary detection, ``spectra`` is the
     block-diagonal matrix that maps [direct taps, forward taps] to
     [Hd, Hf] on the data bins, and ``leakage`` holds per bit the matrix
     that maps the data-bin terms [X*Hd, gamma*hb*X*Hf] onto every
@@ -332,25 +298,37 @@ def _tap_response(n_taps: int, bins, n: int) -> np.ndarray:
     return np.exp(-2j * np.pi * np.arange(n_taps)[:, None] * bins / n)
 
 
-def _tag_link(cfg: SystemConfig) -> _TagLink:
-    """The kernel's link for ``cfg``, built once per configuration."""
+def _tag_link(cfg: SystemConfig, target: str = "bd") -> _TagLink:
+    """The kernel's link for ``cfg``, built once per configuration.
+
+    ``target`` "bd" reads the tag's detection bins, "primary" the data
+    bins.
+    """
     plan = cfg.plan()
-    width = len(plan.kb0) + (0 if plan.scheme == "ook" else len(plan.kb1))
-    cols = (slice(0, len(plan.kb0)), slice(width - len(plan.kb1), width))
-    grid_plan = dataclasses.replace(
-        plan, n=width, data_idx=np.empty(0, dtype=np.int64),
-        null_idx=np.arange(width), kb0=np.arange(width)[cols[0]],
-        kb1=np.arange(width)[cols[1]])
+    if target == "primary":
+        read = plan.data_idx
+        empty = np.empty(0, dtype=np.int64)
+        grid_plan = dataclasses.replace(
+            plan, n=plan.n_data, data_idx=np.arange(plan.n_data),
+            null_idx=empty, kb0=empty, kb1=empty)
+    else:
+        read = (plan.kb0 if plan.scheme == "ook"
+                else np.concatenate((plan.kb0, plan.kb1)))
+        width = len(read)
+        cols = (slice(0, len(plan.kb0)), slice(width - len(plan.kb1), width))
+        grid_plan = dataclasses.replace(
+            plan, n=width, data_idx=np.empty(0, dtype=np.int64),
+            null_idx=np.arange(width), kb0=np.arange(width)[cols[0]],
+            kb1=np.arange(width)[cols[1]])
     shifts = [bd_waveform(cfg.scheme, bit, plan.zeta, plan.n).shift
               for bit in (0, 1)]
-    if cfg.cfo_eps:
+    if cfg.cfo_eps or target == "primary":
         # the offset ramp starts on the first body sample, so it maps
-        # the spectrum Z to Y[k] = sum_m D[k-m] Z[m]
+        # the spectrum Z to Y[k] = sum_m D[k-m] Z[m]; without an offset
+        # D is exactly a unit impulse
         t = np.arange(plan.n)
         d = np.fft.fft(np.exp(2j * np.pi * cfg.cfo_eps * t / plan.n)) / plan.n
-        det = (plan.kb0 if plan.scheme == "ook"
-               else np.concatenate((plan.kb0, plan.kb1)))
-        lag = det[None, :] - plan.data_idx[:, None]
+        lag = read[None, :] - plan.data_idx[:, None]
         m_d = d[lag % plan.n]
         leakage = tuple(m_d if s is None else np.vstack((m_d, d[(lag - s) % plan.n]))
                         for s in shifts)
@@ -398,11 +376,12 @@ def _reflect_onto(out, link: _TagLink, bits, hb, taps, rng) -> None:
         out[rows, cols] += gain
 
 
-def _leak_onto(out, link: _TagLink, bits, hb, taps, direct, signs) -> None:
+def _leak_onto(out, link: _TagLink, bits, hb, taps, direct, signs) -> np.ndarray:
     """Add each row's offset-spread direct and tag terms on every column.
 
     ``taps`` and ``direct`` are the forward and direct taps, ``signs``
-    the +-1 data symbols on the data bins.
+    the +-1 data symbols on the data bins.  Returns the data-bin terms
+    [X*Hd, gamma*hb*X*Hf].
     """
     size, n_data = signs.shape
     # matmul, unlike _reflect_onto: the leakage products call BLAS anyway
@@ -412,6 +391,7 @@ def _leak_onto(out, link: _TagLink, bits, hb, taps, direct, signs) -> None:
     for bit, leak in enumerate(link.leakage):
         rows = np.flatnonzero(bits == bit)
         out[rows] += terms[rows, :len(leak)] @ leak
+    return terms
 
 
 def _fd_grid(rng, size, link: _TagLink, bits, noise) -> FreqGrid:
@@ -450,6 +430,24 @@ def _fd_grid(rng, size, link: _TagLink, bits, noise) -> FreqGrid:
     direct = _complex_normal_draw(rng, (size, cfg.l_direct), 1.0 / cfg.l_direct)
     _leak_onto(out, link, bits, hb, taps, direct, signs)
     return FreqGrid(out)
+
+
+def _primary_grid(rng, size, link: _TagLink, bits, noise):
+    """Data bins of one batch of symbols, with Hd there and the data signs.
+
+    Bin k holds Hd[k]*X[k] + W[k] plus the direct and tag terms an
+    offset spreads onto it through the link's leakage matrices; without
+    an offset those add exact zeros, as every tag tone lands on nulls.
+    """
+    cfg = link.cfg
+    direct = _complex_normal_draw(rng, (size, cfg.l_direct), 1.0 / cfg.l_direct)
+    hb = _complex_normal_draw(rng, (size,), cfg.sigma_v ** 2)
+    taps = _complex_normal_draw(rng, (size, cfg.l_forward), 1.0 / cfg.l_forward)
+    signs = 1.0 - 2.0 * rng.integers(0, 2, size=(size, link.plan.n))
+    out = _complex_normal_draw(rng, (size, link.plan.n), noise.variance * cfg.n)
+    terms = _leak_onto(out, link, np.asarray(bits), hb, taps, direct, signs)
+    # the signs are +-1, so a second product undoes the first exactly
+    return FreqGrid(out), terms[:, :link.plan.n] * signs, signs
 
 
 def _decide_bits(grid, plan, eta):
@@ -575,9 +573,7 @@ def run_ber_sweep(cfg: SystemConfig, target: str = "bd",
             "the tag bit error rate compares two hypothesis sets; use fsk1 or fsk2")
     if target == "primary":
         _require_tdl(cfg, "primary-link detection")
-    plan = cfg.plan()
-    waves = _bd_waves(cfg, plan)
-    link = _tag_link(cfg)
+    link = _tag_link(cfg, target)
 
     def point_kernel(snr, noise):
         def kernel(rng, size):
@@ -586,11 +582,10 @@ def run_ber_sweep(cfg: SystemConfig, target: str = "bd",
                 grid = _fd_grid(rng, size, link, bits, noise)
                 decided = _decide_bits(grid, link.plan, None)
                 return [np.count_nonzero(decided != bits)], size
-            grid, ch, data_bits = _tdl_grid(rng, size, cfg, plan, bits, noise,
-                                            waves)
-            decided = primary_detect(grid, ch, plan)
-            errors = np.count_nonzero(decided != data_bits)
-            return [errors], size * plan.n_data
+            grid, hd, signs = _primary_grid(rng, size, link, bits, noise)
+            decided = primary_detect(grid, hd, link.plan)
+            errors = np.count_nonzero(decided != (signs < 0))
+            return [errors], size * link.plan.n_data
         return kernel
 
     counts, used = _sweep(cfg, point_kernel, target_events)

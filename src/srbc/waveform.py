@@ -1,11 +1,10 @@
-"""OFDM waveform construction and subcarrier planning.
+"""OFDM subcarrier planning and the frequency-domain grid.
 
-The synthesis IDFT carries the 1/n factor and the analysis DFT is
-unnormalized, so a frequency-domain grid round-trips exactly through
-modulate/demodulate.  Subcarrier plans partition the grid into data bins
-(used by the primary link) and null bins; a backscatter tag conveys its
-bit by shifting primary energy onto scheme-specific null bins, and each
-plan records the detection index sets for both bit hypotheses.
+Subcarrier plans partition the DFT grid into data bins (used by the
+primary link) and null bins; a backscatter tag conveys its bit by
+shifting primary energy onto scheme-specific null bins, and each plan
+records the detection index sets for both bit hypotheses.  A grid holds
+bins of the unnormalized receiver DFT.
 """
 from __future__ import annotations
 
@@ -52,23 +51,6 @@ class FreqGrid:
     @property
     def n(self) -> int:
         return self.values.shape[-1]
-
-
-@dataclass
-class TimeSignal:
-    """Cyclic-prefixed time samples; leading axes are batch dimensions."""
-
-    samples: np.ndarray
-    cp_len: int
-
-    @property
-    def n(self) -> int:
-        return self.samples.shape[-1] - self.cp_len
-
-    @property
-    def body(self) -> np.ndarray:
-        """The n samples after the cyclic prefix."""
-        return self.samples[..., self.cp_len:]
 
 
 def _require_power_of_two(n: int) -> None:
@@ -145,33 +127,3 @@ def _validate_plan(plan: SubcarrierPlan) -> None:
         raise ConfigurationError("hypothesis detection sets must be disjoint")
     if plan.scheme == "fsk2" and (0 in data or 0 in kb0 or 0 in kb1):
         raise ConfigurationError("bin 0 must stay unused under fsk2")
-
-
-def map_symbols(symbols: np.ndarray, plan: SubcarrierPlan) -> FreqGrid:
-    """Scatter data symbols onto the plan's data bins, zeros elsewhere."""
-    symbols = np.asarray(symbols, dtype=np.complex128)
-    if symbols.shape[-1] != plan.n_data:
-        raise ValueError(
-            f"expected {plan.n_data} symbols for {plan.scheme} at n={plan.n}, "
-            f"got {symbols.shape[-1]}")
-    values = np.zeros(symbols.shape[:-1] + (plan.n,), dtype=np.complex128)
-    values[..., plan.data_idx] = symbols
-    return FreqGrid(values)
-
-
-def ofdm_modulate(grid: FreqGrid, cp_len: int) -> TimeSignal:
-    """IDFT the grid (1/n scaling) and prepend a cyclic prefix."""
-    n = grid.n
-    if not 0 <= cp_len < n:
-        raise ConfigurationError(f"cp_len must be in [0, {n}), got {cp_len}")
-    body = np.fft.ifft(grid.values, axis=-1)
-    if cp_len:
-        samples = np.concatenate([body[..., n - cp_len:], body], axis=-1)
-    else:
-        samples = body
-    return TimeSignal(samples, cp_len)
-
-
-def ofdm_demodulate(sig: TimeSignal) -> FreqGrid:
-    """Drop the cyclic prefix and take the unnormalized DFT of the body."""
-    return FreqGrid(np.fft.fft(sig.body, axis=-1))

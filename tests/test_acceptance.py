@@ -13,6 +13,13 @@ import time
 import numpy as np
 from scipy import stats
 
+from reference_link import (
+    TimeSignal,
+    apply_backscatter,
+    map_symbols,
+    ofdm_demodulate,
+    ofdm_modulate,
+)
 from srbc.analysis import (
     ExpMixSpec,
     auto_quadrature,
@@ -22,8 +29,7 @@ from srbc.analysis import (
     noise_bin_variance,
     optimal_threshold,
 )
-from srbc.backscatter import apply_backscatter, bd_waveform
-from srbc.channel import sample_channels
+from srbc.backscatter import bd_waveform
 from srbc.crc import crc5_check_many, crc5_encode_many
 from srbc.harness import (
     SystemConfig,
@@ -34,13 +40,7 @@ from srbc.harness import (
     run_retx,
     run_roc,
 )
-from srbc.waveform import (
-    TimeSignal,
-    build_subcarrier_plan,
-    map_symbols,
-    ofdm_demodulate,
-    ofdm_modulate,
-)
+from srbc.waveform import build_subcarrier_plan
 
 
 def verdict(number, name, ok, detail):

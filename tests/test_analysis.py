@@ -234,7 +234,7 @@ GAMMA = st.floats(0.02, 2.0)
 SIGMA_V = st.floats(0.3, 3.0)
 
 
-@settings(max_examples=50, deadline=None, database=None)
+@settings(max_examples=50)
 @given(n_b=FSK_SET_SIZES, snr_db=SNR_DB, gamma=GAMMA, sigma_v=SIGMA_V)
 def test_fsk_error_matches_closed_form(n_b, snr_db, gamma, sigma_v):
     # two independent Gamma(n_b) energies: P(signal set loses) is a
@@ -246,7 +246,7 @@ def test_fsk_error_matches_closed_form(n_b, snr_db, gamma, sigma_v):
     assert abs(value - ref) <= 1e-8 + 1e-6 * ref
 
 
-@settings(max_examples=50, deadline=None, database=None)
+@settings(max_examples=50)
 @given(n_b=OOK_SET_SIZES, snr_db=SNR_DB, gamma=GAMMA, sigma_v=SIGMA_V,
        pfa=st.floats(1e-4, 0.1))
 def test_pmd_marginal_matches_closed_form(n_b, snr_db, gamma, sigma_v, pfa):
@@ -274,7 +274,7 @@ def test_pmd_given_v_with_two_bin_gains(v, snr_db):
     assert pmd_given_v(eta, v, gamma_sq, gains, w, 5) == pytest.approx(ref, abs=1e-8)
 
 
-@settings(max_examples=25, deadline=None, database=None)
+@settings(max_examples=25)
 @given(sigma_h_sq=st.lists(st.floats(0.2, 3.0), min_size=2, max_size=6),
        snr_db=SNR_DB, gamma=GAMMA, sigma_v=SIGMA_V, pfa=st.floats(1e-4, 0.1))
 def test_pmd_marginal_with_unequal_bin_variances(sigma_h_sq, snr_db, gamma,

@@ -1,45 +1,19 @@
-"""Tests for the reflection coefficient and tag waveforms."""
+"""Tests for the tag waveforms and their reflection in the time domain.
+
+The reflection itself belongs to the time-domain reference link.
+"""
 
 import numpy as np
 import pytest
 
-from srbc.backscatter import (
-    ReflectionCoefficient,
+from reference_link import (
     apply_backscatter,
-    bd_waveform,
-    reflection_coefficient,
-)
-from srbc.waveform import (
-    FreqGrid,
-    build_subcarrier_plan,
     map_symbols,
     ofdm_demodulate,
     ofdm_modulate,
 )
-
-
-def test_conjugate_match_absorbs():
-    gamma = reflection_coefficient(50 - 20j, 50 + 20j)
-    assert gamma.magnitude < 1e-15
-
-
-def test_real_mismatch_reference_value():
-    gamma = reflection_coefficient(100 + 0j, 50 + 20j)
-    expect = (100 - (50 - 20j)) / (100 - (50 + 20j))
-    assert abs(gamma.value - expect) < 1e-12
-    assert abs(gamma.magnitude - 1.0) < 1e-12
-    assert abs(gamma.phase - 2 * np.arctan2(20, 50)) < 1e-12
-
-
-def test_open_load_reflects_fully():
-    gamma = reflection_coefficient(1e9, 50 + 20j)
-    assert abs(gamma.magnitude - 1.0) < 1e-6
-    assert abs(gamma.phase) < 1e-6
-
-
-def test_equal_impedances_rejected():
-    with pytest.raises(ValueError):
-        reflection_coefficient(50 + 20j, 50 + 20j)
+from srbc.backscatter import bd_waveform
+from srbc.waveform import FreqGrid, build_subcarrier_plan
 
 
 def test_ook_waveforms():
@@ -108,7 +82,7 @@ def test_backscatter_energy_scales_with_gamma():
     grid = FreqGrid(rng.standard_normal(n) + 1j * rng.standard_normal(n))
     sig = ofdm_modulate(grid, cp_len=8)
     wave = bd_waveform("fsk2", 1, zeta=2, n=n)
-    gamma = ReflectionCoefficient(0.5, 1.2)
+    gamma = 0.5 * np.exp(1.2j)
     out = apply_backscatter(sig, wave, gamma)
     e_in = np.sum(np.abs(sig.samples) ** 2)
     e_out = np.sum(np.abs(out.samples) ** 2)

@@ -1,27 +1,28 @@
-"""Tests for fading, noise, frequency offset, and the SNR convention."""
+"""Tests for fading, noise, frequency offset, and the SNR convention.
+
+Everything but the SNR convention lives in the time-domain reference
+link that the kernel tests check the simulator against.
+"""
 
 import numpy as np
 import pytest
 
-from srbc.channel import (
+from reference_link import (
     CfoSpec,
-    NoiseSpec,
     add_awgn,
+    apply_backscatter,
     apply_cfo,
     apply_channel,
     complex_normal,
-    rayleigh_taps,
-    sample_channels,
-    snr_to_noise_variance,
-)
-from srbc.backscatter import apply_backscatter, bd_waveform
-from srbc.waveform import (
-    FreqGrid,
-    build_subcarrier_plan,
     map_symbols,
     ofdm_demodulate,
     ofdm_modulate,
+    rayleigh_taps,
+    sample_channels,
 )
+from srbc.backscatter import bd_waveform
+from srbc.channel import NoiseSpec, snr_to_noise_variance
+from srbc.waveform import FreqGrid, build_subcarrier_plan
 
 
 def random_symbol(rng, n, cp_len):

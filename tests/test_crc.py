@@ -1,17 +1,9 @@
-"""Tests for the 5-bit CRC and the frame structure."""
+"""Tests for the 5-bit CRC over batches of frames."""
 
 import numpy as np
 import pytest
 
-from srbc.crc import (
-    CRC_BITS,
-    GEN2_PRESET,
-    Frame,
-    crc5_check,
-    crc5_check_many,
-    crc5_encode,
-    crc5_encode_many,
-)
+from srbc.crc import CRC_BITS, GEN2_PRESET, crc5_check_many, crc5_encode_many
 
 # independently computed by long division of x^5 + x^3 + 1 into the
 # payload polynomial (MSB first), for both register presets
@@ -39,11 +31,21 @@ def bits_of(text):
     return np.array([int(c) for c in text], dtype=np.int8)
 
 
+def encode(payload, preset=0):
+    """Frame bits of one payload, encoded as a one-row batch."""
+    return crc5_encode_many(np.asarray(payload)[None, :], preset=preset)[0]
+
+
+def check(frame, preset=0):
+    """Validity of one frame, checked as a one-row batch."""
+    return bool(crc5_check_many(frame[None, :], preset=preset)[0])
+
+
 def test_known_checksums():
     for preset, table in KNOWN_CHECKSUMS.items():
         for payload, crc in table.items():
-            frame = crc5_encode(bits_of(payload), preset=preset)
-            got = "".join(str(b) for b in frame.crc)
+            frame = encode(bits_of(payload), preset=preset)
+            got = "".join(str(b) for b in frame[-CRC_BITS:])
             assert got == crc, (preset, payload, got)
 
 
@@ -51,15 +53,14 @@ def test_check_accepts_every_encoded_frame():
     for preset in (0, GEN2_PRESET):
         for value in range(128):
             payload = bits_of(format(value, "07b"))
-            frame = crc5_encode(payload, preset=preset)
-            assert crc5_check(frame, preset=preset)
-            assert frame.bits.shape == (12,)
+            frame = encode(payload, preset=preset)
+            assert check(frame, preset=preset)
+            assert frame.shape == (12,)
 
 
 def test_single_bit_errors_always_detected():
     for value in range(128):
-        frame = crc5_encode(bits_of(format(value, "07b")))
-        clean = frame.bits
+        clean = encode(bits_of(format(value, "07b")))
         for position in range(12):
             corrupted = clean.copy()
             corrupted[position] ^= 1
@@ -92,23 +93,18 @@ def test_checksum_is_linear_over_gf2():
     for _ in range(50):
         a = rng.integers(0, 2, size=7, dtype=np.int8)
         b = rng.integers(0, 2, size=7, dtype=np.int8)
-        crc_a = crc5_encode(a).crc
-        crc_b = crc5_encode(b).crc
-        crc_xor = crc5_encode(a ^ b).crc
+        crc_a = encode(a)[-CRC_BITS:]
+        crc_b = encode(b)[-CRC_BITS:]
+        crc_xor = encode(a ^ b)[-CRC_BITS:]
         assert np.array_equal(crc_xor, crc_a ^ crc_b)
 
 
 def test_frame_validation_and_formatting():
-    frame = crc5_encode(bits_of("1010101"))
-    assert frame.bitstring() == "101010110110"
-    assert frame.bits.tolist() == [1, 0, 1, 0, 1, 0, 1, 1, 0, 1, 1, 0]
+    frame = encode(bits_of("1010101"))
+    assert frame.tolist() == [1, 0, 1, 0, 1, 0, 1, 1, 0, 1, 1, 0]
     assert CRC_BITS == 5
     with pytest.raises(ValueError):
-        Frame(np.zeros(0, dtype=np.int8), np.zeros(5, dtype=np.int8))
-    with pytest.raises(ValueError):
-        Frame(np.zeros(7, dtype=np.int8), np.zeros(4, dtype=np.int8))
-    with pytest.raises(ValueError):
-        Frame(np.zeros(7, dtype=np.int8), np.full(5, 2, dtype=np.int8))
+        crc5_encode_many(np.full((1, 7), 2, dtype=np.int8))
 
 
 def test_check_many_validates_shape():
@@ -118,6 +114,6 @@ def test_check_many_validates_shape():
     with pytest.raises(ValueError):
         crc5_check_many(np.zeros(12, dtype=np.int8))
     # a shorter payload is still a legal frame
-    short = crc5_encode(np.array([1], dtype=np.int8))
-    assert crc5_check_many(short.bits[None, :])[0]
+    short = encode(np.array([1], dtype=np.int8))
+    assert crc5_check_many(short[None, :])[0]
 

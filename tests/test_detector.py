@@ -5,7 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from srbc.channel import ChannelRealization, NoiseSpec, add_awgn, snr_to_noise_variance
+from reference_link import (
+    add_awgn,
+    apply_backscatter,
+    map_symbols,
+    ofdm_demodulate,
+    ofdm_modulate,
+)
+from srbc.backscatter import bd_waveform
+from srbc.channel import snr_to_noise_variance
 from srbc.detector import (
     fsk_detect,
     fsk_metrics,
@@ -13,20 +21,12 @@ from srbc.detector import (
     ook_test_statistic,
     primary_detect,
 )
-from srbc.backscatter import apply_backscatter, bd_waveform
-from srbc.waveform import (
-    FreqGrid,
-    build_subcarrier_plan,
-    map_symbols,
-    ofdm_demodulate,
-    ofdm_modulate,
-)
+from srbc.waveform import FreqGrid, build_subcarrier_plan
 
 
-def flat_channel(n, gain=1.0 + 0j):
-    one = np.array([gain], dtype=np.complex128)
-    freq = np.full(n, gain, dtype=np.complex128)
-    return ChannelRealization(one, one, one, freq, freq, freq, n)
+def flat_channel(plan, gain=1.0 + 0j):
+    """The direct link's gain on the plan's data bins for a one-tap link."""
+    return np.full(plan.n_data, gain, dtype=np.complex128)
 
 
 def test_ook_statistic_reference_values():
@@ -102,18 +102,18 @@ def test_decisions_are_scale_equivariant():
 def test_primary_detect_reference_cases():
     plan = build_subcarrier_plan("ook", 64)
     grid = map_symbols(np.ones(plan.n_data), plan)
-    bits = primary_detect(grid, flat_channel(64), plan)
+    bits = primary_detect(grid, flat_channel(plan), plan)
     assert not bits.any()
     flipped = map_symbols(-np.ones(plan.n_data), plan)
     received = FreqGrid(1j * flipped.values)  # what a gain-j channel delivers
-    bits = primary_detect(received, flat_channel(64, gain=1j), plan)
+    bits = primary_detect(received, flat_channel(plan, gain=1j), plan)
     assert (bits == 1).all()
 
 
 def test_primary_detect_marks_dead_bins():
     plan = build_subcarrier_plan("ook", 64)
     grid = map_symbols(np.ones(plan.n_data), plan)
-    bits = primary_detect(grid, flat_channel(64, gain=0.0), plan)
+    bits = primary_detect(grid, flat_channel(plan, gain=0.0), plan)
     assert (bits == -1).all()
 
 
@@ -122,7 +122,7 @@ def test_primary_ber_matches_bpsk_formula():
     # standard coherent BPSK expression 0.5*erfc(sqrt(snr))
     rng = np.random.default_rng(109)
     plan = build_subcarrier_plan("ook", 64)
-    chan = flat_channel(64)
+    chan = flat_channel(plan)
     n_sym = 31_250  # one million data bits
     for snr_db in (0.0, 3.0, 6.0):
         data_bits = rng.integers(0, 2, size=(n_sym, plan.n_data))
@@ -141,7 +141,7 @@ def test_end_to_end_interference_freedom():
     rng = np.random.default_rng(113)
     for scheme, zeta in (("ook", 1), ("fsk1", 1), ("fsk2", 2)):
         plan = build_subcarrier_plan(scheme, 64, zeta=zeta)
-        chan = flat_channel(64)
+        chan = flat_channel(plan)
         data_bits = rng.integers(0, 2, size=plan.n_data)
         grid = map_symbols(1.0 - 2.0 * data_bits, plan)
         sig = ofdm_modulate(grid, cp_len=8)

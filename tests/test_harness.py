@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_link import map_symbols, tdl_grid
 from srbc import analysis
 from srbc.backscatter import bd_waveform
 from srbc.channel import NoiseSpec, snr_to_noise_variance
-from srbc.detector import fsk_detect, fsk_metrics, ook_test_statistic
+from srbc.detector import (fsk_detect, fsk_metrics, ook_test_statistic,
+                           primary_detect)
 from srbc.harness import (
     CSV_HEADER,
     SimCurve,
@@ -27,11 +29,11 @@ from srbc.harness import (
     run_retx,
     run_roc,
 )
-from srbc.harness import (DFT_SIZES, _accumulate, _bd_waves, _ci95, _fd_grid,
-                          _leak_onto, _reflect_onto, _tag_link, _tdl_grid,
+from srbc.harness import (DFT_SIZES, _accumulate, _ci95, _fd_grid, _leak_onto,
+                          _primary_grid, _reflect_onto, _tag_link,
                           _unit_ook_threshold)
 from srbc import cli
-from srbc.waveform import ConfigurationError, build_subcarrier_plan, map_symbols
+from srbc.waveform import ConfigurationError, build_subcarrier_plan
 
 
 def small_curve():
@@ -315,12 +317,21 @@ def test_cli_offset_needs_tdl(capsys):
                 in capsys.readouterr().err), argv
 
 
-def test_cli_rejects_bad_input(tmp_path):
+def test_cli_rejects_bad_input(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert cli.main(["pmd", "--n", "100", "--out", str(out)]) == 2
     conf = tmp_path / "bad.conf"
     conf.write_text("unknown_key = 3\n")
     assert cli.main(["theory", "--config", str(conf), "--out", str(out)]) == 2
+    # number lists parsed outside argparse fail with a message, too
+    bad_list = tmp_path / "list.conf"
+    bad_list.write_text("snr_db = 1,x\n")
+    for argv in (["roc", "--snr", "10", "--eta-grid", "1,x"],
+                 ["cfo", "--scheme", "fsk2", "--eps-grid", "0.1,x"],
+                 ["theory", "--config", str(bad_list)]):
+        capsys.readouterr()
+        assert cli.main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error: bad number list"), argv
 
 
 @pytest.mark.parametrize("n", (64, 512))
@@ -334,8 +345,7 @@ def test_frequency_kernel_matches_time_domain_bins(scheme, n):
     link = _tag_link(cfg)
     rng = np.random.default_rng(229)
     bits = rng.integers(0, 2, size=64).astype(np.int8)
-    grid, ch, data_bits = _tdl_grid(rng, 64, cfg, plan, bits, NoiseSpec(0.0),
-                                    _bd_waves(cfg, plan))
+    grid, ch, data_bits = tdl_grid(rng, 64, cfg, bits, NoiseSpec(0.0))
     out = np.zeros((64, link.plan.n), dtype=np.complex128)
     _reflect_onto(out, link, bits, ch.taps_backward[:, 0], ch.taps_forward,
                   None)
@@ -355,24 +365,34 @@ def test_frequency_kernel_matches_time_domain_bins(scheme, n):
         assert not out[bits == 0].any()
 
 
-def _offset_bins_error(cfg, rows, seed):
+def _leaked_bins_error(cfg, rows, seed, target="bd"):
     # same taps, backward gain, data signs and bits, no noise: the
-    # largest gap between the kernel's detection bins and the
-    # time-domain link's, relative to the largest bin
+    # largest gap between the bins the kernel reads through its leakage
+    # matrices and the time-domain link's, relative to the largest bin;
+    # for primary detection also the gap between the direct gains
     plan = cfg.plan()
-    link = _tag_link(cfg)
+    link = _tag_link(cfg, target)
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=rows).astype(np.int8)
-    grid, ch, data_bits = _tdl_grid(rng, rows, cfg, plan, bits, NoiseSpec(0.0),
-                                    _bd_waves(cfg, plan))
+    grid, ch, data_bits = tdl_grid(rng, rows, cfg, bits, NoiseSpec(0.0))
     out = np.zeros((rows, link.plan.n), dtype=np.complex128)
-    _leak_onto(out, link, bits, ch.taps_backward[:, 0], ch.taps_forward,
-               ch.taps_direct, 1.0 - 2.0 * data_bits)
-    sets = (plan.kb0,) if cfg.scheme == "ook" else (plan.kb0, plan.kb1)
-    expected = grid.values[:, np.concatenate(sets)]
+    signs = 1.0 - 2.0 * data_bits
+    terms = _leak_onto(out, link, bits, ch.taps_backward[:, 0],
+                       ch.taps_forward, ch.taps_direct, signs)
+    if target == "primary":
+        read = plan.data_idx
+    else:
+        sets = (plan.kb0,) if cfg.scheme == "ook" else (plan.kb0, plan.kb1)
+        read = np.concatenate(sets)
+    expected = grid.values[:, read]
     scale = np.abs(expected).max()
     assert scale > 0
-    return np.abs(out - expected).max() / scale
+    error = np.abs(out - expected).max() / scale
+    if target == "primary":
+        h = ch.freq_direct[:, plan.data_idx]
+        hd = terms[:, :plan.n_data] * signs
+        error = max(error, np.abs(hd - h).max() / np.abs(h).max())
+    return error
 
 
 @pytest.mark.parametrize("eps", (0.05, -0.2, 0.3, 1.0))
@@ -381,10 +401,10 @@ def _offset_bins_error(cfg, rows, seed):
 def test_offset_kernel_matches_time_domain_bins(scheme, n, eps):
     cfg = SystemConfig(scheme=scheme, n=n, gamma_mag=0.5, cfo_eps=eps,
                        snr_db=(10.0,))
-    assert _offset_bins_error(cfg, 64, 241) <= 1e-10
+    assert _leaked_bins_error(cfg, 64, 241) <= 1e-10
 
 
-@settings(max_examples=40, deadline=None, database=None)
+@settings(max_examples=40)
 @given(scheme=st.sampled_from(("ook", "fsk1", "fsk2")),
        n=st.sampled_from(DFT_SIZES),
        eps=st.floats(-0.5, 0.5).filter(lambda e: e != 0.0),
@@ -398,7 +418,7 @@ def test_offset_kernel_matches_time_domain_everywhere(scheme, n, eps, gamma,
     cfg = SystemConfig(scheme=scheme, n=n, gamma_mag=gamma, cfo_eps=eps,
                        l_direct=data.draw(taps), l_forward=data.draw(taps),
                        snr_db=(10.0,))
-    assert _offset_bins_error(cfg, 16, seed) <= 1e-10
+    assert _leaked_bins_error(cfg, 16, seed) <= 1e-10
 
 
 def _tag_error_rate(cfg, grid_of, plan, trials, seed):
@@ -434,16 +454,89 @@ def test_frequency_kernel_matches_time_domain_statistically(scheme, eps):
     cfg = SystemConfig(scheme=scheme, n=64, gamma_mag=0.25,
                        snr_db=(20.0,), pfa_target=1e-3, cfo_eps=eps)
     plan = cfg.plan()
-    waves = _bd_waves(cfg, plan)
     link = _tag_link(cfg)
 
     def kernel_grid(rng, size, bits, noise):
         return _fd_grid(rng, size, link, bits, noise)
 
     def time_grid(rng, size, bits, noise):
-        return _tdl_grid(rng, size, cfg, plan, bits, noise, waves)[0]
+        return tdl_grid(rng, size, cfg, bits, noise)[0]
 
     p_fd, ci_fd = _tag_error_rate(cfg, kernel_grid, link.plan, 200_000, 233)
     p_td, ci_td = _tag_error_rate(cfg, time_grid, plan, 200_000, 239)
     assert 0.005 < p_fd < 0.5
     assert abs(p_fd - p_td) <= ci_fd + ci_td, (p_fd, ci_fd, p_td, ci_td)
+
+
+@pytest.mark.parametrize("eps", (0.0, 0.05, -0.2, 0.3, 1.0))
+@pytest.mark.parametrize("n", (64, 512))
+@pytest.mark.parametrize("scheme", ("ook", "fsk1", "fsk2"))
+def test_primary_kernel_matches_time_domain_bins(scheme, n, eps):
+    cfg = SystemConfig(scheme=scheme, n=n, gamma_mag=0.5, cfo_eps=eps,
+                       snr_db=(10.0,))
+    assert _leaked_bins_error(cfg, 64, 251, "primary") <= 1e-10
+
+
+@settings(max_examples=40)
+@given(scheme=st.sampled_from(("ook", "fsk1", "fsk2")),
+       n=st.sampled_from(DFT_SIZES),
+       eps=st.floats(-0.5, 0.5),
+       gamma=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2 ** 32 - 1),
+       data=st.data())
+def test_primary_kernel_matches_time_domain_everywhere(scheme, n, eps, gamma,
+                                                       seed, data):
+    # any channel memory up to the cyclic prefix, with or without offset
+    taps = st.integers(1, n // 8 + 1)
+    cfg = SystemConfig(scheme=scheme, n=n, gamma_mag=gamma, cfo_eps=eps,
+                       l_direct=data.draw(taps), l_forward=data.draw(taps),
+                       snr_db=(10.0,))
+    assert _leaked_bins_error(cfg, 16, seed, "primary") <= 1e-10
+
+
+def test_primary_kernel_matches_time_domain_statistically():
+    # fsk2 primary bit errors at 10 dB under a 0.1 offset, 200k symbols
+    # each way.  The bits of one symbol share its channel, so each
+    # halfwidth counts symbols: a symbol's error share lies in [0, 1],
+    # so its variance is at most p*(1-p)
+    cfg = SystemConfig(scheme="fsk2", n=64, gamma_mag=0.25, snr_db=(10.0,),
+                       cfo_eps=0.1)
+    plan = cfg.plan()
+    link = _tag_link(cfg, "primary")
+    noise = snr_to_noise_variance(10.0, plan)
+
+    def kernel_errors(rng, size, bits):
+        grid, hd, signs = _primary_grid(rng, size, link, bits, noise)
+        return primary_detect(grid, hd, link.plan) != (signs < 0)
+
+    def time_errors(rng, size, bits):
+        grid, ch, data_bits = tdl_grid(rng, size, cfg, bits, noise)
+        hd = ch.freq_direct[:, plan.data_idx]
+        return primary_detect(grid, hd, plan) != data_bits
+
+    def error_rate(errors_of, seed):
+        def kernel(rng, size):
+            bits = rng.integers(0, 2, size=size).astype(np.int8)
+            return [np.count_nonzero(errors_of(rng, size, bits))], size
+
+        counts, used = _accumulate(kernel, 200_000, seed, 0, threads=2)
+        p = counts[0] / (used * plan.n_data)
+        return p, float(_ci95(p, used))
+
+    p_fd, ci_fd = error_rate(kernel_errors, 257)
+    p_td, ci_td = error_rate(time_errors, 263)
+    assert 0.005 < p_fd < 0.5
+    assert abs(p_fd - p_td) <= ci_fd + ci_td, (p_fd, ci_fd, p_td, ci_td)
+
+
+def test_primary_ber_matches_rayleigh_bpsk_theory():
+    # without an offset each data bin holds Hd*X + W with Hd ~ CN(0, 1),
+    # so the primary bit error rate is coherent BPSK averaged over
+    # Rayleigh fading: 0.5 * (1 - sqrt(rho / (1 + rho)))
+    cfg = SystemConfig(scheme="fsk2", n=64, snr_db=(0.0, 10.0, 20.0),
+                       trials=20_000)
+    curve = run_ber_sweep(cfg, target="primary", target_events=None)
+    rho = 10.0 ** (np.asarray(cfg.snr_db) / 10.0)
+    expect = 0.5 * (1.0 - np.sqrt(rho / (1.0 + rho)))
+    tol = np.maximum(3.0 * curve.confidence_halfwidth, 0.05 * expect)
+    assert (np.abs(curve.values - expect) <= tol).all(), (curve.values, expect)

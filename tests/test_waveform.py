@@ -1,16 +1,14 @@
-"""Tests for subcarrier plans and the OFDM modulator/demodulator."""
+"""Tests for subcarrier plans and the OFDM modulator/demodulator.
+
+The modulator, the demodulator and the symbol mapper belong to the
+time-domain reference link.
+"""
 
 import numpy as np
 import pytest
 
-from srbc.waveform import (
-    ConfigurationError,
-    FreqGrid,
-    build_subcarrier_plan,
-    map_symbols,
-    ofdm_demodulate,
-    ofdm_modulate,
-)
+from reference_link import map_symbols, ofdm_demodulate, ofdm_modulate
+from srbc.waveform import ConfigurationError, FreqGrid, build_subcarrier_plan
 
 
 def landing_set(data_idx, shift, n):
