@@ -15,8 +15,7 @@ from .analysis import (ExpMixSpec, QuadratureSpec, TheoryCurve, TheoryParams,
 from .backscatter import BdWaveform, bd_waveform
 from .channel import NoiseSpec, snr_to_noise_variance
 from .crc import GEN2_PRESET, GENERATOR, crc5_check_many, crc5_encode_many
-from .detector import (fsk_detect, fsk_metrics, ook_detect, ook_test_statistic,
-                       primary_detect)
+from .detector import fsk_detect, ook_detect, primary_detect
 from .harness import (CSV_HEADER, SimCurve, SystemConfig, compare_theory_sim,
                       emit_csv, parse_csv, run_ber_sweep, run_cfo_study,
                       run_compare, run_pmd_sweep, run_retx, run_roc)

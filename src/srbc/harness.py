@@ -8,17 +8,19 @@ order.  Results are curves (abscissa, value, 95% confidence halfwidth)
 plus a flat string metadata block, written to and read back from CSV
 losslessly.
 
-Every simulation runs one frequency-domain kernel that draws only the
-bins the detectors read.  Its two channel modes differ in the tag's
-gain per bin: "tdl" evaluates the response of tapped-delay-line fading,
-while "iid" draws an independent complex-normal gain per subcarrier —
-the analytical model's own assumptions — and exists to validate the
-analysis module.  A carrier offset (tdl only) enters the kernel as one
-exact matrix per link from the data bins to the bins it reads: the
-detection bins for the tag bit, the data bins themselves for primary
-detection.  Without an offset the primary link's matrix is the identity
-on the direct term and zero on the tag's.  The tests check the kernel
-against a time-domain reference link.
+Every simulation runs one frequency-domain kernel that draws only what
+the receiver reads: for the tag bit the energy of each detection set,
+whose law given a row's channel draws is exact (``_set_energies``), for
+primary detection the data bins.  The two channel modes differ in the
+tag's gain per bin: "tdl" evaluates the response of tapped-delay-line
+fading, while "iid" draws an independent complex-normal gain per
+subcarrier — the analytical model's own assumptions — and exists to
+validate the analysis module.  A carrier offset (tdl only) enters the
+kernel as one exact matrix per link from the data bins to the bins it
+reads: the detection bins for the tag bit, the data bins themselves for
+primary detection.  Without an offset the primary link's matrix is the
+identity on the direct term and zero on the tag's.  The tests check the
+kernel against a time-domain reference link and receiver.
 
 Every simulated curve runs one per-point loop, ``_sweep``: each runner
 supplies only its validation and its batch kernel.
@@ -38,8 +40,7 @@ from . import analysis
 from .backscatter import bd_waveform
 from .channel import snr_to_noise_variance
 from .crc import crc5_check_many, crc5_encode_many
-from .detector import (fsk_detect, fsk_metrics, ook_detect, ook_test_statistic,
-                       primary_detect)
+from .detector import fsk_detect, ook_detect, primary_detect
 from .waveform import (SCHEMES, ConfigurationError, FreqGrid, SubcarrierPlan,
                        build_subcarrier_plan)
 
@@ -219,9 +220,10 @@ def _accumulate(batch_fn, total: int, seed: int, point_index: int, *,
     ``target_events``, and runs every batch for None.  Batches may run
     concurrently, but the stop rule walks results in batch order and
     discards everything past the stopping batch, so the outcome is
-    schedule-independent.  At most ``threads`` batches are in flight,
-    the one the scan waits for included, so a stop throws away at most
-    threads - 1 computed batches.
+    schedule-independent.  The first batch runs alone, as many points
+    stop on it; after it at most ``threads`` batches are in flight, the
+    one the scan waits for included, so a later stop throws away at
+    most threads - 1 computed batches.
     """
     sizes = _batch_sizes(total, batch_size)
     counts = used = 0
@@ -246,7 +248,8 @@ def _accumulate(batch_fn, total: int, seed: int, point_index: int, *,
         try:
             for j in range(len(sizes)):
                 ahead.append(pool.submit(run, j))
-                if len(ahead) == threads and consume(ahead.popleft().result()):
+                if (len(ahead) == (threads if j else 1)
+                        and consume(ahead.popleft().result())):
                     return counts, used
             while ahead:
                 if consume(ahead.popleft().result()):
@@ -270,20 +273,21 @@ def _require_tdl(cfg: SystemConfig, why: str) -> None:
 class _TagLink:
     """What a batch of symbols needs besides its random draws.
 
-    The grid holds only the bins the link reads, and ``plan`` numbers
-    them as its columns: for the tag bit the detection bins, kb0 then
-    kb1 (kb0 alone for ook, whose sets coincide), for primary detection
-    the data bins.  At zero offset a tag-bit link has ``landings``: per
-    bit None, when the bit does not reflect, or the columns its tone
-    lands on and the (l_forward, width) matrix that maps forward taps to
-    Hf at their source bins.  Every plan builds its landing sets as
-    shifted data bins, so every column has a source.  At a nonzero
-    offset, and always for primary detection, ``spectra`` is the
-    block-diagonal matrix that maps [direct taps, forward taps] to
-    [Hd, Hf] on the data bins, and ``leakage`` holds per bit the matrix
-    that maps the data-bin terms [X*Hd, gamma*hb*X*Hf] onto every
-    column: M_d stacked on the bit's M_s, or M_d alone when the bit
-    does not reflect.
+    ``plan`` numbers the bins the link reads as its columns: for the tag
+    bit the detection sets side by side, kb0 then kb1 (kb0 alone for
+    ook, whose sets coincide), for primary detection the data bins.  At
+    zero offset a tag-bit link has ``landings``: per bit None, when the
+    bit does not reflect, or the set its tone lands on and the Gram G =
+    R R^H of the matrix R that maps forward taps to Hf at the set's
+    source bins, as the real (2*l_forward)-square matrix that acts on
+    the taps' interleaved real and imaginary parts.  Every plan builds
+    its landing sets as shifted data bins, so every bin has a source.
+    At a nonzero offset, and always for primary detection, ``spectra``
+    is the block-diagonal matrix that maps [direct taps, forward taps]
+    to [Hd, Hf] on the data bins, and ``leakage`` holds per bit the
+    matrix that maps the data-bin terms [X*Hd, gamma*hb*X*Hf] onto every
+    column: M_d stacked on the bit's M_s, or M_d alone when the bit does
+    not reflect.
     """
 
     cfg: SystemConfig
@@ -291,6 +295,13 @@ class _TagLink:
     landings: tuple = ()
     spectra: np.ndarray | None = None
     leakage: tuple = ()
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """Bins per detection set: kb0, then kb1 for the fsk schemes."""
+        if self.plan.scheme == "ook":
+            return np.array([len(self.plan.kb0)])
+        return np.array([len(self.plan.kb0), len(self.plan.kb1)])
 
 
 def _tap_response(n_taps: int, bins, n: int) -> np.ndarray:
@@ -301,10 +312,12 @@ def _tap_response(n_taps: int, bins, n: int) -> np.ndarray:
 def _tag_link(cfg: SystemConfig, target: str = "bd") -> _TagLink:
     """The kernel's link for ``cfg``, built once per configuration.
 
-    ``target`` "bd" reads the tag's detection bins, "primary" the data
+    ``target`` "bd" reads the tag's detection sets, "primary" the data
     bins.
     """
     plan = cfg.plan()
+    shifts = [bd_waveform(cfg.scheme, bit, plan.zeta, plan.n).shift
+              for bit in (0, 1)]
     if target == "primary":
         read = plan.data_idx
         empty = np.empty(0, dtype=np.int64)
@@ -315,13 +328,10 @@ def _tag_link(cfg: SystemConfig, target: str = "bd") -> _TagLink:
         read = (plan.kb0 if plan.scheme == "ook"
                 else np.concatenate((plan.kb0, plan.kb1)))
         width = len(read)
-        cols = (slice(0, len(plan.kb0)), slice(width - len(plan.kb1), width))
         grid_plan = dataclasses.replace(
             plan, n=width, data_idx=np.empty(0, dtype=np.int64),
-            null_idx=np.arange(width), kb0=np.arange(width)[cols[0]],
-            kb1=np.arange(width)[cols[1]])
-    shifts = [bd_waveform(cfg.scheme, bit, plan.zeta, plan.n).shift
-              for bit in (0, 1)]
+            null_idx=np.arange(width), kb0=np.arange(len(plan.kb0)),
+            kb1=np.arange(width - len(plan.kb1), width))
     if cfg.cfo_eps or target == "primary":
         # the offset ramp starts on the first body sample, so it maps
         # the spectrum Z to Y[k] = sum_m D[k-m] Z[m]; without an offset
@@ -339,11 +349,17 @@ def _tag_link(cfg: SystemConfig, target: str = "bd") -> _TagLink:
         spectra[cfg.l_direct:, plan.n_data:] = _tap_response(
             cfg.l_forward, plan.data_idx, plan.n)
         return _TagLink(cfg, grid_plan, spectra=spectra, leakage=leakage)
-    landings = tuple(
-        None if s is None
-        else (cols[bit], _tap_response(cfg.l_forward, (kb - s) % plan.n, plan.n))
-        for bit, (s, kb) in enumerate(zip(shifts, (plan.kb0, plan.kb1))))
-    return _TagLink(cfg, grid_plan, landings=landings)
+    landings = []
+    for bit, (s, kb) in enumerate(zip(shifts, (plan.kb0, plan.kb1))):
+        if s is None:
+            landings.append(None)
+            continue
+        response = _tap_response(cfg.l_forward, (kb - s) % plan.n, plan.n)
+        gram = response @ response.conj().T
+        landings.append((0 if plan.scheme == "ook" else bit,
+                         np.kron(gram.real, np.eye(2))
+                         + np.kron(gram.imag, [[0.0, 1.0], [-1.0, 0.0]])))
+    return _TagLink(cfg, grid_plan, landings=tuple(landings))
 
 
 def _complex_normal_draw(rng, shape, variance) -> np.ndarray:
@@ -351,29 +367,6 @@ def _complex_normal_draw(rng, shape, variance) -> np.ndarray:
     z = rng.standard_normal(tuple(shape) + (2,)).view(np.complex128)[..., 0]
     z *= math.sqrt(variance / 2.0)
     return z
-
-
-def _reflect_onto(out, link: _TagLink, bits, hb, taps, rng) -> None:
-    """Add each row's tag term gamma*hb*H on its bit's landing columns.
-
-    H is Hf at the source bins, from ``taps``; with ``taps`` None it is
-    an independent unit-variance gain per landing bin, drawn from
-    ``rng`` (the iid channel model).
-    """
-    for bit, landing in enumerate(link.landings):
-        if landing is None:
-            continue
-        cols, response = landing
-        rows = np.flatnonzero(bits == bit)
-        if taps is None:
-            gain = _complex_normal_draw(rng, (len(rows), response.shape[1]),
-                                        1.0)
-        else:
-            # einsum, not matmul: a threaded BLAS call this thin costs
-            # more in thread wake-up than in arithmetic
-            gain = np.einsum("rl,lk->rk", taps[rows], response)
-        gain *= link.cfg.gamma_mag * hb[rows, None]
-        out[rows, cols] += gain
 
 
 def _leak_onto(out, link: _TagLink, bits, hb, taps, direct, signs) -> np.ndarray:
@@ -384,7 +377,6 @@ def _leak_onto(out, link: _TagLink, bits, hb, taps, direct, signs) -> np.ndarray
     [X*Hd, gamma*hb*X*Hf].
     """
     size, n_data = signs.shape
-    # matmul, unlike _reflect_onto: the leakage products call BLAS anyway
     terms = np.concatenate(
         (direct, taps * (link.cfg.gamma_mag * hb[:, None])), axis=1) @ link.spectra
     terms.reshape(size, 2, n_data)[...] *= signs[:, None, :]
@@ -394,42 +386,78 @@ def _leak_onto(out, link: _TagLink, bits, hb, taps, direct, signs) -> np.ndarray
     return terms
 
 
-def _fd_grid(rng, size, link: _TagLink, bits, noise) -> FreqGrid:
-    """Detection bins of one batch of tag symbols, in the frequency domain.
+def _signal_power(link: _TagLink, bits, hb, taps, direct=None, signs=None,
+                  rng=None) -> np.ndarray:
+    """(size, sets) noise-free energy ||s||^2 of each detection set.
+
+    Without an offset it is gamma^2*|hb|^2 * taps^H G taps on the sent
+    bit's landing set, with G that set's Gram, and zero elsewhere; with
+    ``taps`` None every landing bin is an independent unit complex-normal
+    gain (the iid channel model), whose energies sum to a Gamma(n_b)
+    draw from ``rng``.  With an offset it sums |.|^2 per set over what
+    ``_leak_onto`` adds to zeros.
+    """
+    if link.leakage:
+        out = np.zeros((len(bits), link.plan.n), dtype=np.complex128)
+        _leak_onto(out, link, bits, hb, taps, direct, signs)
+        # the sets lie side by side, each complex column two float ones
+        starts = 2 * (np.cumsum(link.sizes) - link.sizes)
+        return np.add.reduceat(out.view(np.float64) ** 2, starts, axis=1)
+    power = np.zeros((len(bits), len(link.sizes)))
+    gain = link.cfg.gamma_mag ** 2 * (hb.real ** 2 + hb.imag ** 2)
+    for bit, landing in enumerate(link.landings):
+        if landing is None:
+            continue
+        col, gram = landing
+        rows = np.flatnonzero(bits == bit)
+        if taps is None:
+            fade = rng.standard_gamma(link.sizes[col], size=len(rows))
+        else:
+            x = taps[rows].view(np.float64)
+            fade = np.einsum("ri,ri->r", x @ gram, x)
+        power[rows, col] = gain[rows] * fade
+    return power
+
+
+def _set_energies(rng, size, link: _TagLink, bits, noise) -> np.ndarray:
+    """(size, sets) energies the tag-bit detectors read: kb0 (then kb1).
 
     The channel memory fits the cyclic prefix and tag tones are integer
-    bins, so without an offset bin k of the DFT is exactly
-    Z[k] = Hd[k]*X[k] + gamma*hb*Hf[k-s]*X[k-s] + W[k], with X the +-1
-    data symbols (zero off the data bins), s the sent bit's tone shift
-    and W white with per-bin variance ``noise.variance * n``.
+    bins, so bin k of the DFT is exactly Z[k] = Hd[k]*X[k] +
+    gamma*hb*Hf[k-s]*X[k-s] + W[k], with X the +-1 data symbols (zero
+    off the data bins), s the sent bit's tone shift and W white with
+    per-bin variance sigma^2 = ``noise.variance * n``; an offset eps
+    multiplies the body by exp(2j*pi*eps*t/n), which keeps W white and
+    maps the rest through the link's leakage matrices.  Given a row's
+    channel draws, a set of n_b bins thus holds s + W with s fixed, and
+    by the rotation invariance of W its energy ||s + W||^2 has exactly
+    the law of sigma^2*Gamma(n_b - 1) + |(||s||) + w|^2, w ~ CN(0,
+    sigma^2).  So each set costs one gamma and one complex normal draw,
+    whatever n_b is.  In iid mode every landing bin is an independent
+    unit complex-normal gain, so ||s||^2 = gamma^2*|hb|^2*Gamma(n_b).
 
-    At zero offset the direct term leaves the null bins empty and each
-    detection bin holds one tag term.  The data signs are not drawn: W
-    is circular and independent across bins, so |X*a + W|^2 has the law
-    of |a + W|^2 jointly over the bins.  An offset eps multiplies the
-    body by exp(2j*pi*eps*t/n), which keeps W white and maps the rest
-    of Z through the link's leakage matrices.  Several data bins then
-    add coherently on each detection bin, so the signs are drawn, with
-    the direct taps, after the draws the zero-offset kernel makes: an
-    offset run shares its noise, hb and forward taps with the
-    zero-offset run on the same stream.
+    The draws come in a fixed order: the noise (the gamma, then w, of
+    every set), hb, then the forward taps (tdl) or the iid landing
+    energies, and only at a nonzero offset the data signs and direct
+    taps.  An offset run therefore shares its noise, hb and forward
+    taps with the zero-offset run on the same stream.
     """
     cfg = link.cfg
     bits = np.asarray(bits)
-    out = _complex_normal_draw(rng, (size, link.plan.n),
-                               noise.variance * cfg.n)
+    sets = len(link.sizes)
+    variance = noise.variance * cfg.n
+    rest = rng.standard_gamma(link.sizes - 1.0, size=(size, sets))
+    w = _complex_normal_draw(rng, (size, sets), variance)
     hb = _complex_normal_draw(rng, (size,), cfg.sigma_v ** 2)
-    taps = (_complex_normal_draw(rng, (size, cfg.l_forward),
-                                 1.0 / cfg.l_forward)
+    taps = (_complex_normal_draw(rng, (size, cfg.l_forward), 1.0 / cfg.l_forward)
             if cfg.channel_mode == "tdl" else None)
-    if not link.leakage:
-        _reflect_onto(out, link, bits, hb, taps, rng)
-        return FreqGrid(out)
-    n_data = link.spectra.shape[1] // 2
-    signs = 1.0 - 2.0 * rng.integers(0, 2, size=(size, n_data))
-    direct = _complex_normal_draw(rng, (size, cfg.l_direct), 1.0 / cfg.l_direct)
-    _leak_onto(out, link, bits, hb, taps, direct, signs)
-    return FreqGrid(out)
+    direct = signs = None
+    if link.leakage:
+        n_data = link.spectra.shape[1] // 2
+        signs = 1.0 - 2.0 * rng.integers(0, 2, size=(size, n_data))
+        direct = _complex_normal_draw(rng, (size, cfg.l_direct), 1.0 / cfg.l_direct)
+    power = _signal_power(link, bits, hb, taps, direct, signs, rng)
+    return (np.sqrt(power) + w.real) ** 2 + w.imag ** 2 + variance * rest
 
 
 def _primary_grid(rng, size, link: _TagLink, bits, noise):
@@ -448,12 +476,6 @@ def _primary_grid(rng, size, link: _TagLink, bits, noise):
     terms = _leak_onto(out, link, np.asarray(bits), hb, taps, direct, signs)
     # the signs are +-1, so a second product undoes the first exactly
     return FreqGrid(out), terms[:, :link.plan.n] * signs, signs
-
-
-def _decide_bits(grid, plan, eta):
-    if plan.scheme == "ook":
-        return ook_detect(ook_test_statistic(grid, plan), eta)
-    return fsk_detect(*fsk_metrics(grid, plan))
 
 
 def _unit_ook_threshold(cfg: SystemConfig, n_b: int) -> float:
@@ -509,16 +531,15 @@ def run_pmd_sweep(cfg: SystemConfig,
             f"trials must be at least {TARGET_ERROR_EVENTS}/pfa_target "
             f"= {math.ceil(TARGET_ERROR_EVENTS / cfg.pfa_target)}, got {cfg.trials}")
     link = _tag_link(cfg)
-    unit_eta = _unit_ook_threshold(cfg, len(link.plan.kb0))
+    unit_eta = _unit_ook_threshold(cfg, link.sizes[0])
 
     def point_kernel(snr, noise):
         eta = unit_eta * analysis.noise_bin_variance(snr)
 
         def kernel(rng, size):
-            bits = np.ones(size, dtype=np.int8)
-            stat = ook_test_statistic(
-                _fd_grid(rng, size, link, bits, noise), link.plan)
-            return [np.count_nonzero(stat <= eta)], size
+            energy = _set_energies(rng, size, link, np.ones(size, dtype=np.int8),
+                                   noise)
+            return [np.count_nonzero(ook_detect(energy[:, 0], eta) == 0)], size
         return kernel
 
     counts, used = _sweep(cfg, point_kernel, target_events)
@@ -543,10 +564,9 @@ def run_roc(cfg: SystemConfig, eta_grid) -> SimCurve:
 
     def point_kernel(snr, noise):
         def kernel(rng, size):
-            above = [np.count_nonzero(ook_test_statistic(
-                _fd_grid(rng, size, link, np.full(size, bit, dtype=np.int8),
-                         noise), link.plan)[:, None] > etas, axis=0)
-                for bit in (0, 1)]
+            above = [np.count_nonzero(_set_energies(
+                rng, size, link, np.full(size, bit, dtype=np.int8), noise)
+                > etas, axis=0) for bit in (0, 1)]
             return np.concatenate(above), size
         return kernel
 
@@ -579,8 +599,7 @@ def run_ber_sweep(cfg: SystemConfig, target: str = "bd",
         def kernel(rng, size):
             bits = rng.integers(0, 2, size=size).astype(np.int8)
             if target == "bd":
-                grid = _fd_grid(rng, size, link, bits, noise)
-                decided = _decide_bits(grid, link.plan, None)
+                decided = fsk_detect(*_set_energies(rng, size, link, bits, noise).T)
                 return [np.count_nonzero(decided != bits)], size
             grid, hd, signs = _primary_grid(rng, size, link, bits, noise)
             decided = primary_detect(grid, hd, link.plan)
@@ -621,7 +640,7 @@ def run_retx(cfg: SystemConfig,
     the frame count per point.
     """
     link = _tag_link(cfg)
-    unit_eta = (_unit_ook_threshold(cfg, len(link.plan.kb0))
+    unit_eta = (_unit_ook_threshold(cfg, link.sizes[0])
                 if cfg.scheme == "ook" else None)
 
     def point_kernel(snr, noise):
@@ -630,8 +649,10 @@ def run_retx(cfg: SystemConfig,
         def kernel(rng, size):
             payloads = rng.integers(0, 2, size=(size, FRAME_PAYLOAD_BITS))
             tx = crc5_encode_many(payloads, cfg.crc_preset)
-            grid = _fd_grid(rng, size * FRAME_BITS, link, tx.reshape(-1), noise)
-            decided = _decide_bits(grid, link.plan, eta).reshape(size, FRAME_BITS)
+            energy = _set_energies(rng, size * FRAME_BITS, link, tx.reshape(-1),
+                                   noise)
+            decided = (fsk_detect(*energy.T) if eta is None
+                       else ook_detect(energy[:, 0], eta)).reshape(size, FRAME_BITS)
             return [np.count_nonzero(~crc5_check_many(decided, cfg.crc_preset))], size
         return kernel
 

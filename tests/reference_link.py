@@ -2,8 +2,10 @@
 
 OFDM synthesis with a cyclic prefix, tapped-delay-line channels, the
 tag's sample-by-sample reflection, white noise, the carrier-offset ramp
-and the receiver DFT, each written out the long way.  The simulator
-runs none of this; the tests hold its kernel to these samples.  The
+and the receiver DFT, each written out the long way, and the receiver
+that reads the tag bit's detection-set energies off the demodulated
+bins.  The simulator runs none of this; the tests hold its kernel to
+these samples.  The
 synthesis IDFT carries the 1/n factor and the analysis DFT is
 unnormalized, so a frequency-domain grid round-trips exactly through
 modulate/demodulate.
@@ -210,3 +212,18 @@ def tdl_grid(rng, size, cfg, bits, noise):
     if cfg.cfo_eps:
         received = apply_cfo(received, CfoSpec(cfg.cfo_eps))
     return ofdm_demodulate(received), ch, data_bits
+
+
+def set_energy(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Sum of |values|**2 over the bins idx of the last axis."""
+    return np.sum(np.abs(values[..., idx]) ** 2, axis=-1)
+
+
+def ook_test_statistic(grid: FreqGrid, plan: SubcarrierPlan):
+    """Total received energy on the OOK landing set."""
+    return set_energy(grid.values, plan.kb0)
+
+
+def fsk_metrics(grid: FreqGrid, plan: SubcarrierPlan):
+    """Energies on the bit-0 and bit-1 hypothesis sets."""
+    return set_energy(grid.values, plan.kb0), set_energy(grid.values, plan.kb1)

@@ -1,4 +1,5 @@
-"""Tests for the tag-bit detectors and the coherent primary receiver."""
+"""Tests for the decision rules, the reference receiver's set energies
+and the coherent primary receiver."""
 
 import math
 
@@ -8,19 +9,15 @@ import pytest
 from reference_link import (
     add_awgn,
     apply_backscatter,
+    fsk_metrics,
     map_symbols,
     ofdm_demodulate,
     ofdm_modulate,
+    ook_test_statistic,
 )
 from srbc.backscatter import bd_waveform
 from srbc.channel import snr_to_noise_variance
-from srbc.detector import (
-    fsk_detect,
-    fsk_metrics,
-    ook_detect,
-    ook_test_statistic,
-    primary_detect,
-)
+from srbc.detector import fsk_detect, ook_detect, primary_detect
 from srbc.waveform import FreqGrid, build_subcarrier_plan
 
 

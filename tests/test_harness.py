@@ -9,12 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_link import map_symbols, tdl_grid
+from reference_link import fsk_metrics, ook_test_statistic, tdl_grid
 from srbc import analysis
-from srbc.backscatter import bd_waveform
 from srbc.channel import NoiseSpec, snr_to_noise_variance
-from srbc.detector import (fsk_detect, fsk_metrics, ook_test_statistic,
-                           primary_detect)
+from srbc.detector import fsk_detect, ook_detect, primary_detect
 from srbc.harness import (
     CSV_HEADER,
     SimCurve,
@@ -29,9 +27,9 @@ from srbc.harness import (
     run_retx,
     run_roc,
 )
-from srbc.harness import (DFT_SIZES, _accumulate, _ci95, _fd_grid, _leak_onto,
-                          _primary_grid, _reflect_onto, _tag_link,
-                          _unit_ook_threshold)
+from srbc.harness import (DFT_SIZES, _accumulate, _ci95, _leak_onto,
+                          _primary_grid, _set_energies, _signal_power,
+                          _tag_link, _unit_ook_threshold)
 from srbc import cli
 from srbc.waveform import ConfigurationError, build_subcarrier_plan
 
@@ -143,6 +141,24 @@ def test_runs_are_thread_and_rerun_deterministic(tmp_path):
     assert filecmp.cmp(paths[0], again, shallow=False)
 
 
+def test_point_that_stops_on_its_first_batch_computes_only_it():
+    # the first batch runs alone, so a point that reaches its events on
+    # batch 0 computes no twin batch beside it
+    calls = []
+
+    def batch(rng, size):
+        calls.append(size)
+        return [size], size
+
+    counts, used = _accumulate(batch, 10_000, 5, 0, threads=2,
+                               target_events=1, batch_size=1_000)
+    assert calls == [1_000] and used == 1_000 and counts[0] == 1_000
+    calls.clear()
+    _, used = _accumulate(batch, 10_000, 5, 0, threads=2,
+                          target_events=2_500, batch_size=1_000)
+    assert used == 3_000 and 3 <= len(calls) <= 4
+
+
 def test_silent_tag_hits_false_alarm_floor():
     # with a zero reflection coefficient the detector sees pure noise,
     # so it misses at one minus the false-alarm target
@@ -219,20 +235,20 @@ def test_cfo_study_zero_offset_matches_plain_sweep():
 def test_offset_kernel_shares_the_zero_offset_draws():
     # an offset draws its data signs and direct taps after the noise,
     # hb and forward taps, so on one stream a vanishing offset keeps
-    # those: its tag term is the zero-offset one up to each source
-    # bin's data sign, which leaves the magnitudes alone
+    # those: its set energies are the zero-offset ones, up to far less
+    # than the tag adds to the noise energies
     cfg = SystemConfig(scheme="fsk2", n=64, gamma_mag=0.5, snr_db=(10.0,))
     noise = snr_to_noise_variance(10.0, cfg.plan())
     bits = np.random.default_rng(5).integers(0, 2, size=512).astype(np.int8)
 
-    def grid(c):
-        return _fd_grid(np.random.default_rng(7), 512, _tag_link(c), bits,
-                        noise).values
+    def energies(c):
+        return _set_energies(np.random.default_rng(7), 512, _tag_link(c),
+                             bits, noise)
 
-    w = grid(cfg.replace(gamma_mag=0.0))
-    zero = np.abs(grid(cfg) - w)
-    tiny = np.abs(grid(cfg.replace(cfo_eps=1e-9)) - w)
-    assert np.abs(tiny - zero).max() <= 1e-6 * zero.max()
+    w = energies(cfg.replace(gamma_mag=0.0))
+    zero = energies(cfg)
+    tiny = energies(cfg.replace(cfo_eps=1e-9))
+    assert np.abs(tiny - zero).max() <= 1e-6 * np.abs(zero - w).max()
 
 
 def test_compare_smoke():
@@ -334,35 +350,62 @@ def test_cli_rejects_bad_input(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: bad number list"), argv
 
 
+def _set_energy_error(cfg, rows, seed):
+    # same taps, backward gain, data signs and bits, no noise: the
+    # largest gap between the kernel's signal energy on each detection
+    # set and the energy of the time-domain link's bins there, relative
+    # to the largest
+    plan = cfg.plan()
+    rng = np.random.default_rng(seed)
+    bits = rng.permutation(np.arange(rows) % 2).astype(np.int8)
+    grid, ch, data_bits = tdl_grid(rng, rows, cfg, bits, NoiseSpec(0.0))
+    got = _signal_power(_tag_link(cfg), bits, ch.taps_backward[:, 0],
+                        ch.taps_forward, ch.taps_direct, 1.0 - 2.0 * data_bits)
+    if cfg.scheme == "ook":
+        expected = ook_test_statistic(grid, plan)[:, None]
+    else:
+        expected = np.stack(fsk_metrics(grid, plan), axis=1)
+    scale = expected.max()
+    assert scale > 0 and got.shape == expected.shape
+    if cfg.scheme == "ook" and not cfg.cfo_eps:
+        assert not got[bits == 0].any()
+    return np.abs(got - expected).max() / scale
+
+
 @pytest.mark.parametrize("n", (64, 512))
 @pytest.mark.parametrize("scheme", ("ook", "fsk1", "fsk2"))
 def test_frequency_kernel_matches_time_domain_bins(scheme, n):
-    # same taps, backward gain and bits, no noise: the kernel's
-    # detection bins are the time-domain link's, up to each source
-    # bin's data sign, which the kernel leaves out
+    # at zero offset the kernel's set energy is the Gram form of the
+    # forward taps: the energy of the time-domain link's bins, whose
+    # data signs it leaves out
     cfg = SystemConfig(scheme=scheme, n=n, gamma_mag=0.5, snr_db=(10.0,))
-    plan = cfg.plan()
-    link = _tag_link(cfg)
-    rng = np.random.default_rng(229)
-    bits = rng.integers(0, 2, size=64).astype(np.int8)
-    grid, ch, data_bits = tdl_grid(rng, 64, cfg, bits, NoiseSpec(0.0))
-    out = np.zeros((64, link.plan.n), dtype=np.complex128)
-    _reflect_onto(out, link, bits, ch.taps_backward[:, 0], ch.taps_forward,
-                  None)
-    sets = (plan.kb0,) if scheme == "ook" else (plan.kb0, plan.kb1)
-    bins = np.concatenate(sets)
-    shifts = np.concatenate([
-        np.full(len(s), bd_waveform(scheme, 1 if scheme == "ook" else b,
-                                    plan.zeta, n).shift)
-        for b, s in enumerate(sets)])
-    symbols = map_symbols(1.0 - 2.0 * data_bits, plan).values
-    expected = grid.values[:, bins]
-    got = out * symbols[:, (bins - shifts) % n]
-    scale = np.abs(expected).max()
-    assert scale > 0
-    assert np.abs(got - expected).max() <= 1e-10 * scale
-    if scheme == "ook":
-        assert not out[bits == 0].any()
+    assert _set_energy_error(cfg, 64, 229) <= 1e-10
+
+
+@pytest.mark.parametrize("eps", (0.05, -0.2, 0.3))
+@pytest.mark.parametrize("n", (64, 512))
+@pytest.mark.parametrize("scheme", ("ook", "fsk1", "fsk2"))
+def test_offset_set_energies_match_time_domain_bins(scheme, n, eps):
+    cfg = SystemConfig(scheme=scheme, n=n, gamma_mag=0.5, cfo_eps=eps,
+                       snr_db=(10.0,))
+    assert _set_energy_error(cfg, 64, 241) <= 1e-10
+
+
+@settings(max_examples=40)
+@given(scheme=st.sampled_from(("ook", "fsk1", "fsk2")),
+       n=st.sampled_from(DFT_SIZES),
+       eps=st.one_of(st.just(0.0), st.floats(-0.5, 0.5)),
+       gamma=st.floats(0.05, 1.0),
+       seed=st.integers(0, 2 ** 32 - 1),
+       data=st.data())
+def test_set_energies_match_time_domain_everywhere(scheme, n, eps, gamma,
+                                                   seed, data):
+    # any channel memory up to the cyclic prefix, with or without offset
+    taps = st.integers(1, n // 8 + 1)
+    cfg = SystemConfig(scheme=scheme, n=n, gamma_mag=gamma, cfo_eps=eps,
+                       l_direct=data.draw(taps), l_forward=data.draw(taps),
+                       snr_db=(10.0,))
+    assert _set_energy_error(cfg, 16, seed) <= 1e-10
 
 
 def _leaked_bins_error(cfg, rows, seed, target="bd"):
@@ -421,22 +464,42 @@ def test_offset_kernel_matches_time_domain_everywhere(scheme, n, eps, gamma,
     assert _leaked_bins_error(cfg, 16, seed) <= 1e-10
 
 
-def _tag_error_rate(cfg, grid_of, plan, trials, seed):
-    # grid_of(rng, size, bits, noise) is the grid that ``plan`` reads
+def _reference_energies(cfg):
+    # the time-domain link's detection-set energies, as the kernel's
+    plan = cfg.plan()
+
+    def energies(rng, size, bits, noise):
+        grid = tdl_grid(rng, size, cfg, bits, noise)[0]
+        if cfg.scheme == "ook":
+            return ook_test_statistic(grid, plan)[:, None]
+        return np.stack(fsk_metrics(grid, plan), axis=1)
+    return energies
+
+
+def _kernel_energies(cfg):
+    link = _tag_link(cfg)
+
+    def energies(rng, size, bits, noise):
+        return _set_energies(rng, size, link, bits, noise)
+    return energies
+
+
+def _tag_error_rate(cfg, energies_of, trials, seed):
+    # energies_of(rng, size, bits, noise) is a batch's set energies
     noise = snr_to_noise_variance(cfg.snr_db[0], cfg.plan())
     if cfg.scheme == "ook":
-        eta = (_unit_ook_threshold(cfg, len(plan.kb0))
+        eta = (_unit_ook_threshold(cfg, len(cfg.plan().kb0))
                * analysis.noise_bin_variance(cfg.snr_db[0]))
 
     def kernel(rng, size):
         if cfg.scheme == "ook":
             bits = np.ones(size, dtype=np.int8)
-            grid = grid_of(rng, size, bits, noise)
+            energy = energies_of(rng, size, bits, noise)
             return np.array([np.count_nonzero(
-                ook_test_statistic(grid, plan) <= eta)]), size
+                ook_detect(energy[:, 0], eta) == 0)]), size
         bits = rng.integers(0, 2, size=size).astype(np.int8)
-        grid = grid_of(rng, size, bits, noise)
-        decided = fsk_detect(*fsk_metrics(grid, plan))
+        energy = energies_of(rng, size, bits, noise)
+        decided = fsk_detect(energy[:, 0], energy[:, 1])
         return np.array([np.count_nonzero(decided != bits)]), size
 
     counts, used = _accumulate(kernel, trials, seed, 0, threads=2)
@@ -453,19 +516,34 @@ def test_frequency_kernel_matches_time_domain_statistically(scheme, eps):
     # agree within their combined intervals
     cfg = SystemConfig(scheme=scheme, n=64, gamma_mag=0.25,
                        snr_db=(20.0,), pfa_target=1e-3, cfo_eps=eps)
-    plan = cfg.plan()
-    link = _tag_link(cfg)
-
-    def kernel_grid(rng, size, bits, noise):
-        return _fd_grid(rng, size, link, bits, noise)
-
-    def time_grid(rng, size, bits, noise):
-        return tdl_grid(rng, size, cfg, bits, noise)[0]
-
-    p_fd, ci_fd = _tag_error_rate(cfg, kernel_grid, link.plan, 200_000, 233)
-    p_td, ci_td = _tag_error_rate(cfg, time_grid, plan, 200_000, 239)
+    p_fd, ci_fd = _tag_error_rate(cfg, _kernel_energies(cfg), 200_000, 233)
+    p_td, ci_td = _tag_error_rate(cfg, _reference_energies(cfg), 200_000, 239)
     assert 0.005 < p_fd < 0.5
     assert abs(p_fd - p_td) <= ci_fd + ci_td, (p_fd, ci_fd, p_td, ci_td)
+
+
+def test_roc_point_matches_time_domain_statistically():
+    # one ook ROC point at 10 dB, 200k symbols per hypothesis each way:
+    # false-alarm and detection probabilities at one threshold agree
+    # within their combined intervals
+    cfg = SystemConfig(scheme="ook", n=64, gamma_mag=0.25, snr_db=(10.0,))
+    noise = snr_to_noise_variance(10.0, cfg.plan())
+    eta = 1.2 * len(cfg.plan().kb0) * analysis.noise_bin_variance(10.0)
+
+    def rates(energies_of, seed):
+        def kernel(rng, size):
+            return np.array([np.count_nonzero(energies_of(
+                rng, size, np.full(size, bit, dtype=np.int8), noise)[:, 0] > eta)
+                for bit in (0, 1)]), size
+
+        counts, used = _accumulate(kernel, 200_000, seed, 0, threads=2)
+        p = counts / used
+        return p, _ci95(p, used)
+
+    p_fd, ci_fd = rates(_kernel_energies(cfg), 269)
+    p_td, ci_td = rates(_reference_energies(cfg), 271)
+    assert (0.01 < p_fd).all() and (p_fd < 0.99).all(), p_fd
+    assert (np.abs(p_fd - p_td) <= ci_fd + ci_td).all(), (p_fd, ci_fd, p_td, ci_td)
 
 
 @pytest.mark.parametrize("eps", (0.0, 0.05, -0.2, 0.3, 1.0))
