@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .channel import noise_bin_variance
 from .quadrature import QuadratureError, integrate_adaptive
 from .waveform import build_subcarrier_plan
 
@@ -40,6 +41,8 @@ __all__ = [
 ]
 
 _INIT_PANEL_CAP = 16384
+_REL_TOL = 1e-8
+_MAX_EVALS = 3_000_000
 
 
 @dataclass(frozen=True)
@@ -61,16 +64,14 @@ class ExpMixSpec:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Truncation and tolerance budget for one inversion integral."""
+    """Truncation and absolute tolerance of one inversion integral."""
 
     truncation: float
-    rel_tol: float = 1e-8
     abs_tol: float = 1e-9
-    max_evals: int = 3_000_000
 
     def __post_init__(self):
-        if self.truncation <= 0 or self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("truncation and tolerances must be positive")
+        if self.truncation <= 0 or self.abs_tol <= 0:
+            raise ValueError("truncation and tolerance must be positive")
 
 
 @dataclass
@@ -92,11 +93,6 @@ class TheoryParams:
     zeta: int = 1
     sigma_v: float = 1.0
     pfa_target: float = 1e-3
-
-
-def noise_bin_variance(snr_db: float) -> float:
-    """Per-bin noise energy after the DFT at the given data-bin SNR."""
-    return 10.0 ** (-snr_db / 10.0)
 
 
 _T_BLOCK = 2048  # t values per block: one (64 nodes, t) float array is 1 MB
@@ -179,7 +175,7 @@ def _h1_means(gamma_sq: float, v, sigma_h_sq, sigma_w_sq: float, n_b: int):
     """Distinct bin means of the signal-bearing statistic and their counts.
 
     The means have one row per gain in v and one column per distinct
-    value of ``sigma_h_sq``.
+    value of ``sigma_h_sq``; a zero gain is a noise-only column.
     """
     v = np.atleast_1d(np.asarray(v, dtype=np.float64))
     if np.any(v < 0) or gamma_sq < 0:
@@ -189,8 +185,8 @@ def _h1_means(gamma_sq: float, v, sigma_h_sq, sigma_w_sq: float, n_b: int):
     if n_b < 1:
         raise ValueError("n_b must be >= 1")
     sigma_h_sq = np.broadcast_to(np.asarray(sigma_h_sq, dtype=np.float64), (n_b,))
-    if np.any(sigma_h_sq <= 0):
-        raise ValueError("sigma_h_sq must be > 0")
+    if np.any(sigma_h_sq < 0):
+        raise ValueError("sigma_h_sq must be >= 0")
     gains, counts = np.unique(sigma_h_sq, return_counts=True)
     return gamma_sq * (v * v)[:, None] * gains + sigma_w_sq, counts
 
@@ -202,8 +198,7 @@ def charfn_h1(t, gamma_sq: float, v: float, sigma_h_sq, sigma_w_sq: float,
         np.ones(1), *_h1_means(gamma_sq, v, sigma_h_sq, sigma_w_sq, n_b)))
 
 
-def auto_quadrature(charfn, rel_tol: float = 1e-8, abs_tol: float = 1e-9,
-                    max_evals: int = 3_000_000, x: float = 0.0) -> QuadratureSpec:
+def auto_quadrature(charfn, abs_tol: float = 1e-9, x: float = 0.0) -> QuadratureSpec:
     """Pick the truncation: the first T = 1e-3 * 2**k with its tail below abs_tol/10.
 
     A mixture built here is truncated on its certified ``tail_bound`` at
@@ -217,7 +212,7 @@ def auto_quadrature(charfn, rel_tol: float = 1e-8, abs_tol: float = 1e-9,
     if len(below) == 0:
         raise QuadratureError("characteristic function decays too slowly to truncate",
                               np.nan, np.inf)
-    return QuadratureSpec(float(ts[below[0]]), rel_tol, abs_tol, max_evals)
+    return QuadratureSpec(float(ts[below[0]]), abs_tol)
 
 
 def _inversion_edges(truncation: float, x: float) -> np.ndarray:
@@ -238,7 +233,7 @@ def _inversion_integral(charfn, x: float, q: QuadratureSpec) -> float:
         return np.imag(charfn(t) * np.exp(-1j * t * x)) / t
 
     res = integrate_adaptive(integrand, _inversion_edges(q.truncation, x),
-                             q.rel_tol, q.abs_tol, q.max_evals)
+                             _REL_TOL, q.abs_tol, _MAX_EVALS)
     return res.value
 
 
@@ -269,23 +264,20 @@ def pfa_of_threshold(eta: float, noise_spec: ExpMixSpec,
 
 
 def _missed_detection(eta: float, v, weights, gamma_sq: float, sigma_h_sq,
-                      sigma_w_sq: float, n_b: int,
-                      q: QuadratureSpec | None) -> float:
+                      sigma_w_sq: float, n_b: int) -> float:
     """F(eta) of the signal statistic averaged over gains v with weights."""
     if eta < 0:
         raise ValueError(f"eta must be >= 0, got {eta}")
     if eta == 0:
         return 0.0
     charfn = _ExpMixture(weights, *_h1_means(gamma_sq, v, sigma_h_sq, sigma_w_sq, n_b))
-    return gil_pelaez_cdf(charfn, eta, q)
+    return gil_pelaez_cdf(charfn, eta)
 
 
 def pmd_given_v(eta: float, v: float, gamma_sq: float, sigma_h_sq,
-                sigma_w_sq: float, n_b: int,
-                q: QuadratureSpec | None = None) -> float:
+                sigma_w_sq: float, n_b: int) -> float:
     """Missed-detection probability F(eta) of the signal statistic at fixed v."""
-    return _missed_detection(eta, v, np.ones(1), gamma_sq, sigma_h_sq, sigma_w_sq,
-                             n_b, q)
+    return _missed_detection(eta, v, np.ones(1), gamma_sq, sigma_h_sq, sigma_w_sq, n_b)
 
 
 @functools.lru_cache(maxsize=4)
@@ -315,8 +307,7 @@ def rayleigh_nodes(sigma_v: float, n_nodes: int = 64):
 
 
 def pmd_marginal(eta: float, sigma_v: float, gamma_sq: float, sigma_h_sq,
-                 sigma_w_sq: float, n_b: int, q: QuadratureSpec | None = None,
-                 n_nodes: int = 64) -> float:
+                 sigma_w_sq: float, n_b: int, n_nodes: int = 64) -> float:
     """Missed-detection probability averaged over the Rayleigh backward gain.
 
     One inversion of the node-averaged characteristic function; bins
@@ -324,23 +315,21 @@ def pmd_marginal(eta: float, sigma_v: float, gamma_sq: float, sigma_h_sq,
     """
     v_nodes, weights = rayleigh_nodes(sigma_v, n_nodes)
     return _missed_detection(eta, v_nodes, weights, gamma_sq, sigma_h_sq,
-                             sigma_w_sq, n_b, q)
+                             sigma_w_sq, n_b)
 
 
-def optimal_threshold(pfa_target: float, noise_spec: ExpMixSpec,
-                      q: QuadratureSpec | None = None) -> float:
+def optimal_threshold(pfa_target: float, noise_spec: ExpMixSpec) -> float:
     """Threshold whose false-alarm probability hits the target.
 
     PFA(eta) falls monotonically from 1, so a doubling bracket followed
     by bisection converges; iteration stops when PFA is within 1e-6
-    relative of the target.  Without ``q`` every step shares the
-    truncation whose certified tail bound holds at any eta.
+    relative of the target.  Every step shares the truncation whose
+    certified tail bound holds at any eta.
     """
     if not 0 < pfa_target < 1:
         raise ValueError(f"pfa_target must be in (0, 1), got {pfa_target}")
-    if q is None:
-        q = auto_quadrature(_noise_mixture(noise_spec),
-                            abs_tol=min(1e-11, pfa_target * 1e-8))
+    q = auto_quadrature(_noise_mixture(noise_spec),
+                        abs_tol=min(1e-11, pfa_target * 1e-8))
     tol = 1e-6 * pfa_target
     lo, hi = 0.0, float(noise_spec.means.sum())
     for _ in range(200):
@@ -363,9 +352,7 @@ def optimal_threshold(pfa_target: float, noise_spec: ExpMixSpec,
 
 
 def fsk_error_prob(gamma_sq: float, sigma_v: float, sigma_h_sq,
-                   sigma_w_sq: float, n_b: int,
-                   q: QuadratureSpec | None = None,
-                   n_nodes: int = 64) -> float:
+                   sigma_w_sq: float, n_b: int, n_nodes: int = 64) -> float:
     """Bit error probability of the two-set energy detector, Rayleigh-averaged.
 
     With bit 0 sent, set 0 carries signal plus noise and set 1 noise
@@ -378,11 +365,10 @@ def fsk_error_prob(gamma_sq: float, sigma_v: float, sigma_h_sq,
     v_nodes, weights = rayleigh_nodes(sigma_v, n_nodes)
     signal, counts = _h1_means(gamma_sq, v_nodes, sigma_h_sq, sigma_w_sq, n_b)
     means = np.column_stack([signal, np.full(len(v_nodes), -sigma_w_sq)])
-    return gil_pelaez_cdf(_ExpMixture(weights, means, np.append(counts, n_b)), 0.0, q)
+    return gil_pelaez_cdf(_ExpMixture(weights, means, np.append(counts, n_b)), 0.0)
 
 
-def theory_sweep(kind: str, snr_grid, params: TheoryParams,
-                 q: QuadratureSpec | None = None) -> TheoryCurve:
+def theory_sweep(kind: str, snr_grid, params: TheoryParams) -> TheoryCurve:
     """Evaluate OOK_PMD or FSK_BER across an SNR grid.
 
     Points where the quadrature fails are set to NaN and listed in
@@ -412,12 +398,12 @@ def theory_sweep(kind: str, snr_grid, params: TheoryParams,
                 # the noise statistic at bin energy w is w times the unit one
                 if unit_eta is None:
                     unit_eta = optimal_threshold(params.pfa_target,
-                                                 ExpMixSpec(np.ones(n_b)), q)
+                                                 ExpMixSpec(np.ones(n_b)))
                 values[i] = pmd_marginal(unit_eta * w_bin, params.sigma_v,
-                                         gamma_sq, 1.0, w_bin, n_b, q)
+                                         gamma_sq, 1.0, w_bin, n_b)
             else:
                 values[i] = fsk_error_prob(gamma_sq, params.sigma_v, 1.0,
-                                           w_bin, n_b, q)
+                                           w_bin, n_b)
         except QuadratureError:
             values[i] = np.nan
             failed.append(i)

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .waveform import FreqGrid, SubcarrierPlan
-
 
 def ook_detect(stat, threshold: float):
     """Declare bit 1 when the landing-set energy exceeds the threshold.
@@ -29,16 +27,16 @@ def fsk_detect(ts0, ts1):
     return (np.asarray(ts1) > np.asarray(ts0)).astype(np.int8)
 
 
-def primary_detect(grid: FreqGrid, hd, plan: SubcarrierPlan):
+def primary_detect(y, hd):
     """Coherent BPSK decisions on the data bins with known channel gains.
 
-    ``hd`` is the direct link's gain on each data bin.  Symbol +1 maps
-    to bit 0.  A data bin whose channel gain is exactly zero cannot be
-    equalized; it is marked -1 so callers can count it as an error.
+    ``y`` holds the received data-bin values and ``hd`` the direct
+    link's gain on each of them.  Symbol +1 maps to bit 0.  A data bin
+    whose channel gain is exactly zero cannot be equalized; it is marked
+    -1 so callers can count it as an error.
     """
     h = np.asarray(hd)
-    y = grid.values[..., plan.data_idx]
     erased = h == 0
     safe = np.where(erased, 1.0, h)
-    bits = np.where(np.real(y / safe) >= 0, 0, 1).astype(np.int8)
+    bits = np.where(np.real(np.asarray(y) / safe) >= 0, 0, 1).astype(np.int8)
     return np.where(erased, np.int8(-1), bits)

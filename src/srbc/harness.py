@@ -23,7 +23,9 @@ identity on the direct term and zero on the tag's.  The tests check the
 kernel against a time-domain reference link and receiver.
 
 Every simulated curve runs one per-point loop, ``_sweep``: each runner
-supplies only its validation and its batch kernel.
+supplies only its validation and its batch kernel, built for the
+point's per-bin noise energy.  Nothing is drawn per time sample, so the
+kernel knows no other noise unit.
 """
 from __future__ import annotations
 
@@ -38,11 +40,10 @@ import numpy as np
 
 from . import analysis
 from .backscatter import bd_waveform
-from .channel import snr_to_noise_variance
+from .channel import noise_bin_variance
 from .crc import crc5_check_many, crc5_encode_many
 from .detector import fsk_detect, ook_detect, primary_detect
-from .waveform import (SCHEMES, ConfigurationError, FreqGrid, SubcarrierPlan,
-                       build_subcarrier_plan)
+from .waveform import SCHEMES, ConfigurationError, build_subcarrier_plan
 
 CSV_HEADER = ("abscissa", "value", "ci95", "scheme", "N", "gamma",
               "pfa_target", "cfo", "seed", "trials")
@@ -273,14 +274,14 @@ def _require_tdl(cfg: SystemConfig, why: str) -> None:
 class _TagLink:
     """What a batch of symbols needs besides its random draws.
 
-    ``plan`` numbers the bins the link reads as its columns: for the tag
-    bit the detection sets side by side, kb0 then kb1 (kb0 alone for
-    ook, whose sets coincide), for primary detection the data bins.  At
-    zero offset a tag-bit link has ``landings``: per bit None, when the
-    bit does not reflect, or the set its tone lands on and the Gram G =
-    R R^H of the matrix R that maps forward taps to Hf at the set's
-    source bins, as the real (2*l_forward)-square matrix that acts on
-    the taps' interleaved real and imaginary parts.  Every plan builds
+    The link reads its bins as columns, in blocks of ``sizes`` bins: for
+    the tag bit the detection sets side by side, kb0 then kb1 (kb0 alone
+    for ook, whose sets coincide), for primary detection the data bins
+    as one block.  At zero offset a tag-bit link has ``landings``: per
+    bit None, when the bit does not reflect, or the set its tone lands
+    on and the Gram G = R R^H of the matrix R that maps forward taps to
+    Hf at the set's source bins, as the real (2*l_forward)-square matrix
+    that acts on the taps' interleaved real and imaginary parts.  Every plan builds
     its landing sets as shifted data bins, so every bin has a source.
     At a nonzero offset, and always for primary detection, ``spectra``
     is the block-diagonal matrix that maps [direct taps, forward taps]
@@ -291,17 +292,10 @@ class _TagLink:
     """
 
     cfg: SystemConfig
-    plan: SubcarrierPlan
+    sizes: np.ndarray
     landings: tuple = ()
     spectra: np.ndarray | None = None
     leakage: tuple = ()
-
-    @property
-    def sizes(self) -> np.ndarray:
-        """Bins per detection set: kb0, then kb1 for the fsk schemes."""
-        if self.plan.scheme == "ook":
-            return np.array([len(self.plan.kb0)])
-        return np.array([len(self.plan.kb0), len(self.plan.kb1)])
 
 
 def _tap_response(n_taps: int, bins, n: int) -> np.ndarray:
@@ -318,20 +312,10 @@ def _tag_link(cfg: SystemConfig, target: str = "bd") -> _TagLink:
     plan = cfg.plan()
     shifts = [bd_waveform(cfg.scheme, bit, plan.zeta, plan.n).shift
               for bit in (0, 1)]
-    if target == "primary":
-        read = plan.data_idx
-        empty = np.empty(0, dtype=np.int64)
-        grid_plan = dataclasses.replace(
-            plan, n=plan.n_data, data_idx=np.arange(plan.n_data),
-            null_idx=empty, kb0=empty, kb1=empty)
-    else:
-        read = (plan.kb0 if plan.scheme == "ook"
-                else np.concatenate((plan.kb0, plan.kb1)))
-        width = len(read)
-        grid_plan = dataclasses.replace(
-            plan, n=width, data_idx=np.empty(0, dtype=np.int64),
-            null_idx=np.arange(width), kb0=np.arange(len(plan.kb0)),
-            kb1=np.arange(width - len(plan.kb1), width))
+    sets = ((plan.data_idx,) if target == "primary"
+            else (plan.kb0,) if plan.scheme == "ook" else (plan.kb0, plan.kb1))
+    read = np.concatenate(sets)
+    sizes = np.array([len(b) for b in sets])
     if cfg.cfo_eps or target == "primary":
         # the offset ramp starts on the first body sample, so it maps
         # the spectrum Z to Y[k] = sum_m D[k-m] Z[m]; without an offset
@@ -348,7 +332,7 @@ def _tag_link(cfg: SystemConfig, target: str = "bd") -> _TagLink:
             cfg.l_direct, plan.data_idx, plan.n)
         spectra[cfg.l_direct:, plan.n_data:] = _tap_response(
             cfg.l_forward, plan.data_idx, plan.n)
-        return _TagLink(cfg, grid_plan, spectra=spectra, leakage=leakage)
+        return _TagLink(cfg, sizes, spectra=spectra, leakage=leakage)
     landings = []
     for bit, (s, kb) in enumerate(zip(shifts, (plan.kb0, plan.kb1))):
         if s is None:
@@ -359,7 +343,7 @@ def _tag_link(cfg: SystemConfig, target: str = "bd") -> _TagLink:
         landings.append((0 if plan.scheme == "ook" else bit,
                          np.kron(gram.real, np.eye(2))
                          + np.kron(gram.imag, [[0.0, 1.0], [-1.0, 0.0]])))
-    return _TagLink(cfg, grid_plan, landings=tuple(landings))
+    return _TagLink(cfg, sizes, landings=tuple(landings))
 
 
 def _complex_normal_draw(rng, shape, variance) -> np.ndarray:
@@ -398,7 +382,7 @@ def _signal_power(link: _TagLink, bits, hb, taps, direct=None, signs=None,
     ``_leak_onto`` adds to zeros.
     """
     if link.leakage:
-        out = np.zeros((len(bits), link.plan.n), dtype=np.complex128)
+        out = np.zeros((len(bits), link.sizes.sum()), dtype=np.complex128)
         _leak_onto(out, link, bits, hb, taps, direct, signs)
         # the sets lie side by side, each complex column two float ones
         starts = 2 * (np.cumsum(link.sizes) - link.sizes)
@@ -419,16 +403,16 @@ def _signal_power(link: _TagLink, bits, hb, taps, direct=None, signs=None,
     return power
 
 
-def _set_energies(rng, size, link: _TagLink, bits, noise) -> np.ndarray:
+def _set_energies(rng, size, link: _TagLink, bits, noise: float) -> np.ndarray:
     """(size, sets) energies the tag-bit detectors read: kb0 (then kb1).
 
     The channel memory fits the cyclic prefix and tag tones are integer
     bins, so bin k of the DFT is exactly Z[k] = Hd[k]*X[k] +
     gamma*hb*Hf[k-s]*X[k-s] + W[k], with X the +-1 data symbols (zero
     off the data bins), s the sent bit's tone shift and W white with
-    per-bin variance sigma^2 = ``noise.variance * n``; an offset eps
-    multiplies the body by exp(2j*pi*eps*t/n), which keeps W white and
-    maps the rest through the link's leakage matrices.  Given a row's
+    per-bin variance sigma^2 = ``noise``; an offset eps multiplies the
+    body by exp(2j*pi*eps*t/n), which keeps W white and maps the rest
+    through the link's leakage matrices.  Given a row's
     channel draws, a set of n_b bins thus holds s + W with s fixed, and
     by the rotation invariance of W its energy ||s + W||^2 has exactly
     the law of sigma^2*Gamma(n_b - 1) + |(||s||) + w|^2, w ~ CN(0,
@@ -445,9 +429,8 @@ def _set_energies(rng, size, link: _TagLink, bits, noise) -> np.ndarray:
     cfg = link.cfg
     bits = np.asarray(bits)
     sets = len(link.sizes)
-    variance = noise.variance * cfg.n
     rest = rng.standard_gamma(link.sizes - 1.0, size=(size, sets))
-    w = _complex_normal_draw(rng, (size, sets), variance)
+    w = _complex_normal_draw(rng, (size, sets), noise)
     hb = _complex_normal_draw(rng, (size,), cfg.sigma_v ** 2)
     taps = (_complex_normal_draw(rng, (size, cfg.l_forward), 1.0 / cfg.l_forward)
             if cfg.channel_mode == "tdl" else None)
@@ -457,25 +440,27 @@ def _set_energies(rng, size, link: _TagLink, bits, noise) -> np.ndarray:
         signs = 1.0 - 2.0 * rng.integers(0, 2, size=(size, n_data))
         direct = _complex_normal_draw(rng, (size, cfg.l_direct), 1.0 / cfg.l_direct)
     power = _signal_power(link, bits, hb, taps, direct, signs, rng)
-    return (np.sqrt(power) + w.real) ** 2 + w.imag ** 2 + variance * rest
+    return (np.sqrt(power) + w.real) ** 2 + w.imag ** 2 + noise * rest
 
 
-def _primary_grid(rng, size, link: _TagLink, bits, noise):
+def _primary_grid(rng, size, link: _TagLink, bits, noise: float):
     """Data bins of one batch of symbols, with Hd there and the data signs.
 
-    Bin k holds Hd[k]*X[k] + W[k] plus the direct and tag terms an
-    offset spreads onto it through the link's leakage matrices; without
-    an offset those add exact zeros, as every tag tone lands on nulls.
+    Bin k holds Hd[k]*X[k] + W[k], W of per-bin variance ``noise``, plus
+    the direct and tag terms an offset spreads onto it through the
+    link's leakage matrices; without an offset those add exact zeros, as
+    every tag tone lands on nulls.
     """
     cfg = link.cfg
     direct = _complex_normal_draw(rng, (size, cfg.l_direct), 1.0 / cfg.l_direct)
     hb = _complex_normal_draw(rng, (size,), cfg.sigma_v ** 2)
     taps = _complex_normal_draw(rng, (size, cfg.l_forward), 1.0 / cfg.l_forward)
-    signs = 1.0 - 2.0 * rng.integers(0, 2, size=(size, link.plan.n))
-    out = _complex_normal_draw(rng, (size, link.plan.n), noise.variance * cfg.n)
+    n_data = link.sizes[0]
+    signs = 1.0 - 2.0 * rng.integers(0, 2, size=(size, n_data))
+    out = _complex_normal_draw(rng, (size, n_data), noise)
     terms = _leak_onto(out, link, np.asarray(bits), hb, taps, direct, signs)
     # the signs are +-1, so a second product undoes the first exactly
-    return FreqGrid(out), terms[:, :link.plan.n] * signs, signs
+    return out, terms[:, :n_data] * signs, signs
 
 
 def _unit_ook_threshold(cfg: SystemConfig, n_b: int) -> float:
@@ -495,16 +480,15 @@ def _sweep(cfg: SystemConfig, point_kernel, target_events: int | None,
            batch_size: int = _BATCH_SYMBOLS):
     """Run one batch kernel per point of the SNR grid under the stop rule.
 
-    ``point_kernel(snr, noise)`` returns the batch kernel of the point at
-    ``snr``.  Each point draws from its own (seed, point index) streams
-    and stops once its first count reaches ``target_events`` (never, for
-    None).  Returns the counts as a (points, counts per batch) array and
-    the trials each point used.
+    ``point_kernel(noise)`` returns the batch kernel of a point whose
+    per-bin noise energy is ``noise``.  Each point draws from its own
+    (seed, point index) streams and stops once its first count reaches
+    ``target_events`` (never, for None).  Returns the counts as a
+    (points, counts per batch) array and the trials each point used.
     """
     if cfg.cfo_eps:
         _require_tdl(cfg, "simulating a frequency offset")
-    plan = cfg.plan()
-    runs = [_accumulate(point_kernel(snr, snr_to_noise_variance(snr, plan)),
+    runs = [_accumulate(point_kernel(noise_bin_variance(snr)),
                         cfg.trials, cfg.seed, i, threads=cfg.threads,
                         target_events=target_events, batch_size=batch_size)
             for i, snr in enumerate(cfg.snr_db)]
@@ -533,8 +517,8 @@ def run_pmd_sweep(cfg: SystemConfig,
     link = _tag_link(cfg)
     unit_eta = _unit_ook_threshold(cfg, link.sizes[0])
 
-    def point_kernel(snr, noise):
-        eta = unit_eta * analysis.noise_bin_variance(snr)
+    def point_kernel(noise):
+        eta = unit_eta * noise
 
         def kernel(rng, size):
             energy = _set_energies(rng, size, link, np.ones(size, dtype=np.int8),
@@ -562,7 +546,7 @@ def run_roc(cfg: SystemConfig, eta_grid) -> SimCurve:
         raise ValueError("eta_grid must be a nonempty vector of thresholds >= 0")
     link = _tag_link(cfg)
 
-    def point_kernel(snr, noise):
+    def point_kernel(noise):
         def kernel(rng, size):
             above = [np.count_nonzero(_set_energies(
                 rng, size, link, np.full(size, bit, dtype=np.int8), noise)
@@ -595,16 +579,15 @@ def run_ber_sweep(cfg: SystemConfig, target: str = "bd",
         _require_tdl(cfg, "primary-link detection")
     link = _tag_link(cfg, target)
 
-    def point_kernel(snr, noise):
+    def point_kernel(noise):
         def kernel(rng, size):
             bits = rng.integers(0, 2, size=size).astype(np.int8)
             if target == "bd":
                 decided = fsk_detect(*_set_energies(rng, size, link, bits, noise).T)
                 return [np.count_nonzero(decided != bits)], size
-            grid, hd, signs = _primary_grid(rng, size, link, bits, noise)
-            decided = primary_detect(grid, hd, link.plan)
-            errors = np.count_nonzero(decided != (signs < 0))
-            return [errors], size * link.plan.n_data
+            y, hd, signs = _primary_grid(rng, size, link, bits, noise)
+            errors = np.count_nonzero(primary_detect(y, hd) != (signs < 0))
+            return [errors], size * link.sizes[0]
         return kernel
 
     counts, used = _sweep(cfg, point_kernel, target_events)
@@ -643,8 +626,8 @@ def run_retx(cfg: SystemConfig,
     unit_eta = (_unit_ook_threshold(cfg, link.sizes[0])
                 if cfg.scheme == "ook" else None)
 
-    def point_kernel(snr, noise):
-        eta = None if unit_eta is None else unit_eta * analysis.noise_bin_variance(snr)
+    def point_kernel(noise):
+        eta = None if unit_eta is None else unit_eta * noise
 
         def kernel(rng, size):
             payloads = rng.integers(0, 2, size=(size, FRAME_PAYLOAD_BITS))

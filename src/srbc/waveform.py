@@ -1,10 +1,9 @@
-"""OFDM subcarrier planning and the frequency-domain grid.
+"""OFDM subcarrier planning.
 
 Subcarrier plans partition the DFT grid into data bins (used by the
 primary link) and null bins; a backscatter tag conveys its bit by
 shifting primary energy onto scheme-specific null bins, and each plan
-records the detection index sets for both bit hypotheses.  A grid holds
-bins of the unnormalized receiver DFT.
+records the detection index sets for both bit hypotheses.
 """
 from __future__ import annotations
 
@@ -40,17 +39,6 @@ class SubcarrierPlan:
     @property
     def n_data(self) -> int:
         return len(self.data_idx)
-
-
-@dataclass
-class FreqGrid:
-    """Length-n complex spectrum; leading axes are batch dimensions."""
-
-    values: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[-1]
 
 
 def _require_power_of_two(n: int) -> None:

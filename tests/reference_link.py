@@ -17,8 +17,35 @@ from dataclasses import dataclass
 import numpy as np
 
 from srbc.backscatter import BdWaveform, bd_waveform
-from srbc.channel import NoiseSpec
-from srbc.waveform import ConfigurationError, FreqGrid, SubcarrierPlan
+from srbc.channel import noise_bin_variance
+from srbc.waveform import ConfigurationError, SubcarrierPlan
+
+
+@dataclass
+class FreqGrid:
+    """Length-n complex spectrum; leading axes are batch dimensions."""
+
+    values: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.values.shape[-1]
+
+
+@dataclass(frozen=True)
+class NoiseSpec:
+    """Total complex variance of the AWGN per time-domain sample."""
+
+    variance: float
+
+
+def snr_to_noise_variance(snr_db: float, plan: SubcarrierPlan) -> NoiseSpec:
+    """Per-sample noise variance giving the requested per-data-bin SNR.
+
+    The analysis DFT is unnormalized, so white noise of per-sample
+    variance v has per-bin energy v*n.
+    """
+    return NoiseSpec(noise_bin_variance(snr_db) / plan.n)
 
 
 @dataclass

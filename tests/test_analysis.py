@@ -274,6 +274,31 @@ def test_pmd_given_v_with_two_bin_gains(v, snr_db):
     assert pmd_given_v(eta, v, gamma_sq, gains, w, 5) == pytest.approx(ref, abs=1e-8)
 
 
+@pytest.mark.parametrize("v, snr_db", [(0.3, 0.0), (1.0, 10.0), (2.0, 20.0)])
+def test_pmd_given_v_with_a_zero_bin_gain(v, snr_db):
+    # a zero gain is a noise-only bin: with gains [1, 0] the statistic is
+    # one signal exponential of mean m1 plus one noise exponential of
+    # mean w, whose CDF is the hypoexponential one
+    gamma_sq, w = 0.25, noise_bin_variance(snr_db)
+    m1 = gamma_sq * v * v + w
+    eta = m1 + w
+    ref = 1 - (m1 * math.exp(-eta / m1) - w * math.exp(-eta / w)) / (m1 - w)
+    value = pmd_given_v(eta, v, gamma_sq, np.array([1.0, 0.0]), w, 2)
+    assert value == pytest.approx(ref, abs=1e-8)
+
+
+@pytest.mark.parametrize("n_b", [1, 8, 32])
+def test_zero_bin_gains_leave_only_noise(n_b):
+    # with every gain zero the statistic is Erlang(n_b, w) whatever the
+    # backward gain, and the two fsk sets tie: half the bits are lost
+    w = noise_bin_variance(10.0)
+    eta = 1.5 * n_b * w
+    ref = special.gammainc(n_b, eta / w)
+    assert pmd_given_v(eta, 1.0, 0.25, 0.0, w, n_b) == pytest.approx(ref, abs=1e-8)
+    assert pmd_marginal(eta, 1.0, 0.25, 0.0, w, n_b) == pytest.approx(ref, abs=1e-8)
+    assert fsk_error_prob(0.25, 1.0, 0.0, w, n_b) == 0.5
+
+
 @settings(max_examples=25)
 @given(sigma_h_sq=st.lists(st.floats(0.2, 3.0), min_size=2, max_size=6),
        snr_db=SNR_DB, gamma=GAMMA, sigma_v=SIGMA_V, pfa=st.floats(1e-4, 0.1))

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 from reference_link import (
+    FreqGrid,
     apply_backscatter,
     map_symbols,
     ofdm_demodulate,
     ofdm_modulate,
 )
 from srbc.backscatter import bd_waveform
-from srbc.waveform import FreqGrid, build_subcarrier_plan
+from srbc.waveform import build_subcarrier_plan
 
 
 def test_ook_waveforms():

@@ -1,7 +1,8 @@
 """Tests for fading, noise, frequency offset, and the SNR convention.
 
-Everything but the SNR convention lives in the time-domain reference
-link that the kernel tests check the simulator against.
+Everything tested here, the per-sample noise variance included, lives
+in the time-domain reference link that the kernel tests check the
+simulator against.
 """
 
 import numpy as np
@@ -9,6 +10,8 @@ import pytest
 
 from reference_link import (
     CfoSpec,
+    FreqGrid,
+    NoiseSpec,
     add_awgn,
     apply_backscatter,
     apply_cfo,
@@ -19,10 +22,10 @@ from reference_link import (
     ofdm_modulate,
     rayleigh_taps,
     sample_channels,
+    snr_to_noise_variance,
 )
 from srbc.backscatter import bd_waveform
-from srbc.channel import NoiseSpec, snr_to_noise_variance
-from srbc.waveform import FreqGrid, build_subcarrier_plan
+from srbc.waveform import build_subcarrier_plan
 
 
 def random_symbol(rng, n, cp_len):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from reference_link import (
+    FreqGrid,
     add_awgn,
     apply_backscatter,
     fsk_metrics,
@@ -14,11 +15,11 @@ from reference_link import (
     ofdm_demodulate,
     ofdm_modulate,
     ook_test_statistic,
+    snr_to_noise_variance,
 )
 from srbc.backscatter import bd_waveform
-from srbc.channel import snr_to_noise_variance
 from srbc.detector import fsk_detect, ook_detect, primary_detect
-from srbc.waveform import FreqGrid, build_subcarrier_plan
+from srbc.waveform import build_subcarrier_plan
 
 
 def flat_channel(plan, gain=1.0 + 0j):
@@ -99,18 +100,20 @@ def test_decisions_are_scale_equivariant():
 def test_primary_detect_reference_cases():
     plan = build_subcarrier_plan("ook", 64)
     grid = map_symbols(np.ones(plan.n_data), plan)
-    bits = primary_detect(grid, flat_channel(plan), plan)
+    bits = primary_detect(grid.values[..., plan.data_idx], flat_channel(plan))
     assert not bits.any()
     flipped = map_symbols(-np.ones(plan.n_data), plan)
     received = FreqGrid(1j * flipped.values)  # what a gain-j channel delivers
-    bits = primary_detect(received, flat_channel(plan, gain=1j), plan)
+    bits = primary_detect(received.values[..., plan.data_idx],
+                          flat_channel(plan, gain=1j))
     assert (bits == 1).all()
 
 
 def test_primary_detect_marks_dead_bins():
     plan = build_subcarrier_plan("ook", 64)
     grid = map_symbols(np.ones(plan.n_data), plan)
-    bits = primary_detect(grid, flat_channel(plan, gain=0.0), plan)
+    bits = primary_detect(grid.values[..., plan.data_idx],
+                          flat_channel(plan, gain=0.0))
     assert (bits == -1).all()
 
 
@@ -126,7 +129,8 @@ def test_primary_ber_matches_bpsk_formula():
         grid = map_symbols(1.0 - 2.0 * data_bits, plan)
         sig = ofdm_modulate(grid, cp_len=8)
         noisy = add_awgn(sig, snr_to_noise_variance(snr_db, plan), rng)
-        decided = primary_detect(ofdm_demodulate(noisy), chan, plan)
+        decided = primary_detect(ofdm_demodulate(noisy).values[..., plan.data_idx],
+                                 chan)
         ber = np.mean(decided != data_bits)
         expect = 0.5 * math.erfc(math.sqrt(10 ** (snr_db / 10)))
         assert abs(ber - expect) < 0.05 * expect, (snr_db, ber, expect)
@@ -148,8 +152,9 @@ def test_end_to_end_interference_freedom():
             reflected = apply_backscatter(sig, wave, 0.9).samples
             received = ofdm_demodulate(
                 type(sig)(direct + reflected, sig.cp_len))
-            assert np.array_equal(primary_detect(received, chan, plan),
-                                  data_bits), (scheme, bit)
+            assert np.array_equal(
+                primary_detect(received.values[..., plan.data_idx], chan),
+                data_bits), (scheme, bit)
             if scheme == "ook":
                 decided = ook_detect(ook_test_statistic(received, plan), 1e-6)
             else:

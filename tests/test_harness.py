@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_link import fsk_metrics, ook_test_statistic, tdl_grid
+from reference_link import (NoiseSpec, fsk_metrics, ook_test_statistic,
+                            snr_to_noise_variance, tdl_grid)
 from srbc import analysis
-from srbc.channel import NoiseSpec, snr_to_noise_variance
 from srbc.detector import fsk_detect, ook_detect, primary_detect
 from srbc.harness import (
     CSV_HEADER,
@@ -238,7 +238,7 @@ def test_offset_kernel_shares_the_zero_offset_draws():
     # those: its set energies are the zero-offset ones, up to far less
     # than the tag adds to the noise energies
     cfg = SystemConfig(scheme="fsk2", n=64, gamma_mag=0.5, snr_db=(10.0,))
-    noise = snr_to_noise_variance(10.0, cfg.plan())
+    noise = analysis.noise_bin_variance(10.0)
     bits = np.random.default_rng(5).integers(0, 2, size=512).astype(np.int8)
 
     def energies(c):
@@ -418,7 +418,7 @@ def _leaked_bins_error(cfg, rows, seed, target="bd"):
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=rows).astype(np.int8)
     grid, ch, data_bits = tdl_grid(rng, rows, cfg, bits, NoiseSpec(0.0))
-    out = np.zeros((rows, link.plan.n), dtype=np.complex128)
+    out = np.zeros((rows, link.sizes.sum()), dtype=np.complex128)
     signs = 1.0 - 2.0 * data_bits
     terms = _leak_onto(out, link, bits, ch.taps_backward[:, 0],
                        ch.taps_forward, ch.taps_direct, signs)
@@ -465,11 +465,12 @@ def test_offset_kernel_matches_time_domain_everywhere(scheme, n, eps, gamma,
 
 
 def _reference_energies(cfg):
-    # the time-domain link's detection-set energies, as the kernel's
+    # the time-domain link's detection-set energies, as the kernel's;
+    # its noise is white per sample, of the per-bin energy over n
     plan = cfg.plan()
 
     def energies(rng, size, bits, noise):
-        grid = tdl_grid(rng, size, cfg, bits, noise)[0]
+        grid = tdl_grid(rng, size, cfg, bits, NoiseSpec(noise / cfg.n))[0]
         if cfg.scheme == "ook":
             return ook_test_statistic(grid, plan)[:, None]
         return np.stack(fsk_metrics(grid, plan), axis=1)
@@ -485,11 +486,11 @@ def _kernel_energies(cfg):
 
 
 def _tag_error_rate(cfg, energies_of, trials, seed):
-    # energies_of(rng, size, bits, noise) is a batch's set energies
-    noise = snr_to_noise_variance(cfg.snr_db[0], cfg.plan())
+    # energies_of(rng, size, bits, noise) is a batch's set energies at
+    # per-bin noise energy noise
+    noise = analysis.noise_bin_variance(cfg.snr_db[0])
     if cfg.scheme == "ook":
-        eta = (_unit_ook_threshold(cfg, len(cfg.plan().kb0))
-               * analysis.noise_bin_variance(cfg.snr_db[0]))
+        eta = _unit_ook_threshold(cfg, len(cfg.plan().kb0)) * noise
 
     def kernel(rng, size):
         if cfg.scheme == "ook":
@@ -527,8 +528,8 @@ def test_roc_point_matches_time_domain_statistically():
     # false-alarm and detection probabilities at one threshold agree
     # within their combined intervals
     cfg = SystemConfig(scheme="ook", n=64, gamma_mag=0.25, snr_db=(10.0,))
-    noise = snr_to_noise_variance(10.0, cfg.plan())
-    eta = 1.2 * len(cfg.plan().kb0) * analysis.noise_bin_variance(10.0)
+    noise = analysis.noise_bin_variance(10.0)
+    eta = 1.2 * len(cfg.plan().kb0) * noise
 
     def rates(energies_of, seed):
         def kernel(rng, size):
@@ -581,16 +582,17 @@ def test_primary_kernel_matches_time_domain_statistically():
                        cfo_eps=0.1)
     plan = cfg.plan()
     link = _tag_link(cfg, "primary")
-    noise = snr_to_noise_variance(10.0, plan)
+    noise = analysis.noise_bin_variance(10.0)
 
     def kernel_errors(rng, size, bits):
-        grid, hd, signs = _primary_grid(rng, size, link, bits, noise)
-        return primary_detect(grid, hd, link.plan) != (signs < 0)
+        y, hd, signs = _primary_grid(rng, size, link, bits, noise)
+        return primary_detect(y, hd) != (signs < 0)
 
     def time_errors(rng, size, bits):
-        grid, ch, data_bits = tdl_grid(rng, size, cfg, bits, noise)
+        grid, ch, data_bits = tdl_grid(rng, size, cfg, bits,
+                                       snr_to_noise_variance(10.0, plan))
         hd = ch.freq_direct[:, plan.data_idx]
-        return primary_detect(grid, hd, plan) != data_bits
+        return primary_detect(grid.values[..., plan.data_idx], hd) != data_bits
 
     def error_rate(errors_of, seed):
         def kernel(rng, size):

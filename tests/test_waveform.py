@@ -7,8 +7,8 @@ time-domain reference link.
 import numpy as np
 import pytest
 
-from reference_link import map_symbols, ofdm_demodulate, ofdm_modulate
-from srbc.waveform import ConfigurationError, FreqGrid, build_subcarrier_plan
+from reference_link import FreqGrid, map_symbols, ofdm_demodulate, ofdm_modulate
+from srbc.waveform import ConfigurationError, build_subcarrier_plan
 
 
 def landing_set(data_idx, shift, n):
