@@ -6,7 +6,15 @@ total complex variance.  All variances are per-bin energies after the
 receiver DFT, so with unit-power symbols and unit-gain links the
 per-bin noise energy at snr_db is 10**(-snr_db/10) and a landing bin
 conditioned on backward gain v adds gamma_sq * v**2 * sigma_h_sq.
-Characteristic functions are products of (1 - i*t*mean)**-1 factors
+
+The noise-only OOK statistic of n_b bins at bin energy w is w times a
+Gamma(n_b, 1) (Erlang) variable, so its false-alarm probability is the
+Poisson sum exp(-x) * sum_{j<n_b} x**j / j! at x = eta/w, the
+energy-detector law of Urkowitz (1967), and the CFAR threshold is
+found by Newton steps on its logarithm.
+
+The signal-bearing laws have no such closed form.  Their
+characteristic functions are products of (1 - i*t*mean)**-1 factors
 (a negative mean is a subtracted exponential, as in the FSK energy
 difference); CDFs come from the sign-split inversion integral
 F(x) = 1/2 - (1/pi) * int_0^T Im[phi(t) exp(-i t x)] / t dt,
@@ -25,6 +33,7 @@ tolerance.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +52,8 @@ __all__ = [
 _INIT_PANEL_CAP = 16384
 _REL_TOL = 1e-8
 _MAX_EVALS = 3_000_000
+_LOG_2PI = math.log(2.0 * math.pi)
+_NEWTON_REL_TOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -161,14 +172,10 @@ def _prod_charfn(t, mix: _ExpMixture):
     return complex(out[0]) if np.isscalar(t) else out.reshape(t_arr.shape)
 
 
-def _noise_mixture(spec: ExpMixSpec) -> _ExpMixture:
-    means, counts = np.unique(spec.means, return_counts=True)
-    return _ExpMixture(np.ones(1), means[None, :], counts)
-
-
 def charfn_h0(t, spec: ExpMixSpec):
     """Characteristic function of the noise-only statistic."""
-    return _prod_charfn(t, _noise_mixture(spec))
+    means, counts = np.unique(spec.means, return_counts=True)
+    return _prod_charfn(t, _ExpMixture(np.ones(1), means[None, :], counts))
 
 
 def _h1_means(gamma_sq: float, v, sigma_h_sq, sigma_w_sq: float, n_b: int):
@@ -246,21 +253,55 @@ def gil_pelaez_cdf(charfn, x: float, q: QuadratureSpec | None = None) -> float:
     return float(np.clip(0.5 - _inversion_integral(charfn, x, q) / np.pi, 0.0, 1.0))
 
 
-def pfa_of_threshold(eta: float, noise_spec: ExpMixSpec,
-                     q: QuadratureSpec | None = None) -> float:
-    """False-alarm probability 1 - F(eta) of the noise-only statistic.
+def _erlang_law(noise_spec: ExpMixSpec) -> tuple[float, int]:
+    """Common component mean and count of a noise statistic; unequal rates raise."""
+    means = noise_spec.means
+    if np.any(means != means[0]):
+        raise ValueError("the noise statistic must have equal rates (an Erlang law)")
+    return float(means[0]), len(means)
 
-    Computed as 1/2 + I/pi directly from the inversion integral, so the
-    deep tail is not lost to cancellation against a clamped CDF.
+
+def _stirling_error(k: int) -> float:
+    """log(k!) - (k + 1/2)*log(k) + k - log(2*pi)/2, for k >= 1."""
+    if k <= 15:
+        return math.lgamma(k + 1.0) - (k + 0.5) * math.log(k) + k - 0.5 * _LOG_2PI
+    r = 1.0 / (k * k)
+    return (1 / 12 - r * (1 / 360 - r * (1 / 1260 - r * (1 / 1680 - r / 1188)))) / k
+
+
+def _erlang_log_tail(x: float, n_b: int) -> tuple[float, float]:
+    """log P(G > x) and log f(x) for G ~ Gamma(n_b, 1) and x > 0.
+
+    The density f(x) = x**k * exp(-x) / k!, k = n_b - 1, is the last
+    Poisson term of the tail.  It is taken in Loader's (2000) saddle-point
+    form exp(-stirling_error(k) - k*(u - log1p(u))) / sqrt(2*pi*k),
+    u = x/k - 1, so that k*log(x), x and log(k!), each up to thousands,
+    never cancel.  The tail is f(x) times the sum of every term's ratio
+    to the last, a log-sum-exp of cumulative log(j/x).
+    """
+    k = n_b - 1
+    if k == 0:
+        return -x, -x
+    u = (x - k) / k
+    log_density = (-_stirling_error(k) - k * (u - math.log1p(u))
+                   - 0.5 * (_LOG_2PI + math.log(k)))
+    log_ratios = np.cumsum(np.log(np.arange(k, 0, -1) / x))
+    top = max(float(log_ratios.max()), 0.0)
+    log_sum = top + math.log(math.exp(-top) + float(np.exp(log_ratios - top).sum()))
+    return min(log_density + log_sum, 0.0), log_density
+
+
+def pfa_of_threshold(eta: float, noise_spec: ExpMixSpec) -> float:
+    """False-alarm probability P(statistic > eta) of the noise-only statistic.
+
+    With n_b components of mean w it is the Erlang tail at eta/w.
     """
     if eta < 0:
         raise ValueError(f"eta must be >= 0, got {eta}")
+    mean, n_b = _erlang_law(noise_spec)
     if eta == 0:
         return 1.0
-    charfn = _noise_mixture(noise_spec)
-    if q is None:
-        q = auto_quadrature(charfn, abs_tol=1e-11, x=eta)
-    return float(np.clip(0.5 + _inversion_integral(charfn, eta, q) / np.pi, 0.0, 1.0))
+    return math.exp(_erlang_log_tail(eta / mean, n_b)[0])
 
 
 def _missed_detection(eta: float, v, weights, gamma_sq: float, sigma_h_sq,
@@ -321,34 +362,33 @@ def pmd_marginal(eta: float, sigma_v: float, gamma_sq: float, sigma_h_sq,
 def optimal_threshold(pfa_target: float, noise_spec: ExpMixSpec) -> float:
     """Threshold whose false-alarm probability hits the target.
 
-    PFA(eta) falls monotonically from 1, so a doubling bracket followed
-    by bisection converges; iteration stops when PFA is within 1e-6
-    relative of the target.  Every step shares the truncation whose
-    certified tail bound holds at any eta.
+    At component mean w the threshold is w*x, x the root of
+    log P(G > x) = log(pfa_target) for G ~ Gamma(n_b, 1).  That log tail
+    is concave and falls with slope -f(x)/P(G > x), so Newton's method
+    from x = n_b lands above the root after at most one step and then
+    descends to it; a bracket kept from the residual's signs catches a
+    step that rounding pushes outside it.  Iteration stops at 1e-15
+    relative.
     """
     if not 0 < pfa_target < 1:
         raise ValueError(f"pfa_target must be in (0, 1), got {pfa_target}")
-    q = auto_quadrature(_noise_mixture(noise_spec),
-                        abs_tol=min(1e-11, pfa_target * 1e-8))
-    tol = 1e-6 * pfa_target
-    lo, hi = 0.0, float(noise_spec.means.sum())
-    for _ in range(200):
-        if pfa_of_threshold(hi, noise_spec, q) < pfa_target:
-            break
-        hi *= 2.0
-    else:
-        raise RuntimeError("failed to bracket the threshold")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        pfa = pfa_of_threshold(mid, noise_spec, q)
-        if abs(pfa - pfa_target) <= tol:
-            return mid
-        if pfa > pfa_target:
-            lo = mid
+    mean, n_b = _erlang_law(noise_spec)
+    log_target = math.log(pfa_target)
+    lo, hi, x = 0.0, math.inf, float(n_b)
+    for _ in range(100):
+        log_tail, log_density = _erlang_log_tail(x, n_b)
+        residual = log_tail - log_target
+        if residual > 0:
+            lo = x
         else:
-            hi = mid
-    raise RuntimeError(
-        f"bisection stalled: PFA {pfa:.6g} vs target {pfa_target:.6g}")
+            hi = x
+        step = residual * math.exp(log_tail - log_density)
+        if abs(step) <= _NEWTON_REL_TOL * x or hi - lo <= _NEWTON_REL_TOL * x:
+            return mean * (x + step)
+        x += step
+        if not lo < x < hi:  # rounding near the root; hi is finite by now
+            x = 0.5 * (lo + hi)
+    raise RuntimeError(f"threshold search stalled for pfa_target {pfa_target:.6g}")
 
 
 def fsk_error_prob(gamma_sq: float, sigma_v: float, sigma_h_sq,
@@ -390,15 +430,13 @@ def theory_sweep(kind: str, snr_grid, params: TheoryParams) -> TheoryCurve:
     gamma_sq = params.gamma_mag ** 2
     values = np.empty(len(snr_grid))
     failed: list[int] = []
-    unit_eta = None
+    # the noise statistic at bin energy w is w times the unit one
+    unit_eta = (optimal_threshold(params.pfa_target, ExpMixSpec(np.ones(n_b)))
+                if kind == "OOK_PMD" else None)
     for i, snr_db in enumerate(snr_grid):
         w_bin = noise_bin_variance(snr_db)
         try:
             if kind == "OOK_PMD":
-                # the noise statistic at bin energy w is w times the unit one
-                if unit_eta is None:
-                    unit_eta = optimal_threshold(params.pfa_target,
-                                                 ExpMixSpec(np.ones(n_b)))
                 values[i] = pmd_marginal(unit_eta * w_bin, params.sigma_v,
                                          gamma_sq, 1.0, w_bin, n_b)
             else:

@@ -466,8 +466,9 @@ def _primary_grid(rng, size, link: _TagLink, bits, noise: float):
 def _unit_ook_threshold(cfg: SystemConfig, n_b: int) -> float:
     """OOK threshold at unit bin noise energy.
 
-    The noise-only statistic at bin energy w is w times the unit one, so
-    a sweep bisects once and scales by noise_bin_variance at each point.
+    The noise-only statistic at bin energy w is w times the unit
+    Gamma(n_b, 1) one, so a sweep solves the Erlang tail once and scales
+    by noise_bin_variance at each point.
     """
     return analysis.optimal_threshold(cfg.pfa_target, analysis.ExpMixSpec(np.ones(n_b)))
 
@@ -568,7 +569,8 @@ def run_ber_sweep(cfg: SystemConfig, target: str = "bd",
     ``target="bd"`` measures the tag bit through the non-coherent
     detector (fsk1/fsk2); ``target="primary"`` measures the coherent
     BPSK data bits on the direct link, per data bit, with the tag
-    reflecting random bits in the background.
+    reflecting random bits in the background.  The bits of one symbol
+    share its direct channel, so there the interval counts symbols.
     """
     if target not in ("bd", "primary"):
         raise ValueError(f"target must be 'bd' or 'primary', got {target!r}")
@@ -587,11 +589,12 @@ def run_ber_sweep(cfg: SystemConfig, target: str = "bd",
                 return [np.count_nonzero(decided != bits)], size
             y, hd, signs = _primary_grid(rng, size, link, bits, noise)
             errors = np.count_nonzero(primary_detect(y, hd) != (signs < 0))
-            return [errors], size * link.sizes[0]
+            return [errors], size
         return kernel
 
     counts, used = _sweep(cfg, point_kernel, target_events)
-    return _curve(cfg, cfg.snr_db, counts[:, 0] / used, used)
+    bits = used * (link.sizes[0] if target == "primary" else 1)
+    return _curve(cfg, cfg.snr_db, counts[:, 0] / bits, used)
 
 
 def run_cfo_study(cfg: SystemConfig, eps_grid,

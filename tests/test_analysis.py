@@ -1,6 +1,7 @@
 """Tests for the characteristic-function error analysis."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -130,6 +131,41 @@ def test_threshold_hits_requested_false_alarm():
         eta = optimal_threshold(target, spec)
         assert pfa_of_threshold(eta, spec) == pytest.approx(target, rel=1e-4)
     assert optimal_threshold(1e-3, spec) > optimal_threshold(1e-1, spec)
+
+
+@settings(max_examples=200)
+@given(n_b=st.integers(1, 512), log10_pfa=st.floats(-8.0, math.log10(0.99)),
+       log10_mean=st.floats(-3.0, 3.0))
+def test_threshold_and_pfa_match_the_erlang_tail(n_b, log10_pfa, log10_mean):
+    # the noise-only statistic is mean * Gamma(n_b, 1), so the threshold
+    # is mean * gammainccinv and the false-alarm rate is gammaincc
+    pfa, mean = 10.0 ** log10_pfa, 10.0 ** log10_mean
+    spec = ExpMixSpec(np.full(n_b, 1 / mean))
+    eta = optimal_threshold(pfa, spec)
+    assert eta == pytest.approx(mean * special.gammainccinv(n_b, pfa), rel=1e-12)
+    assert pfa_of_threshold(eta, spec) == pytest.approx(
+        special.gammaincc(n_b, eta / mean), rel=1e-12)
+
+
+def test_threshold_at_one_and_two_bins():
+    # one bin is an exponential of the given mean; its threshold used to
+    # raise QuadratureError at 1e-3, and two bins took seconds
+    for mean in (0.1, 1.0, 7.5):
+        spec = ExpMixSpec(np.array([1 / mean]))
+        assert optimal_threshold(1e-3, spec) == pytest.approx(
+            -mean * math.log(1e-3), rel=1e-14)
+    start = time.perf_counter()
+    eta = optimal_threshold(1e-3, ExpMixSpec(np.ones(2)))
+    assert time.perf_counter() - start < 0.05
+    assert math.exp(-eta) * (1 + eta) == pytest.approx(1e-3, rel=1e-13)
+
+
+def test_threshold_needs_equal_rates():
+    spec = ExpMixSpec(np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="equal rates"):
+        optimal_threshold(1e-3, spec)
+    with pytest.raises(ValueError, match="equal rates"):
+        pfa_of_threshold(1.0, spec)
 
 
 def test_rayleigh_nodes_are_a_proper_average():

@@ -620,3 +620,15 @@ def test_primary_ber_matches_rayleigh_bpsk_theory():
     expect = 0.5 * (1.0 - np.sqrt(rho / (1.0 + rho)))
     tol = np.maximum(3.0 * curve.confidence_halfwidth, 0.05 * expect)
     assert (np.abs(curve.values - expect) <= tol).all(), (curve.values, expect)
+
+
+def test_primary_interval_counts_symbols():
+    # the data bits of one symbol share its direct channel, so the
+    # interval counts symbols while the value stays errors per data bit
+    cfg = SystemConfig(scheme="fsk2", n=64, snr_db=(0.0, 10.0),
+                       trials=3_000, seed=197)
+    curve = run_ber_sweep(cfg, target="primary", target_events=None)
+    assert np.array_equal(curve.confidence_halfwidth,
+                          _ci95(curve.values, cfg.trials))
+    errors = curve.values * cfg.trials * len(cfg.plan().data_idx)
+    assert np.allclose(errors, np.round(errors), rtol=0, atol=1e-6)
