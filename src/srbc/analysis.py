@@ -10,8 +10,8 @@ conditioned on backward gain v adds gamma_sq * v**2 * sigma_h_sq.
 The noise-only OOK statistic of n_b bins at bin energy w is w times a
 Gamma(n_b, 1) (Erlang) variable, so its false-alarm probability is the
 Poisson sum exp(-x) * sum_{j<n_b} x**j / j! at x = eta/w, the
-energy-detector law of Urkowitz (1967), and the CFAR threshold is
-found by Newton steps on its logarithm.
+energy-detector law of Urkowitz (1967), and the CFAR threshold is w times
+the unit one, found by Newton steps on the log tail from n_b alone.
 
 The signal-bearing laws have no such closed form.  Their
 characteristic functions are products of (1 - i*t*mean)**-1 factors
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,11 +87,10 @@ class QuadratureSpec:
 
 @dataclass
 class TheoryCurve:
-    """Analytical curve plus the labels the CSV schema carries."""
+    """Analytical values on an SNR grid; NaN marks a failed point."""
 
     abscissa: np.ndarray
     values: np.ndarray
-    meta: dict[str, str] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -253,12 +252,10 @@ def gil_pelaez_cdf(charfn, x: float, q: QuadratureSpec | None = None) -> float:
     return float(np.clip(0.5 - _inversion_integral(charfn, x, q) / np.pi, 0.0, 1.0))
 
 
-def _erlang_law(noise_spec: ExpMixSpec) -> tuple[float, int]:
-    """Common component mean and count of a noise statistic; unequal rates raise."""
-    means = noise_spec.means
-    if np.any(means != means[0]):
-        raise ValueError("the noise statistic must have equal rates (an Erlang law)")
-    return float(means[0]), len(means)
+def _bin_count(n_b) -> int:
+    if isinstance(n_b, bool) or not isinstance(n_b, (int, np.integer)) or n_b < 1:
+        raise ValueError(f"n_b must be a positive integer, got {n_b!r}")
+    return int(n_b)
 
 
 def _stirling_error(k: int) -> float:
@@ -291,17 +288,17 @@ def _erlang_log_tail(x: float, n_b: int) -> tuple[float, float]:
     return min(log_density + log_sum, 0.0), log_density
 
 
-def pfa_of_threshold(eta: float, noise_spec: ExpMixSpec) -> float:
-    """False-alarm probability P(statistic > eta) of the noise-only statistic.
+def pfa_of_threshold(x: float, n_b: int) -> float:
+    """False-alarm probability P(G > x), G ~ Gamma(n_b, 1), of n_b unit noise bins.
 
-    With n_b components of mean w it is the Erlang tail at eta/w.
+    At per-bin noise energy w the statistic exceeds eta with P(G > eta/w).
     """
-    if eta < 0:
-        raise ValueError(f"eta must be >= 0, got {eta}")
-    mean, n_b = _erlang_law(noise_spec)
-    if eta == 0:
+    n_b = _bin_count(n_b)
+    if x < 0:
+        raise ValueError(f"x must be >= 0, got {x}")
+    if x == 0:
         return 1.0
-    return math.exp(_erlang_log_tail(eta / mean, n_b)[0])
+    return math.exp(_erlang_log_tail(x, n_b)[0])
 
 
 def _missed_detection(eta: float, v, weights, gamma_sq: float, sigma_h_sq,
@@ -359,11 +356,11 @@ def pmd_marginal(eta: float, sigma_v: float, gamma_sq: float, sigma_h_sq,
                              sigma_w_sq, n_b)
 
 
-def optimal_threshold(pfa_target: float, noise_spec: ExpMixSpec) -> float:
-    """Threshold whose false-alarm probability hits the target.
+def optimal_threshold(pfa_target: float, n_b: int) -> float:
+    """Threshold x on n_b unit noise bins whose false-alarm probability hits the target.
 
-    At component mean w the threshold is w*x, x the root of
-    log P(G > x) = log(pfa_target) for G ~ Gamma(n_b, 1).  That log tail
+    x is the root of log P(G > x) = log(pfa_target) for G ~ Gamma(n_b, 1);
+    at per-bin noise energy w the threshold is w*x.  That log tail
     is concave and falls with slope -f(x)/P(G > x), so Newton's method
     from x = n_b lands above the root after at most one step and then
     descends to it; a bracket kept from the residual's signs catches a
@@ -372,7 +369,7 @@ def optimal_threshold(pfa_target: float, noise_spec: ExpMixSpec) -> float:
     """
     if not 0 < pfa_target < 1:
         raise ValueError(f"pfa_target must be in (0, 1), got {pfa_target}")
-    mean, n_b = _erlang_law(noise_spec)
+    n_b = _bin_count(n_b)
     log_target = math.log(pfa_target)
     lo, hi, x = 0.0, math.inf, float(n_b)
     for _ in range(100):
@@ -384,7 +381,7 @@ def optimal_threshold(pfa_target: float, noise_spec: ExpMixSpec) -> float:
             hi = x
         step = residual * math.exp(log_tail - log_density)
         if abs(step) <= _NEWTON_REL_TOL * x or hi - lo <= _NEWTON_REL_TOL * x:
-            return mean * (x + step)
+            return x + step
         x += step
         if not lo < x < hi:  # rounding near the root; hi is finite by now
             x = 0.5 * (lo + hi)
@@ -411,8 +408,7 @@ def fsk_error_prob(gamma_sq: float, sigma_v: float, sigma_h_sq,
 def theory_sweep(kind: str, snr_grid, params: TheoryParams) -> TheoryCurve:
     """Evaluate OOK_PMD or FSK_BER across an SNR grid.
 
-    Points where the quadrature fails are set to NaN and listed in
-    meta["failed_points"] rather than dropped.
+    Points where the quadrature fails are set to NaN rather than dropped.
     """
     snr_grid = np.asarray(snr_grid, dtype=np.float64)
     if snr_grid.ndim != 1 or len(snr_grid) == 0 or np.any(np.diff(snr_grid) <= 0):
@@ -429,9 +425,8 @@ def theory_sweep(kind: str, snr_grid, params: TheoryParams) -> TheoryCurve:
         raise ValueError("hypothesis sets must have equal size")
     gamma_sq = params.gamma_mag ** 2
     values = np.empty(len(snr_grid))
-    failed: list[int] = []
     # the noise statistic at bin energy w is w times the unit one
-    unit_eta = (optimal_threshold(params.pfa_target, ExpMixSpec(np.ones(n_b)))
+    unit_eta = (optimal_threshold(params.pfa_target, n_b)
                 if kind == "OOK_PMD" else None)
     for i, snr_db in enumerate(snr_grid):
         w_bin = noise_bin_variance(snr_db)
@@ -444,16 +439,4 @@ def theory_sweep(kind: str, snr_grid, params: TheoryParams) -> TheoryCurve:
                                            w_bin, n_b)
         except QuadratureError:
             values[i] = np.nan
-            failed.append(i)
-    meta = {
-        "scheme": params.scheme,
-        "N": str(params.n),
-        "gamma": repr(params.gamma_mag),
-        "pfa_target": repr(params.pfa_target),
-        "cfo": "0.0",
-        "seed": "0",
-        "trials": "0",
-    }
-    if failed:
-        meta["failed_points"] = ",".join(str(i) for i in failed)
-    return TheoryCurve(snr_grid, values, meta)
+    return TheoryCurve(snr_grid, values)

@@ -90,10 +90,7 @@ def build_config(args: argparse.Namespace) -> SystemConfig:
 def _print_curve(curve, label: str) -> None:
     print(f"# {label}: scheme={curve.meta['scheme']} N={curve.meta['N']} "
           f"gamma={curve.meta['gamma']} cfo={curve.meta['cfo']}")
-    halfwidths = getattr(curve, "confidence_halfwidth", None)
-    if halfwidths is None:
-        halfwidths = np.zeros(len(curve.values))
-    for a, v, c in zip(curve.abscissa, curve.values, halfwidths):
+    for a, v, c in zip(curve.abscissa, curve.values, curve.confidence_halfwidth):
         print(f"abscissa={a:g} value={v:.6g} ci95={c:.3g}")
 
 
@@ -108,9 +105,8 @@ def _auto_eta_grid(cfg: SystemConfig) -> np.ndarray:
     """Thresholds hitting a spread of design false-alarm points, plus 0."""
     plan = cfg.plan()
     w_bin = analysis.noise_bin_variance(cfg.snr_db[0])
-    noise = analysis.ExpMixSpec(np.full(len(plan.kb0), 1.0 / w_bin))
     pfas = np.geomspace(5e-3, 0.9, 12)
-    etas = [analysis.optimal_threshold(float(p), noise) for p in pfas]
+    etas = [w_bin * analysis.optimal_threshold(float(p), len(plan.kb0)) for p in pfas]
     return np.array([0.0] + etas)
 
 
@@ -158,7 +154,7 @@ def _cmd_theory(args) -> int:
     _print_curve(curve, f"analytical {kind}")
     if args.out:
         emit_csv(curve, args.out)
-    failed = curve.meta.get("failed_points")
+    failed = ",".join(str(i) for i in np.flatnonzero(np.isnan(curve.values)))
     if failed:
         print(f"numerical failure at point indices {failed}", file=sys.stderr)
         return 1

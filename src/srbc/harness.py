@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis
-from .backscatter import bd_waveform
+from .backscatter import tag_shift
 from .channel import noise_bin_variance
 from .crc import crc5_check_many, crc5_encode_many
 from .detector import fsk_detect, ook_detect, primary_detect
@@ -144,11 +144,12 @@ class SystemConfig:
 
 @dataclass
 class SimCurve:
-    """A measured curve: values with confidence halfwidths and metadata.
+    """A measured or analytical curve: values, 95% halfwidths and metadata.
 
     Values are probabilities; a not-a-number entry marks a point whose
     computation failed and is rejected only where finiteness matters.
-    ``meta`` holds exactly the flat string fields of the CSV schema.
+    An analytical curve has zero halfwidths.  ``meta`` holds exactly the
+    flat string fields of the CSV schema.
     """
 
     abscissa: np.ndarray
@@ -310,8 +311,7 @@ def _tag_link(cfg: SystemConfig, target: str = "bd") -> _TagLink:
     bins.
     """
     plan = cfg.plan()
-    shifts = [bd_waveform(cfg.scheme, bit, plan.zeta, plan.n).shift
-              for bit in (0, 1)]
+    shifts = [tag_shift(cfg.scheme, bit, plan.zeta) for bit in (0, 1)]
     sets = ((plan.data_idx,) if target == "primary"
             else (plan.kb0,) if plan.scheme == "ook" else (plan.kb0, plan.kb1))
     read = np.concatenate(sets)
@@ -463,16 +463,6 @@ def _primary_grid(rng, size, link: _TagLink, bits, noise: float):
     return out, terms[:, :n_data] * signs, signs
 
 
-def _unit_ook_threshold(cfg: SystemConfig, n_b: int) -> float:
-    """OOK threshold at unit bin noise energy.
-
-    The noise-only statistic at bin energy w is w times the unit
-    Gamma(n_b, 1) one, so a sweep solves the Erlang tail once and scales
-    by noise_bin_variance at each point.
-    """
-    return analysis.optimal_threshold(cfg.pfa_target, analysis.ExpMixSpec(np.ones(n_b)))
-
-
 # ---------------------------------------------------------------------------
 # Experiment runners
 
@@ -516,7 +506,8 @@ def run_pmd_sweep(cfg: SystemConfig,
             f"trials must be at least {TARGET_ERROR_EVENTS}/pfa_target "
             f"= {math.ceil(TARGET_ERROR_EVENTS / cfg.pfa_target)}, got {cfg.trials}")
     link = _tag_link(cfg)
-    unit_eta = _unit_ook_threshold(cfg, link.sizes[0])
+    # the noise-only statistic at bin energy w is w times the unit one
+    unit_eta = analysis.optimal_threshold(cfg.pfa_target, link.sizes[0])
 
     def point_kernel(noise):
         eta = unit_eta * noise
@@ -626,7 +617,7 @@ def run_retx(cfg: SystemConfig,
     the frame count per point.
     """
     link = _tag_link(cfg)
-    unit_eta = (_unit_ook_threshold(cfg, link.sizes[0])
+    unit_eta = (analysis.optimal_threshold(cfg.pfa_target, link.sizes[0])
                 if cfg.scheme == "ook" else None)
 
     def point_kernel(noise):
@@ -650,18 +641,13 @@ def run_retx(cfg: SystemConfig,
 # CSV plumbing and theory comparison
 
 
-def emit_csv(curve, path) -> None:
+def emit_csv(curve: SimCurve, path) -> None:
     """Write one curve per file under the pinned column schema."""
-    halfwidths = getattr(curve, "confidence_halfwidth", None)
-    if halfwidths is None:
-        halfwidths = np.zeros(len(curve.values))
-    if len(curve.values) == 0:
-        raise ValueError("refusing to write an empty curve")
     meta = [str(curve.meta[k]) for k in CSV_HEADER[3:]]
     with open(path, "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for a, v, c in zip(curve.abscissa, curve.values, halfwidths):
+        for a, v, c in zip(curve.abscissa, curve.values, curve.confidence_halfwidth):
             writer.writerow([repr(float(a)), repr(float(v)), repr(float(c))]
                             + meta)
 
@@ -718,12 +704,17 @@ def _theory_curve(cfg: SystemConfig, kind: str = "auto"):
     """Analytical ``kind`` curve on the config's SNR grid, as (kind, curve).
 
     Kind "auto" picks OOK_PMD for ook and FSK_BER for the fsk schemes.
+    The curve has zero halfwidths, and its meta reads offset, seed and
+    trials as 0: the analysis has none of them.
     """
     if kind == "auto":
         kind = "OOK_PMD" if cfg.scheme == "ook" else "FSK_BER"
     params = analysis.TheoryParams(cfg.scheme, cfg.n, cfg.gamma_mag, cfg.zeta,
                                    cfg.sigma_v, cfg.pfa_target)
-    return kind, analysis.theory_sweep(kind, np.asarray(cfg.snr_db), params)
+    theory = analysis.theory_sweep(kind, np.asarray(cfg.snr_db), params)
+    return kind, SimCurve(theory.abscissa, theory.values,
+                          np.zeros(len(theory.values)),
+                          dict(_config_meta(cfg), cfo="0.0", seed="0", trials="0"))
 
 
 def run_compare(cfg: SystemConfig):

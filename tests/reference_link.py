@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from srbc.backscatter import BdWaveform, bd_waveform
+from srbc.backscatter import tag_shift
 from srbc.channel import noise_bin_variance
 from srbc.waveform import ConfigurationError, SubcarrierPlan
 
@@ -191,22 +191,20 @@ def apply_cfo(sig: TimeSignal, cfo: CfoSpec) -> TimeSignal:
     return TimeSignal(sig.samples * ramp, sig.cp_len)
 
 
-def apply_backscatter(sig: TimeSignal, wave: BdWaveform, gamma: complex) -> TimeSignal:
-    """Multiply a signal by the scaled tag waveform, sample by sample.
+def apply_backscatter(sig: TimeSignal, shift: int | None, gamma: complex) -> TimeSignal:
+    """Multiply a signal by the scaled tag tone, sample by sample.
 
-    The tag waveform is defined over the symbol body; across the cyclic
-    prefix it is extended cyclically (integer tones are n-periodic, so
-    the prefix sees the tail of the body waveform).
+    The tone exp(2j*pi*shift*t/n) of ``tag_shift`` is defined over the
+    symbol body; across the cyclic prefix it is extended cyclically
+    (integer tones are n-periodic, so the prefix sees the tail of the
+    body tone).  A shift of None is a tag that does not reflect.
     """
-    if len(wave.samples) != sig.n:
-        raise ValueError(f"waveform length {len(wave.samples)} != body length {sig.n}")
     value = complex(gamma)
-    if wave.shift is None:
+    if shift is None:
         full = np.zeros(sig.n + sig.cp_len, dtype=np.complex128)
-    elif sig.cp_len:
-        full = np.concatenate([wave.samples[sig.n - sig.cp_len:], wave.samples])
     else:
-        full = wave.samples
+        tone = np.exp(2j * np.pi * shift * np.arange(sig.n) / sig.n)
+        full = np.concatenate([tone[sig.n - sig.cp_len:], tone])
     return TimeSignal(sig.samples * (value * full), sig.cp_len)
 
 
@@ -219,7 +217,7 @@ def tdl_grid(rng, size, cfg, bits, noise):
     primary data bits.
     """
     plan = cfg.plan()
-    waves = [bd_waveform(cfg.scheme, bit, plan.zeta, plan.n) for bit in (0, 1)]
+    shifts = [tag_shift(cfg.scheme, bit, plan.zeta) for bit in (0, 1)]
     data_bits = rng.integers(0, 2, size=(size, plan.n_data))
     sig = ofdm_modulate(map_symbols(1.0 - 2.0 * data_bits, plan), cfg.cp_len)
     ch = sample_channels(cfg.l_direct, cfg.l_forward, cfg.sigma_v, rng,
@@ -228,10 +226,10 @@ def tdl_grid(rng, size, cfg, bits, noise):
     forward = apply_channel(sig, ch.taps_forward)
     bits = np.asarray(bits)
     reflected = np.empty_like(forward.samples)
-    for bit, wave in enumerate(waves):
+    for bit, shift in enumerate(shifts):
         rows = bits == bit
         reflected[rows] = apply_backscatter(
-            TimeSignal(forward.samples[rows], cfg.cp_len), wave,
+            TimeSignal(forward.samples[rows], cfg.cp_len), shift,
             cfg.gamma_mag).samples
     received = TimeSignal(
         direct.samples + ch.taps_backward[:, 0][:, None] * reflected, cfg.cp_len)

@@ -29,7 +29,7 @@ from srbc.analysis import (
     noise_bin_variance,
     optimal_threshold,
 )
-from srbc.backscatter import bd_waveform
+from srbc.backscatter import tag_shift
 from srbc.crc import crc5_check_many, crc5_encode_many
 from srbc.harness import (
     SystemConfig,
@@ -65,10 +65,10 @@ def test_criterion_01_tag_orthogonality():
             sig = ofdm_modulate(map_symbols(1.0 - 2.0 * data_bits, plan),
                                 n // 8)
             for bit in (0, 1):
-                wave = bd_waveform(scheme, bit, zeta, n)
+                shift = tag_shift(scheme, bit, zeta)
                 direct = hd * sig.samples
                 reflected = hb * apply_backscatter(
-                    TimeSignal(hf * sig.samples, sig.cp_len), wave, 1.0).samples
+                    TimeSignal(hf * sig.samples, sig.cp_len), shift, 1.0).samples
                 grid = ofdm_demodulate(TimeSignal(direct + reflected,
                                                   sig.cp_len))
                 bd_only = ofdm_demodulate(TimeSignal(reflected, sig.cp_len))
@@ -175,8 +175,8 @@ def test_criterion_04_roc_operating_points():
     targets = {0.0: 0.22, 5.0: 0.27, 10.0: 0.75}
     measured = {}
     for (snr, target), seed in zip(targets.items(), (401, 402, 403)):
-        noise = ExpMixSpec(np.full(32, 1 / noise_bin_variance(snr)))
-        etas = np.array([optimal_threshold(float(p), noise)
+        noise = noise_bin_variance(snr)
+        etas = np.array([noise * optimal_threshold(float(p), 32)
                          for p in np.geomspace(0.05, 0.2, 7)])
         cfg = SystemConfig(scheme="ook", n=64, gamma_mag=0.25, snr_db=(snr,),
                            trials=60_000, seed=seed, threads=2)

@@ -24,7 +24,7 @@ from reference_link import (
     sample_channels,
     snr_to_noise_variance,
 )
-from srbc.backscatter import bd_waveform
+from srbc.backscatter import tag_shift
 from srbc.waveform import build_subcarrier_plan
 
 
@@ -145,11 +145,11 @@ def test_integer_cfo_composes_with_tag_tone():
     # shift, in either application order
     rng = np.random.default_rng(89)
     grid, sig = random_symbol(rng, 64, 8)
-    wave = bd_waveform("fsk2", 1, zeta=2, n=64)  # shift of 2 bins
-    a = ofdm_demodulate(apply_cfo(apply_backscatter(sig, wave, 1.0),
+    shift = tag_shift("fsk2", 1, zeta=2)  # shift of 2 bins
+    a = ofdm_demodulate(apply_cfo(apply_backscatter(sig, shift, 1.0),
                                   CfoSpec(2.0)))
     b = ofdm_demodulate(apply_backscatter(apply_cfo(sig, CfoSpec(2.0)),
-                                          wave, 1.0))
+                                          shift, 1.0))
     expect = np.roll(grid.values, 4)
     assert np.abs(a.values - expect).max() < 1e-10
     assert np.abs(b.values - expect).max() < 1e-10

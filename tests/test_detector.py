@@ -17,7 +17,7 @@ from reference_link import (
     ook_test_statistic,
     snr_to_noise_variance,
 )
-from srbc.backscatter import bd_waveform
+from srbc.backscatter import tag_shift
 from srbc.detector import fsk_detect, ook_detect, primary_detect
 from srbc.waveform import build_subcarrier_plan
 
@@ -147,9 +147,9 @@ def test_end_to_end_interference_freedom():
         grid = map_symbols(1.0 - 2.0 * data_bits, plan)
         sig = ofdm_modulate(grid, cp_len=8)
         for bit in (0, 1):
-            wave = bd_waveform(scheme, bit, zeta, 64)
+            shift = tag_shift(scheme, bit, zeta)
             direct = sig.samples
-            reflected = apply_backscatter(sig, wave, 0.9).samples
+            reflected = apply_backscatter(sig, shift, 0.9).samples
             received = ofdm_demodulate(
                 type(sig)(direct + reflected, sig.cp_len))
             assert np.array_equal(

@@ -29,7 +29,7 @@ from srbc.harness import (
 )
 from srbc.harness import (DFT_SIZES, _accumulate, _ci95, _leak_onto,
                           _primary_grid, _set_energies, _signal_power,
-                          _tag_link, _unit_ook_threshold)
+                          _tag_link)
 from srbc import cli
 from srbc.waveform import ConfigurationError, build_subcarrier_plan
 
@@ -270,12 +270,39 @@ def test_cli_theory_and_config_precedence(tmp_path):
                     "snr_db = 10, 20\nn = 64\n")
     out = tmp_path / "theory.csv"
     code = cli.main(["theory", "--config", str(conf), "--gamma", "0.25",
+                     "--cfo", "0.1", "--seed", "9", "--trials", "5000",
                      "--out", str(out)])
     assert code == 0
     curve = parse_csv(out)
-    assert curve.meta["scheme"] == "fsk2"
+    assert curve.meta["scheme"] == "fsk2" and curve.meta["N"] == "64"
     assert curve.meta["gamma"] == "0.25"  # the flag out-ranks the file
     assert curve.abscissa.tolist() == [10.0, 20.0]
+    # the analysis has no offset, seed, trials or sampling interval
+    assert (curve.meta["cfo"], curve.meta["seed"], curve.meta["trials"]) == (
+        "0.0", "0", "0")
+    assert not curve.confidence_halfwidth.any()
+
+
+def test_cli_theory_reports_a_failed_point(tmp_path, monkeypatch, capsys):
+    # a point whose quadrature fails is written as NaN, named on stderr,
+    # and makes the run exit 1
+    exact = analysis.fsk_error_prob
+
+    def fail_at_20db(gamma_sq, sigma_v, sigma_h_sq, sigma_w_sq, n_b):
+        if sigma_w_sq == analysis.noise_bin_variance(20.0):
+            raise analysis.QuadratureError("forced failure", np.nan, np.inf)
+        return exact(gamma_sq, sigma_v, sigma_h_sq, sigma_w_sq, n_b)
+
+    monkeypatch.setattr(analysis, "fsk_error_prob", fail_at_20db)
+    out = tmp_path / "theory.csv"
+    code = cli.main(["theory", "--scheme", "fsk2", "--snr", "10,20,30",
+                     "--out", str(out)])
+    assert code == 1
+    assert "numerical failure at point indices 1" in capsys.readouterr().err
+    curve = parse_csv(out)
+    assert np.isnan(curve.values[1])
+    assert np.isfinite(curve.values[[0, 2]]).all()
+    assert out.read_text().splitlines()[2].split(",")[1] == "nan"
 
 
 def test_cli_simulation_commands(tmp_path):
@@ -490,7 +517,7 @@ def _tag_error_rate(cfg, energies_of, trials, seed):
     # per-bin noise energy noise
     noise = analysis.noise_bin_variance(cfg.snr_db[0])
     if cfg.scheme == "ook":
-        eta = _unit_ook_threshold(cfg, len(cfg.plan().kb0)) * noise
+        eta = analysis.optimal_threshold(cfg.pfa_target, len(cfg.plan().kb0)) * noise
 
     def kernel(rng, size):
         if cfg.scheme == "ook":
