@@ -43,8 +43,8 @@ from .quadrature import QuadratureError, integrate_adaptive
 from .waveform import build_subcarrier_plan
 
 __all__ = [
-    "ExpMixSpec", "QuadratureSpec", "TheoryCurve", "TheoryParams",
-    "QuadratureError", "charfn_h0", "charfn_h1", "gil_pelaez_cdf",
+    "QuadratureSpec", "TheoryCurve", "TheoryParams",
+    "QuadratureError", "charfn_h1", "gil_pelaez_cdf",
     "pfa_of_threshold", "pmd_given_v", "pmd_marginal", "optimal_threshold",
     "fsk_error_prob", "theory_sweep", "noise_bin_variance",
 ]
@@ -54,23 +54,6 @@ _REL_TOL = 1e-8
 _MAX_EVALS = 3_000_000
 _LOG_2PI = math.log(2.0 * math.pi)
 _NEWTON_REL_TOL = 1e-15
-
-
-@dataclass(frozen=True)
-class ExpMixSpec:
-    """Rates of the independent exponential components of a statistic."""
-
-    rates: np.ndarray
-
-    def __post_init__(self):
-        rates = np.atleast_1d(np.asarray(self.rates, dtype=np.float64))
-        if rates.ndim != 1 or len(rates) == 0 or np.any(rates <= 0):
-            raise ValueError("rates must be a nonempty vector of positive reals")
-        object.__setattr__(self, "rates", rates)
-
-    @property
-    def means(self) -> np.ndarray:
-        return 1.0 / self.rates
 
 
 @dataclass(frozen=True)
@@ -105,7 +88,7 @@ class TheoryParams:
     pfa_target: float = 1e-3
 
 
-_T_BLOCK = 2048  # t values per block: one (64 nodes, t) float array is 1 MB
+_T_BLOCK = 128  # t values per block: one (64 nodes, t) float array is 64 KB
 
 
 @dataclass(frozen=True)
@@ -152,8 +135,9 @@ def _prod_charfn(t, mix: _ExpMixture):
     Each factor is exp(-c*log(1 - i*t*m)).  The base has real part 1,
     so the principal log is continuous in t, and at large t*m the
     magnitude underflows to 0 where a complex power overflows to NaN.
-    The node average runs over blocks of t so that no (nodes, t) array
-    outgrows a few MB, however many panels the quadrature sends.
+    The node average runs over blocks of t so that every (nodes, t)
+    array stays in cache and the allocator reuses its memory from block
+    to block, however many panels the quadrature sends.
     """
     t_arr = np.asarray(t, dtype=np.float64)
     flat = t_arr.ravel()
@@ -169,12 +153,6 @@ def _prod_charfn(t, mix: _ExpMixture):
         out[lo:lo + _T_BLOCK] = (mix.weights @ (mag * np.cos(phase))
                                  + 1j * (mix.weights @ (mag * np.sin(phase))))
     return complex(out[0]) if np.isscalar(t) else out.reshape(t_arr.shape)
-
-
-def charfn_h0(t, spec: ExpMixSpec):
-    """Characteristic function of the noise-only statistic."""
-    means, counts = np.unique(spec.means, return_counts=True)
-    return _prod_charfn(t, _ExpMixture(np.ones(1), means[None, :], counts))
 
 
 def _h1_means(gamma_sq: float, v, sigma_h_sq, sigma_w_sq: float, n_b: int):

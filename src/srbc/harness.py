@@ -19,8 +19,10 @@ validate the analysis module.  A carrier offset (tdl only) enters the
 kernel as one exact matrix per link from the data bins to the bins it
 reads: the detection bins for the tag bit, the data bins themselves for
 primary detection.  Without an offset the primary link's matrix is the
-identity on the direct term and zero on the tag's.  The tests check the
-kernel against a time-domain reference link and receiver.
+identity on the direct term and zero on the tag's.  The tag bit's offset
+products run over cache-sized blocks of rows after the batch's draws, so
+the blocks change no number.  The tests check the kernel against a
+time-domain reference link and receiver.
 
 Every simulated curve runs one per-point loop, ``_sweep``: each runner
 supplies only its validation and its batch kernel, built for the
@@ -54,6 +56,7 @@ FRAME_PAYLOAD_BITS = 7
 FRAME_BITS = 12
 _BATCH_SYMBOLS = 2048
 _BATCH_FRAMES = 512
+_ROW_BLOCK = 128  # offset-kernel rows per block: its temporaries stay in L2
 
 
 @dataclass(frozen=True)
@@ -379,15 +382,21 @@ def _signal_power(link: _TagLink, bits, hb, taps, direct=None, signs=None,
     ``taps`` None every landing bin is an independent unit complex-normal
     gain (the iid channel model), whose energies sum to a Gamma(n_b)
     draw from ``rng``.  With an offset it sums |.|^2 per set over what
-    ``_leak_onto`` adds to zeros.
+    ``_leak_onto`` adds to zeros, ``_ROW_BLOCK`` rows at a time: a whole
+    batch's (rows, columns) temporaries would be fresh pages every
+    batch, while a block's stay in cache and reuse the same memory.
     """
+    power = np.zeros((len(bits), len(link.sizes)))
     if link.leakage:
-        out = np.zeros((len(bits), link.sizes.sum()), dtype=np.complex128)
-        _leak_onto(out, link, bits, hb, taps, direct, signs)
         # the sets lie side by side, each complex column two float ones
         starts = 2 * (np.cumsum(link.sizes) - link.sizes)
-        return np.add.reduceat(out.view(np.float64) ** 2, starts, axis=1)
-    power = np.zeros((len(bits), len(link.sizes)))
+        for lo in range(0, len(bits), _ROW_BLOCK):
+            rows = slice(lo, lo + _ROW_BLOCK)
+            out = np.zeros((len(bits[rows]), link.sizes.sum()), dtype=np.complex128)
+            _leak_onto(out, link, bits[rows], hb[rows], taps[rows], direct[rows],
+                       signs[rows])
+            power[rows] = np.add.reduceat(out.view(np.float64) ** 2, starts, axis=1)
+        return power
     gain = link.cfg.gamma_mag ** 2 * (hb.real ** 2 + hb.imag ** 2)
     for bit, landing in enumerate(link.landings):
         if landing is None:
@@ -424,7 +433,9 @@ def _set_energies(rng, size, link: _TagLink, bits, noise: float) -> np.ndarray:
     every set), hb, then the forward taps (tdl) or the iid landing
     energies, and only at a nonzero offset the data signs and direct
     taps.  An offset run therefore shares its noise, hb and forward
-    taps with the zero-offset run on the same stream.
+    taps with the zero-offset run on the same stream.  Every draw is
+    made for the whole batch before ``_signal_power`` walks its row
+    blocks, so the block size leaves the streams alone.
     """
     cfg = link.cfg
     bits = np.asarray(bits)

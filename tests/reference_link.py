@@ -8,7 +8,8 @@ bins.  The simulator runs none of this; the tests hold its kernel to
 these samples.  The
 synthesis IDFT carries the 1/n factor and the analysis DFT is
 unnormalized, so a frequency-domain grid round-trips exactly through
-modulate/demodulate.
+modulate/demodulate.  Last, the characteristic function of a noise-only
+sum of exponentials, which the inversion tests feed to the analysis.
 """
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from srbc.analysis import _ExpMixture, _prod_charfn
 from srbc.backscatter import tag_shift
 from srbc.channel import noise_bin_variance
 from srbc.waveform import ConfigurationError, SubcarrierPlan
@@ -252,3 +254,10 @@ def ook_test_statistic(grid: FreqGrid, plan: SubcarrierPlan):
 def fsk_metrics(grid: FreqGrid, plan: SubcarrierPlan):
     """Energies on the bit-0 and bit-1 hypothesis sets."""
     return set_energy(grid.values, plan.kb0), set_energy(grid.values, plan.kb1)
+
+
+def charfn_h0(t, rates):
+    """Characteristic function of independent exponentials of the given rates."""
+    means, counts = np.unique(1.0 / np.asarray(rates, dtype=np.float64),
+                              return_counts=True)
+    return _prod_charfn(t, _ExpMixture(np.ones(1), means[None, :], counts))

@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
+from reference_link import charfn_h0
+from srbc import analysis
 from srbc.analysis import (
-    ExpMixSpec,
     TheoryParams,
-    charfn_h0,
     charfn_h1,
     fsk_error_prob,
     gil_pelaez_cdf,
@@ -26,8 +26,8 @@ from srbc.analysis import (
 )
 
 
-def exp_cf(spec):
-    return lambda t: charfn_h0(t, spec)
+def exp_cf(rates):
+    return lambda t: charfn_h0(t, rates)
 
 
 def test_noise_bin_variance_convention():
@@ -37,30 +37,44 @@ def test_noise_bin_variance_convention():
 
 
 def test_charfn_reference_values():
-    spec = ExpMixSpec(np.array([1.0]))
-    assert charfn_h0(np.array([0.0]), spec)[0] == pytest.approx(1.0)
-    value = charfn_h0(np.array([1.0]), spec)[0]
+    rates = np.array([1.0])
+    assert charfn_h0(np.array([0.0]), rates)[0] == pytest.approx(1.0)
+    value = charfn_h0(np.array([1.0]), rates)[0]
     assert abs(value - (0.5 + 0.5j)) < 1e-12
     t = np.linspace(-30, 30, 101)
-    mags = np.abs(charfn_h0(t, ExpMixSpec(np.array([2.0, 1.0, 0.5]))))
+    mags = np.abs(charfn_h0(t, np.array([2.0, 1.0, 0.5])))
     assert (mags <= 1 + 1e-12).all()
 
 
 def test_charfn_matches_empirical_average():
     rng = np.random.default_rng(127)
-    spec = ExpMixSpec(np.full(4, 2.0))  # four components of mean 0.5
+    rates = np.full(4, 2.0)  # four components of mean 0.5
     draws = rng.exponential(0.5, size=(1_000_000, 4)).sum(axis=1)
     for t in (0.3, 1.0, 3.0):
         emp = np.mean(np.exp(1j * t * draws))
-        num = charfn_h0(np.array([t]), spec)[0]
+        num = charfn_h0(np.array([t]), rates)[0]
         assert abs(num - emp) < 1e-2, t
 
 
 def test_charfn_h1_reduces_to_h0():
     t = np.linspace(-5, 5, 41)
-    base = charfn_h0(t, ExpMixSpec(np.full(8, 1 / 0.1)))
+    base = charfn_h0(t, np.full(8, 1 / 0.1))
     assert np.allclose(charfn_h1(t, 0.25, 0.0, 1.0, 0.1, 8), base, atol=1e-12)
     assert np.allclose(charfn_h1(t, 0.0, 1.0, 1.0, 0.1, 8), base, atol=1e-12)
+
+
+def test_charfn_blocks_match_scalar_evaluation():
+    # a Rayleigh-averaged energy difference over three full t blocks and
+    # a ragged fourth, against one evaluation per point
+    v, weights = rayleigh_nodes(1.0)
+    signal, counts = analysis._h1_means(0.0625, v, 1.0, 0.1, 8)
+    mix = analysis._ExpMixture(weights,
+                               np.column_stack([signal, np.full(len(v), -0.1)]),
+                               np.append(counts, 8))
+    t = np.linspace(0.0, 100.0, 3 * analysis._T_BLOCK + 37)
+    got = analysis._prod_charfn(t, mix)
+    expected = np.array([analysis._prod_charfn(float(x), mix) for x in t])
+    assert np.all(np.abs(got - expected) <= 1e-14 * np.abs(expected))
 
 
 def test_charfn_h1_matches_signal_model():
@@ -79,20 +93,20 @@ def test_charfn_h1_matches_signal_model():
 
 
 def test_gil_pelaez_exponential_reference():
-    cf = exp_cf(ExpMixSpec(np.array([1.0])))
+    cf = exp_cf(np.array([1.0]))
     assert abs(gil_pelaez_cdf(cf, 1.0) - (1 - math.exp(-1))) < 1e-6
     assert abs(gil_pelaez_cdf(cf, 1e-6)) < 1e-4
 
 
 def test_gil_pelaez_erlang_reference():
-    cf = exp_cf(ExpMixSpec(np.array([1.0, 1.0])))
+    cf = exp_cf(np.array([1.0, 1.0]))
     expect = 1 - math.exp(-2) * 3  # Erlang-2 at x = 2
     assert abs(gil_pelaez_cdf(cf, 2.0) - expect) < 1e-6
 
 
 def test_gil_pelaez_tracks_closed_form_over_range():
     mean = 2.0
-    cf = exp_cf(ExpMixSpec(np.array([1 / mean] * 2)))
+    cf = exp_cf(np.array([1 / mean] * 2))
     xs = np.geomspace(0.01 * 2 * mean, 10 * 2 * mean, 40)
     worst = max(abs(gil_pelaez_cdf(cf, float(x))
                     - stats.gamma.cdf(x, a=2, scale=mean)) for x in xs)

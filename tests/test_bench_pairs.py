@@ -1,6 +1,7 @@
 """Tests for the paired benchmark summary in tools/bench_pairs.py."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
@@ -36,3 +37,47 @@ def test_summary_counts_wins_and_applies_the_claim_rule():
     rate = out["rate"]
     assert (rate["wins"], rate["losses"]) == (1, 9)
     assert not rate["gain_shown"]
+
+
+def _git(root, *args):
+    return subprocess.run(["git", "-C", str(root), "-c", "user.name=t",
+                           "-c", "user.email=t@example.com", *args],
+                          capture_output=True, text=True, check=True).stdout.strip()
+
+
+def test_tree_state_reports_head_and_uncommitted_changes(tmp_path):
+    _git(tmp_path, "init", "-q")
+    (tmp_path / "a.txt").write_text("one\n")
+    _git(tmp_path, "add", "a.txt")
+    _git(tmp_path, "commit", "-q", "-m", "first")
+    head = _git(tmp_path, "rev-parse", "HEAD")
+    assert bench_pairs._tree_state(tmp_path) == {"head": head, "dirty": False}
+    (tmp_path / "a.txt").write_text("two\n")
+    assert bench_pairs._tree_state(tmp_path) == {"head": head, "dirty": True}
+    (tmp_path / "a.txt").write_text("one\n")
+    (tmp_path / "b.txt").write_text("new\n")
+    assert bench_pairs._tree_state(tmp_path) == {"head": head, "dirty": True}
+
+
+_STUB_RUN = """\
+import json, resource
+own = resource.getrusage(resource.RUSAGE_SELF)
+print("# " + json.dumps({"env": {"minflt": own.ru_minflt,
+                                 "user_s": own.ru_utime}}))
+print(json.dumps({"metrics": {"cpu_s": {"value": 0.5}},
+                  "attempted": 3, "failed": 0}))
+"""
+
+
+def test_bench_records_the_run_and_its_usage(tmp_path):
+    (tmp_path / "srbcbench").mkdir()
+    (tmp_path / "srbcbench" / "run.py").write_text(_STUB_RUN)
+    run = bench_pairs._bench(tmp_path, "tdl_link", 1, 1.0)
+    assert run["metrics"] == {"cpu_s": 0.5}
+    assert (run["attempted"], run["failed"]) == (3, 0)
+    usage, own = run["rusage"], run["env"]
+    assert set(usage) == {"user_s", "sys_s", "minflt"} and usage["sys_s"] >= 0
+    # the usage is the child's: at least what it had counted itself
+    assert own["minflt"] > 0
+    assert usage["minflt"] >= own["minflt"]
+    assert usage["user_s"] >= own["user_s"]

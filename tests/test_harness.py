@@ -27,9 +27,9 @@ from srbc.harness import (
     run_retx,
     run_roc,
 )
-from srbc.harness import (DFT_SIZES, _accumulate, _ci95, _leak_onto,
-                          _primary_grid, _set_energies, _signal_power,
-                          _tag_link)
+from srbc.harness import (DFT_SIZES, _ROW_BLOCK, _accumulate, _ci95,
+                          _leak_onto, _primary_grid, _set_energies,
+                          _signal_power, _tag_link)
 from srbc import cli
 from srbc.waveform import ConfigurationError, build_subcarrier_plan
 
@@ -416,6 +416,15 @@ def test_offset_set_energies_match_time_domain_bins(scheme, n, eps):
     cfg = SystemConfig(scheme=scheme, n=n, gamma_mag=0.5, cfo_eps=eps,
                        snr_db=(10.0,))
     assert _set_energy_error(cfg, 64, 241) <= 1e-10
+
+
+@pytest.mark.parametrize("n", (64, 512))
+@pytest.mark.parametrize("scheme", ("ook", "fsk1", "fsk2"))
+def test_offset_set_energies_cross_row_blocks(scheme, n):
+    # two full row blocks and a last one of a single row
+    cfg = SystemConfig(scheme=scheme, n=n, gamma_mag=0.5, cfo_eps=0.1,
+                       snr_db=(10.0,))
+    assert _set_energy_error(cfg, 2 * _ROW_BLOCK + 1, 251) <= 1e-10
 
 
 @settings(max_examples=40)

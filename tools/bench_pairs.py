@@ -11,14 +11,19 @@ N + i and S seconds, the parent first on even pairs and the change
 first on odd ones.  Each tree's Tier-1 suite is also timed once.  The
 JSON written holds, per workload and end-to-end metric, both sides'
 values per pair, their medians and quartiles and the change's wins, and
-beside them the seeds, the gate's attempted and failed counts, the
-environment line each side printed and the Tier-1 wall times.
+beside them the seeds, the gate's attempted and failed counts, each
+run's user and system seconds and minor page faults (a diagnostic that
+no gate reads), the environment line each side printed and the Tier-1
+wall times.  The change side is the working tree, whose environment
+line names its HEAD even when the files differ from it, so the report
+also records that HEAD and a ``dirty`` flag from ``git status``.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -89,12 +94,23 @@ def _extract(rev: str, dest: Path) -> str:
     return sha
 
 
+def _tree_state(root: Path) -> dict:
+    """HEAD of the checkout at ``root`` and whether its files differ from it."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(root), *args], capture_output=True,
+                              text=True, check=True).stdout.strip()
+    return {"head": git("rev-parse", "HEAD"),
+            "dirty": bool(git("status", "--porcelain"))}
+
+
 def _bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``srbcbench/run.py`` run in ``tree``: its result and environment."""
+    """One ``srbcbench/run.py`` run in ``tree``: its result, environment and usage."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(
         [sys.executable, "srbcbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", repr(seconds), "--trace", "0"],
         cwd=tree, capture_output=True, text=True, timeout=seconds + 600)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
         raise RuntimeError(f"{tree} {workload} seed {seed} exited "
@@ -102,7 +118,10 @@ def _bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     result = json.loads(lines[-1])
     return {"metrics": {k: m["value"] for k, m in result["metrics"].items()},
             "attempted": result["attempted"], "failed": result["failed"],
-            "env": json.loads(lines[-2][2:])["env"]}
+            "env": json.loads(lines[-2][2:])["env"],
+            "rusage": {"user_s": after.ru_utime - before.ru_utime,
+                       "sys_s": after.ru_stime - before.ru_stime,
+                       "minflt": after.ru_minflt - before.ru_minflt}}
 
 
 def _tier1(tree: Path) -> dict:
@@ -134,6 +153,7 @@ def main(argv=None) -> int:
     workloads = [w["name"] for w in spec["workloads"]]
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
     seeds = [args.seed0 + i for i in range(args.pairs)]
+    change_tree = _tree_state(ROOT)
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {"parent": Path(tmp), "change": ROOT}
         parent_sha = _extract(args.against, trees["parent"])
@@ -150,6 +170,7 @@ def main(argv=None) -> int:
 
     report = {
         "against": parent_sha,
+        "change_tree": change_tree,
         "pairs": args.pairs,
         "seconds": args.seconds,
         "seeds": seeds,
@@ -161,7 +182,8 @@ def main(argv=None) -> int:
                                       for p in pairs], metrics),
                 "gate": {s: [{"attempted": p[s]["attempted"],
                               "failed": p[s]["failed"]} for p in pairs]
-                         for s in SIDES}}
+                         for s in SIDES},
+                "rusage": {s: [p[s]["rusage"] for p in pairs] for s in SIDES}}
             for w, pairs in runs.items()},
     }
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
