@@ -24,11 +24,14 @@ The backward link magnitude is Rayleigh, averaged with a 64-node rule
 on [0, 6*sigma_v] whose weights are normalized to unit mass over the
 truncated support.  The inversion integral is linear in phi, so a
 marginal is one inversion of the node-averaged characteristic function
-sum_j w_j phi_j(t), not one inversion per node.  The truncation T is
+sum_j w_j phi_j(t), not one inversion per node.  ``gil_pelaez_cdf``
+inverts only such exponential mixtures, and its truncation T is always
 the first doubling at which a certified bound on the dropped tail,
 taken node by node so that phase cancellation between nodes cannot
 hide a slowly decaying one, falls below a tenth of the absolute
-tolerance.
+tolerance.  Far out in the upper tail of a law with only positive
+means, a Chernoff bound on P(X > x) below the tolerance gives the CDF
+as 1 without any inversion.
 """
 from __future__ import annotations
 
@@ -43,8 +46,7 @@ from .quadrature import QuadratureError, integrate_adaptive
 from .waveform import build_subcarrier_plan
 
 __all__ = [
-    "QuadratureSpec", "TheoryCurve", "TheoryParams",
-    "QuadratureError", "charfn_h1", "gil_pelaez_cdf",
+    "TheoryCurve", "TheoryParams", "QuadratureError", "gil_pelaez_cdf",
     "pfa_of_threshold", "pmd_given_v", "pmd_marginal", "optimal_threshold",
     "fsk_error_prob", "theory_sweep", "noise_bin_variance",
 ]
@@ -54,18 +56,7 @@ _REL_TOL = 1e-8
 _MAX_EVALS = 3_000_000
 _LOG_2PI = math.log(2.0 * math.pi)
 _NEWTON_REL_TOL = 1e-15
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Truncation and absolute tolerance of one inversion integral."""
-
-    truncation: float
-    abs_tol: float = 1e-9
-
-    def __post_init__(self):
-        if self.truncation <= 0 or self.abs_tol <= 0:
-            raise ValueError("truncation and tolerance must be positive")
+_N_NODES = 64  # Gauss-Legendre nodes of the backward-gain average
 
 
 @dataclass
@@ -104,10 +95,7 @@ class _ExpMixture:
     means: np.ndarray  # (nodes, columns)
     counts: np.ndarray  # (columns,)
 
-    def __call__(self, t):
-        return _prod_charfn(t, self)
-
-    def tail_bound(self, truncation, x: float = 0.0) -> np.ndarray:
+    def tail_bound(self, truncation, x: float) -> np.ndarray:
         """Certified bound on |int_T^inf phi(t) exp(-i*t*x) / t dt| at each T.
 
         Each factor has |1 - i*t*m| >= t*|m|, so |phi_j(t)| <= P_j(t) =
@@ -127,6 +115,23 @@ class _ExpMixture:
         with np.errstate(over="ignore"):  # an infinite bound is a true one
             by_parts = (envelope + power) / (truncation * abs(x))
         return np.minimum(power / self.counts.sum(), by_parts)
+
+    def chernoff_log_tail(self, x: float) -> float:
+        """Chernoff bound on log P(X > x); 0, which says nothing, if none applies.
+
+        With every mean positive and 0 < s < 1/max(m), P(X > x) is at
+        most exp(-s*x) * E[exp(s*X)] = sum_j w_j * exp(-s*x) * prod_g
+        (1 - s*m_jg)**-c_g.  s = 1/max(m) - K/x, with K = sum_g c_g, is
+        the optimum for a Gamma(K) law of the largest mean.
+        """
+        if x <= 0 or self.means.min() <= 0:
+            return 0.0
+        s = 1.0 / self.means.max() - self.counts.sum() / x
+        if s <= 0:
+            return 0.0
+        logs = np.log(self.weights) - s * x - np.log1p(-s * self.means) @ self.counts
+        top = logs.max()
+        return min(float(top + np.log(np.exp(logs - top).sum())), 0.0)
 
 
 def _prod_charfn(t, mix: _ExpMixture):
@@ -175,28 +180,14 @@ def _h1_means(gamma_sq: float, v, sigma_h_sq, sigma_w_sq: float, n_b: int):
     return gamma_sq * (v * v)[:, None] * gains + sigma_w_sq, counts
 
 
-def charfn_h1(t, gamma_sq: float, v: float, sigma_h_sq, sigma_w_sq: float,
-              n_b: int):
-    """Characteristic function of the signal-bearing statistic given v."""
-    return _prod_charfn(t, _ExpMixture(
-        np.ones(1), *_h1_means(gamma_sq, v, sigma_h_sq, sigma_w_sq, n_b)))
-
-
-def auto_quadrature(charfn, abs_tol: float = 1e-9, x: float = 0.0) -> QuadratureSpec:
-    """Pick the truncation: the first T = 1e-3 * 2**k with its tail below abs_tol/10.
-
-    A mixture built here is truncated on its certified ``tail_bound`` at
-    the evaluation point x; any other callable on the heuristic
-    |phi(T)|/T, which is not a bound.
-    """
+def auto_quadrature(mix: _ExpMixture, x: float, abs_tol: float) -> float:
+    """First T = 1e-3 * 2**k whose certified tail bound at x is below abs_tol/10."""
     ts = 1e-3 * 2.0 ** np.arange(100)
-    tail = getattr(charfn, "tail_bound", None)
-    bounds = tail(ts, x) if tail is not None else np.abs(charfn(ts)) / ts
-    below = np.flatnonzero(bounds < abs_tol / 10.0)
+    below = np.flatnonzero(mix.tail_bound(ts, x) < abs_tol / 10.0)
     if len(below) == 0:
         raise QuadratureError("characteristic function decays too slowly to truncate",
                               np.nan, np.inf)
-    return QuadratureSpec(float(ts[below[0]]), abs_tol)
+    return float(ts[below[0]])
 
 
 def _inversion_edges(truncation: float, x: float) -> np.ndarray:
@@ -212,22 +203,24 @@ def _inversion_edges(truncation: float, x: float) -> np.ndarray:
     return edges[(edges >= 0) & (edges <= truncation)]
 
 
-def _inversion_integral(charfn, x: float, q: QuadratureSpec) -> float:
-    def integrand(t: np.ndarray) -> np.ndarray:
-        return np.imag(charfn(t) * np.exp(-1j * t * x)) / t
+def gil_pelaez_cdf(mix: _ExpMixture, x: float, abs_tol: float = 1e-9) -> float:
+    """CDF of the mixture's law at x to abs_tol, clamped to [0, 1].
 
-    res = integrate_adaptive(integrand, _inversion_edges(q.truncation, x),
-                             _REL_TOL, q.abs_tol, _MAX_EVALS)
-    return res.value
-
-
-def gil_pelaez_cdf(charfn, x: float, q: QuadratureSpec | None = None) -> float:
-    """CDF of the law behind ``charfn`` at x, clamped to [0, 1]."""
+    Where the Chernoff bound on the upper tail is below abs_tol the CDF
+    is 1 to tolerance, and no inversion runs.
+    """
     if not np.isfinite(x):
         raise ValueError(f"x must be finite, got {x}")
-    if q is None:
-        q = auto_quadrature(charfn, x=x)
-    return float(np.clip(0.5 - _inversion_integral(charfn, x, q) / np.pi, 0.0, 1.0))
+    if mix.chernoff_log_tail(x) <= math.log(abs_tol):
+        return 1.0
+    truncation = auto_quadrature(mix, x, abs_tol)
+
+    def integrand(t: np.ndarray) -> np.ndarray:
+        return np.imag(_prod_charfn(t, mix) * np.exp(-1j * t * x)) / t
+
+    res = integrate_adaptive(integrand, _inversion_edges(truncation, x),
+                             _REL_TOL, abs_tol, _MAX_EVALS)
+    return float(np.clip(0.5 - res.value / np.pi, 0.0, 1.0))
 
 
 def _bin_count(n_b) -> int:
@@ -286,8 +279,8 @@ def _missed_detection(eta: float, v, weights, gamma_sq: float, sigma_h_sq,
         raise ValueError(f"eta must be >= 0, got {eta}")
     if eta == 0:
         return 0.0
-    charfn = _ExpMixture(weights, *_h1_means(gamma_sq, v, sigma_h_sq, sigma_w_sq, n_b))
-    return gil_pelaez_cdf(charfn, eta)
+    mix = _ExpMixture(weights, *_h1_means(gamma_sq, v, sigma_h_sq, sigma_w_sq, n_b))
+    return gil_pelaez_cdf(mix, eta)
 
 
 def pmd_given_v(eta: float, v: float, gamma_sq: float, sigma_h_sq,
@@ -296,16 +289,16 @@ def pmd_given_v(eta: float, v: float, gamma_sq: float, sigma_h_sq,
     return _missed_detection(eta, v, np.ones(1), gamma_sq, sigma_h_sq, sigma_w_sq, n_b)
 
 
-@functools.lru_cache(maxsize=4)
-def _legendre_rule(n_nodes: int):
-    """Gauss-Legendre nodes and weights, computed once per size and read-only."""
-    rule = np.polynomial.legendre.leggauss(n_nodes)
+@functools.cache
+def _legendre_rule():
+    """The Gauss-Legendre nodes and weights, computed once and read-only."""
+    rule = np.polynomial.legendre.leggauss(_N_NODES)
     for part in rule:
         part.flags.writeable = False
     return rule
 
 
-def rayleigh_nodes(sigma_v: float, n_nodes: int = 64):
+def rayleigh_nodes(sigma_v: float):
     """Nodes and normalized weights for averaging over the backward-link gain.
 
     Gauss-Legendre on [0, 6*sigma_v] against the density
@@ -315,7 +308,7 @@ def rayleigh_nodes(sigma_v: float, n_nodes: int = 64):
     """
     if sigma_v <= 0:
         raise ValueError(f"sigma_v must be > 0, got {sigma_v}")
-    x, w = _legendre_rule(n_nodes)
+    x, w = _legendre_rule()
     v = 3.0 * sigma_v * (x + 1.0)
     density = (v / sigma_v ** 2) * np.exp(-(v / sigma_v) ** 2)
     weights = w * density
@@ -323,13 +316,13 @@ def rayleigh_nodes(sigma_v: float, n_nodes: int = 64):
 
 
 def pmd_marginal(eta: float, sigma_v: float, gamma_sq: float, sigma_h_sq,
-                 sigma_w_sq: float, n_b: int, n_nodes: int = 64) -> float:
+                 sigma_w_sq: float, n_b: int) -> float:
     """Missed-detection probability averaged over the Rayleigh backward gain.
 
     One inversion of the node-averaged characteristic function; bins
     with unequal ``sigma_h_sq`` give unequal means at every node.
     """
-    v_nodes, weights = rayleigh_nodes(sigma_v, n_nodes)
+    v_nodes, weights = rayleigh_nodes(sigma_v)
     return _missed_detection(eta, v_nodes, weights, gamma_sq, sigma_h_sq,
                              sigma_w_sq, n_b)
 
@@ -367,7 +360,7 @@ def optimal_threshold(pfa_target: float, n_b: int) -> float:
 
 
 def fsk_error_prob(gamma_sq: float, sigma_v: float, sigma_h_sq,
-                   sigma_w_sq: float, n_b: int, n_nodes: int = 64) -> float:
+                   sigma_w_sq: float, n_b: int) -> float:
     """Bit error probability of the two-set energy detector, Rayleigh-averaged.
 
     With bit 0 sent, set 0 carries signal plus noise and set 1 noise
@@ -377,7 +370,7 @@ def fsk_error_prob(gamma_sq: float, sigma_v: float, sigma_h_sq,
     the error rate.  Bit 1 sent gives -D, whose CF is the conjugate: the
     same inversion, so the equiprobable average needs nothing more.
     """
-    v_nodes, weights = rayleigh_nodes(sigma_v, n_nodes)
+    v_nodes, weights = rayleigh_nodes(sigma_v)
     signal, counts = _h1_means(gamma_sq, v_nodes, sigma_h_sq, sigma_w_sq, n_b)
     means = np.column_stack([signal, np.full(len(v_nodes), -sigma_w_sq)])
     return gil_pelaez_cdf(_ExpMixture(weights, means, np.append(counts, n_b)), 0.0)

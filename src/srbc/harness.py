@@ -57,6 +57,7 @@ FRAME_BITS = 12
 _BATCH_SYMBOLS = 2048
 _BATCH_FRAMES = 512
 _ROW_BLOCK = 128  # offset-kernel rows per block: its temporaries stay in L2
+_MIN_PROB = 1e-3  # smallest analytical value compare_theory_sim checks
 
 
 @dataclass(frozen=True)
@@ -679,11 +680,11 @@ def parse_csv(path) -> SimCurve:
     return SimCurve(data[:, 0], data[:, 1], data[:, 2], meta)
 
 
-def compare_theory_sim(theory_curve, sim_curve, min_prob: float = 1e-3):
+def compare_theory_sim(theory_curve, sim_curve):
     """Check simulated points against analytical ones where both resolve.
 
     A point is checked when the analytical value is finite and at least
-    ``min_prob``; it passes when the gap is within the larger of 10% of
+    ``_MIN_PROB``; it passes when the gap is within the larger of 10% of
     the analytical value and three confidence halfwidths.  Returns the
     per-point rows and an overall verdict that also fails on any
     non-finite analytical value.
@@ -702,7 +703,7 @@ def compare_theory_sim(theory_curve, sim_curve, min_prob: float = 1e-3):
                          "tol": np.nan, "checked": True, "ok": False})
             all_ok = False
             continue
-        checked = t >= min_prob
+        checked = t >= _MIN_PROB
         tol = max(0.1 * t, 3.0 * ci)
         ok = (not checked) or abs(t - s) <= tol
         rows.append({"abscissa": x, "theory": t, "sim": s, "ci95": ci,

@@ -33,6 +33,8 @@ _WG = np.zeros(15)
 _WG[1::2] = [0.129484966168870, 0.279705391489277, 0.381830050505119,
              0.417959183673469, 0.381830050505119, 0.279705391489277,
              0.129484966168870]
+# At most this many panels split in one refinement pass, the worst first.
+_MAX_SPLIT = 8192
 
 
 class QuadratureError(RuntimeError):
@@ -70,7 +72,7 @@ def _evaluate(f: Callable[[np.ndarray], np.ndarray],
 
 def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray],
                        edges: np.ndarray, rel_tol: float, abs_tol: float,
-                       max_evals: int, max_split: int = 8192) -> PanelIntegral:
+                       max_evals: int) -> PanelIntegral:
     """Integrate f over the interval covered by the sorted panel edges.
 
     The integrand must map a float vector to a float vector of the same
@@ -102,8 +104,8 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray],
                 "error bound limited by floating-point rounding", total, bound)
         cut = err[splittable].max() * 0.3
         split = np.nonzero(splittable & (err >= cut))[0]
-        if len(split) > max_split:
-            split = split[np.argsort(err[split])[::-1][:max_split]]
+        if len(split) > _MAX_SPLIT:
+            split = split[np.argsort(err[split])[::-1][:_MAX_SPLIT]]
         keep = np.ones(len(lo), dtype=bool)
         keep[split] = False
         mid = 0.5 * (lo[split] + hi[split])

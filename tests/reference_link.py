@@ -8,8 +8,9 @@ bins.  The simulator runs none of this; the tests hold its kernel to
 these samples.  The
 synthesis IDFT carries the 1/n factor and the analysis DFT is
 unnormalized, so a frequency-domain grid round-trips exactly through
-modulate/demodulate.  Last, the characteristic function of a noise-only
-sum of exponentials, which the inversion tests feed to the analysis.
+modulate/demodulate.  Last, the exponential mixtures that the inversion
+tests feed to the analysis: a noise-only sum of exponentials and the
+signal-bearing statistic at one backward gain.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from srbc.analysis import _ExpMixture, _prod_charfn
+from srbc.analysis import _ExpMixture, _h1_means, _prod_charfn
 from srbc.backscatter import tag_shift
 from srbc.channel import noise_bin_variance
 from srbc.waveform import ConfigurationError, SubcarrierPlan
@@ -256,8 +257,19 @@ def fsk_metrics(grid: FreqGrid, plan: SubcarrierPlan):
     return set_energy(grid.values, plan.kb0), set_energy(grid.values, plan.kb1)
 
 
-def charfn_h0(t, rates):
-    """Characteristic function of independent exponentials of the given rates."""
+def exp_mixture(rates):
+    """One-node mixture of independent exponentials of the given rates."""
     means, counts = np.unique(1.0 / np.asarray(rates, dtype=np.float64),
                               return_counts=True)
-    return _prod_charfn(t, _ExpMixture(np.ones(1), means[None, :], counts))
+    return _ExpMixture(np.ones(1), means[None, :], counts)
+
+
+def h1_mixture(gamma_sq, v, sigma_h_sq, sigma_w_sq, n_b):
+    """One-node mixture of the signal-bearing statistic given v."""
+    return _ExpMixture(np.ones(1), *_h1_means(gamma_sq, v, sigma_h_sq,
+                                              sigma_w_sq, n_b))
+
+
+def charfn_h0(t, rates):
+    """Characteristic function of independent exponentials of the given rates."""
+    return _prod_charfn(t, exp_mixture(rates))

@@ -16,13 +16,12 @@ from scipy import stats
 from reference_link import (
     TimeSignal,
     apply_backscatter,
-    charfn_h0,
+    exp_mixture,
     map_symbols,
     ofdm_demodulate,
     ofdm_modulate,
 )
 from srbc.analysis import (
-    auto_quadrature,
     fsk_error_prob,
     gil_pelaez_cdf,
     noise_bin_variance,
@@ -94,15 +93,14 @@ def test_criterion_02_inversion_oracles():
     sup_closed = 0.0
     for rates, a, scale in ((np.array([1.0]), 1, 1.0),
                             (np.array([1.0, 1.0]), 2, 1.0)):
-        cf = lambda t: charfn_h0(t, rates)
+        mix = exp_mixture(rates)
         # the single-component tail transform decays slowly, so ask the
         # integrator for 1e-8 absolute accuracy (certifying CDF errors
         # two orders below the 1e-6 gate) instead of its tighter default
-        q = auto_quadrature(cf, abs_tol=1e-8)
         mean = a * scale
         xs = np.geomspace(0.01 * mean, 10 * mean, 300)
         for x in xs:
-            err = abs(gil_pelaez_cdf(cf, float(x), q=q)
+            err = abs(gil_pelaez_cdf(mix, float(x), abs_tol=1e-8)
                       - stats.gamma.cdf(x, a=a, scale=scale))
             sup_closed = max(sup_closed, err)
 
@@ -124,9 +122,8 @@ def test_criterion_02_inversion_oracles():
         # tolerance bounds the error between grid points)
         qs = stats.gamma.ppf(np.linspace(1e-7, 1 - 1e-7, 120), a=n_b,
                              scale=mean)
-        rates = np.full(n_b, 1 / mean)
-        cf = lambda t: charfn_h0(t, rates)
-        sup_inv = max(abs(gil_pelaez_cdf(cf, float(x))
+        mix = exp_mixture(np.full(n_b, 1 / mean))
+        sup_inv = max(abs(gil_pelaez_cdf(mix, float(x))
                           - stats.gamma.cdf(x, a=n_b, scale=mean))
                       for x in qs)
         ks_total[label] = d_exact + sup_inv + 1e-8

@@ -9,11 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
-from reference_link import charfn_h0
+from reference_link import charfn_h0, exp_mixture, h1_mixture
 from srbc import analysis
 from srbc.analysis import (
     TheoryParams,
-    charfn_h1,
     fsk_error_prob,
     gil_pelaez_cdf,
     noise_bin_variance,
@@ -24,10 +23,6 @@ from srbc.analysis import (
     rayleigh_nodes,
     theory_sweep,
 )
-
-
-def exp_cf(rates):
-    return lambda t: charfn_h0(t, rates)
 
 
 def test_noise_bin_variance_convention():
@@ -59,8 +54,9 @@ def test_charfn_matches_empirical_average():
 def test_charfn_h1_reduces_to_h0():
     t = np.linspace(-5, 5, 41)
     base = charfn_h0(t, np.full(8, 1 / 0.1))
-    assert np.allclose(charfn_h1(t, 0.25, 0.0, 1.0, 0.1, 8), base, atol=1e-12)
-    assert np.allclose(charfn_h1(t, 0.0, 1.0, 1.0, 0.1, 8), base, atol=1e-12)
+    for gamma_sq, v in ((0.25, 0.0), (0.0, 1.0)):
+        mix = h1_mixture(gamma_sq, v, 1.0, 0.1, 8)
+        assert np.allclose(analysis._prod_charfn(t, mix), base, atol=1e-12)
 
 
 def test_charfn_blocks_match_scalar_evaluation():
@@ -86,31 +82,88 @@ def test_charfn_h1_matches_signal_model():
     stat = np.abs(math.sqrt(gamma_sq) * v * h + w).__pow__(2).sum(axis=1)
     mean_expect = n_b * (gamma_sq * v ** 2 + w_var)
     assert abs(stat.mean() - mean_expect) < 0.01 * mean_expect
+    mix = h1_mixture(gamma_sq, v, 1.0, w_var, n_b)
     for t in (0.5, 1.5):
         emp = np.mean(np.exp(1j * t * stat))
-        num = charfn_h1(np.array([t]), gamma_sq, v, 1.0, w_var, n_b)[0]
+        num = analysis._prod_charfn(t, mix)
         assert abs(num - emp) < 1e-2, t
 
 
 def test_gil_pelaez_exponential_reference():
-    cf = exp_cf(np.array([1.0]))
-    assert abs(gil_pelaez_cdf(cf, 1.0) - (1 - math.exp(-1))) < 1e-6
-    assert abs(gil_pelaez_cdf(cf, 1e-6)) < 1e-4
+    mix = exp_mixture(np.array([1.0]))
+    assert abs(gil_pelaez_cdf(mix, 1.0) - (1 - math.exp(-1))) < 1e-6
+    assert abs(gil_pelaez_cdf(mix, 1e-6)) < 1e-4
 
 
 def test_gil_pelaez_erlang_reference():
-    cf = exp_cf(np.array([1.0, 1.0]))
+    mix = exp_mixture(np.array([1.0, 1.0]))
     expect = 1 - math.exp(-2) * 3  # Erlang-2 at x = 2
-    assert abs(gil_pelaez_cdf(cf, 2.0) - expect) < 1e-6
+    assert abs(gil_pelaez_cdf(mix, 2.0) - expect) < 1e-6
 
 
 def test_gil_pelaez_tracks_closed_form_over_range():
     mean = 2.0
-    cf = exp_cf(np.array([1 / mean] * 2))
+    mix = exp_mixture(np.array([1 / mean] * 2))
     xs = np.geomspace(0.01 * 2 * mean, 10 * 2 * mean, 40)
-    worst = max(abs(gil_pelaez_cdf(cf, float(x))
+    worst = max(abs(gil_pelaez_cdf(mix, float(x))
                     - stats.gamma.cdf(x, a=2, scale=mean)) for x in xs)
     assert worst < 1e-6, worst
+
+
+def test_tail_bound_certifies_the_dropped_tail():
+    # every truncation rests on tail_bound: over random mixtures, some
+    # with negative means, the integral of phi(t)*exp(-i*t*x)/t over
+    # [T, inf) that the inversion drops, integrated by quad with the
+    # Fourier weight at x > 0, lies within the bound plus quad's error
+    rng = np.random.default_rng(20261019)
+    for _ in range(60):
+        nodes, columns = (int(k) for k in rng.integers(1, 4, size=2))
+        weights = rng.dirichlet(np.ones(nodes))
+        means = (rng.choice([-1.0, 1.0], size=(nodes, columns))
+                 * 10.0 ** rng.uniform(-1.0, 1.0, size=(nodes, columns)))
+        counts = rng.integers(1, 4, size=columns)
+        x = 0.0 if rng.random() < 0.5 else 10.0 ** rng.uniform(-1.0, 1.0)
+        truncation = rng.uniform(0.5, 50.0)
+        bound = float(analysis._ExpMixture(weights, means, counts)
+                      .tail_bound(truncation, x))
+        rows, powers = means.tolist(), [-int(c) for c in counts]
+
+        def phi(t):
+            return sum(w * math.prod((1 - 1j * t * m) ** p
+                                     for m, p in zip(row, powers))
+                       for w, row in zip(weights, rows))
+
+        def re(t):
+            return phi(t).real / t
+
+        def im(t):
+            return phi(t).imag / t
+
+        tol = dict(epsabs=1e-6 * bound, epsrel=1e-10, limit=200)
+        if x == 0:
+            parts = [integrate.quad(f, truncation, np.inf, **tol) for f in (re, im)]
+            tail = complex(parts[0][0], parts[1][0])
+        else:
+            parts = [integrate.quad(f, truncation, np.inf, weight=kind, wvar=x, **tol)
+                     for f, kind in ((re, "cos"), (im, "sin"), (im, "cos"), (re, "sin"))]
+            tail = complex(parts[0][0] + parts[1][0], parts[2][0] - parts[3][0])
+        assert abs(tail) <= bound + sum(err for _, err in parts), (means, x, truncation)
+
+
+def test_far_upper_tail_is_one_without_inversion():
+    # eta sits about 8 800 statistic means out, where the inversion's
+    # panels each held thousands of oscillations and it raised
+    # QuadratureError after 3 M evaluations; the Chernoff bound on the
+    # upper tail is exp(-17 572), so the CDF is 1 to any tolerance
+    w = noise_bin_variance(25.2)
+    mix = h1_mixture(1.48 ** 2, 0.006, np.array([1.647, 1.406]), w, 2)
+    assert mix.chernoff_log_tail(55.4) == pytest.approx(-17572, abs=1.0)
+    assert pmd_given_v(55.4, 0.006, 1.48 ** 2, [1.647, 1.406], w, 2) == 1.0
+    # the bound holds at Gamma laws, and says nothing below the mean
+    for k, x in ((1, 5.0), (4, 12.0), (32, 80.0)):
+        mix = exp_mixture(np.full(k, 0.5))
+        assert mix.chernoff_log_tail(x) >= stats.gamma.logsf(x, a=k, scale=2.0)
+        assert mix.chernoff_log_tail(k * 2.0) == 0.0
 
 
 def test_pfa_limits_and_sampling():
@@ -239,8 +292,8 @@ def test_theory_sweep_matches_direct_evaluation():
     assert curve.values[0] == pytest.approx(direct, rel=1e-9)
 
 
-def rayleigh_average(sigma_v, per_node, n_nodes=64):
-    nodes, weights = rayleigh_nodes(sigma_v, n_nodes)
+def rayleigh_average(sigma_v, per_node):
+    nodes, weights = rayleigh_nodes(sigma_v)
     return float(weights @ per_node(nodes))
 
 
@@ -342,11 +395,26 @@ def test_pmd_marginal_with_unequal_bin_variances(sigma_h_sq, snr_db, gamma,
                                                  sigma_v, pfa):
     # unequal bin gains give unequal means at every node; the one
     # inversion of the averaged characteristic function must equal the
-    # average of the per-node inversions (on a short rule, for speed)
+    # production rule's average of the exact per-node laws.  At gain v the
+    # statistic is a sum of exponentials of rates r_b; by uniformization
+    # at the top rate L its survival function is a Poisson(L*eta) mixture
+    # of the chance that a chain moving on from bin b with probability
+    # r_b/L per step has not yet left the last bin, a sum of positive terms
     n_b, w = len(sigma_h_sq), noise_bin_variance(snr_db)
     gains = np.array(sigma_h_sq)
     eta = w * special.gammainccinv(n_b, pfa)
-    value = pmd_marginal(eta, sigma_v, gamma ** 2, gains, w, n_b, n_nodes=8)
-    ref = rayleigh_average(sigma_v, lambda nodes: np.array([
-        pmd_given_v(eta, float(v), gamma ** 2, gains, w, n_b) for v in nodes]), 8)
+    value = pmd_marginal(eta, sigma_v, gamma ** 2, gains, w, n_b)
+    nodes, weights = rayleigh_nodes(sigma_v)
+    rates = 1.0 / (gamma ** 2 * np.square(nodes)[:, None] * gains + w)
+    top = rates.max(axis=1)
+    load = top * eta
+    state = np.zeros_like(rates)
+    state[:, 0] = 1.0
+    survival = np.zeros(len(nodes))
+    for k in range(int(load.max() + 12 * math.sqrt(load.max()) + 40)):
+        survival += stats.poisson.pmf(k, load) * state.sum(axis=1)
+        moved = state * (rates / top[:, None])
+        state -= moved
+        state[:, 1:] += moved[:, :-1]
+    ref = float(weights @ (1.0 - survival))
     assert abs(value - ref) <= 1e-8
