@@ -69,12 +69,12 @@ class TheoryCurve:
 
 @dataclass(frozen=True)
 class TheoryParams:
-    """System-level knobs the analytical sweeps need."""
+    """System-level knobs the analytical sweeps need; zeta None is the plan's."""
 
     scheme: str
     n: int
     gamma_mag: float
-    zeta: int = 1
+    zeta: int | None = None
     sigma_v: float = 1.0
     pfa_target: float = 1e-3
 
@@ -392,8 +392,6 @@ def theory_sweep(kind: str, snr_grid, params: TheoryParams) -> TheoryCurve:
     if kind == "FSK_BER" and params.scheme not in ("fsk1", "fsk2"):
         raise ValueError("FSK_BER needs an fsk plan")
     n_b = len(plan.kb0)
-    if kind == "FSK_BER" and len(plan.kb1) != n_b:
-        raise ValueError("hypothesis sets must have equal size")
     gamma_sq = params.gamma_mag ** 2
     values = np.empty(len(snr_grid))
     # the noise statistic at bin energy w is w times the unit one

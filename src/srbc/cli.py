@@ -141,16 +141,21 @@ def _cmd_curve(args) -> int:
 def _cmd_cfo(args) -> int:
     cfg = build_config(args)
     eps = np.asarray(_parse_float_list(args.eps_grid))
+    # each offset's label and file suffix is its 6-significant-digit form
+    tags = [f"{e:g}" for e in eps]
+    if len(set(tags)) < len(tags):
+        raise ValueError(f"offsets {args.eps_grid} collide at the 6 significant "
+                         "digits that name each curve and its file")
     curves = run_cfo_study(cfg, eps)
-    for e, curve in zip(eps, curves):
-        _print_curve(curve, f"tag bit error rate vs SNR at offset {e:g}")
+    for tag, curve in zip(tags, curves):
+        _print_curve(curve, f"tag bit error rate vs SNR at offset {tag}")
         if args.out:
-            emit_csv(curve, _suffixed(args.out, f"eps{e:g}"))
+            emit_csv(curve, _suffixed(args.out, f"eps{tag}"))
     return 0
 
 
 def _cmd_theory(args) -> int:
-    kind, curve = _theory_curve(build_config(args), args.kind)
+    kind, curve = _theory_curve(build_config(args))
     _print_curve(curve, f"analytical {kind}")
     if args.out:
         emit_csv(curve, args.out)
@@ -199,8 +204,7 @@ def main(argv=None) -> int:
          "--eps-grid", dict(default="0.0,0.05",
                             help="comma-separated carrier offsets")),
         ("retx", _cmd_curve, "frame retransmission probability sweep"),
-        ("theory", _cmd_theory, "analytical curve without simulation",
-         "--kind", dict(choices=("auto", "OOK_PMD", "FSK_BER"), default="auto")),
+        ("theory", _cmd_theory, "analytical curve without simulation"),
         ("compare", _cmd_compare, "analytical vs iid-mode simulation"),
     )
     for name, func, help_text, *extra in specs:

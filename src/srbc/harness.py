@@ -25,14 +25,16 @@ the blocks change no number.  The tests check the kernel against a
 time-domain reference link and receiver.
 
 Every simulated curve runs one per-point loop, ``_sweep``: each runner
-supplies only its validation and its batch kernel, built for the
+supplies only its validation and its batch kernel, which takes the
 point's per-bin noise energy.  Nothing is drawn per time sample, so the
-kernel knows no other noise unit.
+kernel knows no other noise unit.  Every tag-bit decision is the link's
+own (``_TagLink.decide``): the OOK threshold test or the FSK comparison.
 """
 from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -45,7 +47,7 @@ from .backscatter import tag_shift
 from .channel import noise_bin_variance
 from .crc import crc5_check_many, crc5_encode_many
 from .detector import fsk_detect, ook_detect, primary_detect
-from .waveform import SCHEMES, ConfigurationError, build_subcarrier_plan
+from .waveform import ConfigurationError, build_subcarrier_plan
 
 CSV_HEADER = ("abscissa", "value", "ci95", "scheme", "N", "gamma",
               "pfa_target", "cfo", "seed", "trials")
@@ -65,10 +67,9 @@ class SystemConfig:
     """One experiment's full parameterization.
 
     ``snr_db`` accepts a scalar or a strictly increasing grid and is
-    stored as a tuple.  ``zeta`` defaults to the scheme's natural
-    spacing (1, except 2 for fsk2, whose plan needs two nulls per data
-    bin).  ``trials`` caps the per-point Monte Carlo budget; runs stop
-    early once enough error events accumulate.
+    stored as a tuple.  ``zeta`` is the plan's spacing, so None becomes
+    the scheme's natural one.  ``trials`` caps the per-point Monte Carlo
+    budget; runs stop early once enough error events accumulate.
     """
 
     scheme: str = "ook"
@@ -90,17 +91,12 @@ class SystemConfig:
     def __post_init__(self):
         for name in ("gamma_mag", "cfo_eps", "sigma_v", "pfa_target"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        if self.zeta is None:
-            object.__setattr__(self, "zeta", 2 if self.scheme == "fsk2" else 1)
-        for name in ("n", "zeta", "l_direct", "l_forward", "trials", "seed",
+        for name in ("n", "l_direct", "l_forward", "trials", "seed",
                      "crc_preset", "threads"):
             value = getattr(self, name)
             if int(value) != value and not isinstance(value, str):
                 raise ConfigurationError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
-        if self.scheme not in SCHEMES:
-            raise ConfigurationError(
-                f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
         if self.n not in DFT_SIZES:
             raise ConfigurationError(
                 f"DFT size must be one of {DFT_SIZES}, got {self.n}")
@@ -133,7 +129,7 @@ class SystemConfig:
                 f"crc_preset must be a 5-bit value, got {self.crc_preset}")
         if self.threads < 1:
             raise ConfigurationError(f"threads must be >= 1, got {self.threads}")
-        build_subcarrier_plan(self.scheme, self.n, self.zeta)
+        object.__setattr__(self, "zeta", self.plan().zeta)
 
     @property
     def cp_len(self) -> int:
@@ -293,14 +289,23 @@ class _TagLink:
     to [Hd, Hf] on the data bins, and ``leakage`` holds per bit the
     matrix that maps the data-bin terms [X*Hd, gamma*hb*X*Hf] onto every
     column: M_d stacked on the bit's M_s, or M_d alone when the bit does
-    not reflect.
+    not reflect.  ``unit_eta`` is the OOK CFAR threshold at unit bin
+    noise that ``decide`` scales, None for fsk and for primary detection.
     """
 
     cfg: SystemConfig
     sizes: np.ndarray
+    unit_eta: float | None
     landings: tuple = ()
     spectra: np.ndarray | None = None
     leakage: tuple = ()
+
+    def decide(self, energy, noise: float) -> np.ndarray:
+        """The tag receiver: bits from (rows, sets) energies at bin noise ``noise``."""
+        if self.unit_eta is None:
+            return fsk_detect(*energy.T)
+        # the noise-only statistic at bin energy w is w times the unit one
+        return ook_detect(energy[:, 0], self.unit_eta * noise)
 
 
 def _tap_response(n_taps: int, bins, n: int) -> np.ndarray:
@@ -320,6 +325,8 @@ def _tag_link(cfg: SystemConfig, target: str = "bd") -> _TagLink:
             else (plan.kb0,) if plan.scheme == "ook" else (plan.kb0, plan.kb1))
     read = np.concatenate(sets)
     sizes = np.array([len(b) for b in sets])
+    unit_eta = (analysis.optimal_threshold(cfg.pfa_target, sizes[0])
+                if plan.scheme == "ook" and target == "bd" else None)
     if cfg.cfo_eps or target == "primary":
         # the offset ramp starts on the first body sample, so it maps
         # the spectrum Z to Y[k] = sum_m D[k-m] Z[m]; without an offset
@@ -336,7 +343,7 @@ def _tag_link(cfg: SystemConfig, target: str = "bd") -> _TagLink:
             cfg.l_direct, plan.data_idx, plan.n)
         spectra[cfg.l_direct:, plan.n_data:] = _tap_response(
             cfg.l_forward, plan.data_idx, plan.n)
-        return _TagLink(cfg, sizes, spectra=spectra, leakage=leakage)
+        return _TagLink(cfg, sizes, unit_eta, spectra=spectra, leakage=leakage)
     landings = []
     for bit, (s, kb) in enumerate(zip(shifts, (plan.kb0, plan.kb1))):
         if s is None:
@@ -347,7 +354,7 @@ def _tag_link(cfg: SystemConfig, target: str = "bd") -> _TagLink:
         landings.append((0 if plan.scheme == "ook" else bit,
                          np.kron(gram.real, np.eye(2))
                          + np.kron(gram.imag, [[0.0, 1.0], [-1.0, 0.0]])))
-    return _TagLink(cfg, sizes, landings=tuple(landings))
+    return _TagLink(cfg, sizes, unit_eta, landings=tuple(landings))
 
 
 def _complex_normal_draw(rng, shape, variance) -> np.ndarray:
@@ -479,19 +486,19 @@ def _primary_grid(rng, size, link: _TagLink, bits, noise: float):
 # Experiment runners
 
 
-def _sweep(cfg: SystemConfig, point_kernel, target_events: int | None,
+def _sweep(cfg: SystemConfig, kernel, target_events: int | None,
            batch_size: int = _BATCH_SYMBOLS):
-    """Run one batch kernel per point of the SNR grid under the stop rule.
+    """Run the batch kernel at every point of the SNR grid under the stop rule.
 
-    ``point_kernel(noise)`` returns the batch kernel of a point whose
-    per-bin noise energy is ``noise``.  Each point draws from its own
+    ``kernel(rng, size, noise)`` is one batch at per-bin noise energy
+    ``noise``, which each point binds.  Each point draws from its own
     (seed, point index) streams and stops once its first count reaches
     ``target_events`` (never, for None).  Returns the counts as a
     (points, counts per batch) array and the trials each point used.
     """
     if cfg.cfo_eps:
         _require_tdl(cfg, "simulating a frequency offset")
-    runs = [_accumulate(point_kernel(noise_bin_variance(snr)),
+    runs = [_accumulate(functools.partial(kernel, noise=noise_bin_variance(snr)),
                         cfg.trials, cfg.seed, i, threads=cfg.threads,
                         target_events=target_events, batch_size=batch_size)
             for i, snr in enumerate(cfg.snr_db)]
@@ -518,19 +525,12 @@ def run_pmd_sweep(cfg: SystemConfig,
             f"trials must be at least {TARGET_ERROR_EVENTS}/pfa_target "
             f"= {math.ceil(TARGET_ERROR_EVENTS / cfg.pfa_target)}, got {cfg.trials}")
     link = _tag_link(cfg)
-    # the noise-only statistic at bin energy w is w times the unit one
-    unit_eta = analysis.optimal_threshold(cfg.pfa_target, link.sizes[0])
 
-    def point_kernel(noise):
-        eta = unit_eta * noise
+    def kernel(rng, size, noise):
+        energy = _set_energies(rng, size, link, np.ones(size, dtype=np.int8), noise)
+        return [np.count_nonzero(link.decide(energy, noise) == 0)], size
 
-        def kernel(rng, size):
-            energy = _set_energies(rng, size, link, np.ones(size, dtype=np.int8),
-                                   noise)
-            return [np.count_nonzero(ook_detect(energy[:, 0], eta) == 0)], size
-        return kernel
-
-    counts, used = _sweep(cfg, point_kernel, target_events)
+    counts, used = _sweep(cfg, kernel, target_events)
     return _curve(cfg, cfg.snr_db, counts[:, 0] / used, used)
 
 
@@ -550,16 +550,14 @@ def run_roc(cfg: SystemConfig, eta_grid) -> SimCurve:
         raise ValueError("eta_grid must be a nonempty vector of thresholds >= 0")
     link = _tag_link(cfg)
 
-    def point_kernel(noise):
-        def kernel(rng, size):
-            above = [np.count_nonzero(_set_energies(
-                rng, size, link, np.full(size, bit, dtype=np.int8), noise)
-                > etas, axis=0) for bit in (0, 1)]
-            return np.concatenate(above), size
-        return kernel
+    def kernel(rng, size, noise):
+        above = [np.count_nonzero(_set_energies(
+            rng, size, link, np.full(size, bit, dtype=np.int8), noise)
+            > etas, axis=0) for bit in (0, 1)]
+        return np.concatenate(above), size
 
     # one point, counting false alarms then detections, that never stops
-    counts, used = _sweep(cfg, point_kernel, None)
+    counts, used = _sweep(cfg, kernel, None)
     pfa, pd = np.split(counts[0] / used[0], 2)
     order = np.argsort(pfa, kind="stable")
     return _curve(cfg, pfa[order], pd[order], used[0])
@@ -584,18 +582,15 @@ def run_ber_sweep(cfg: SystemConfig, target: str = "bd",
         _require_tdl(cfg, "primary-link detection")
     link = _tag_link(cfg, target)
 
-    def point_kernel(noise):
-        def kernel(rng, size):
-            bits = rng.integers(0, 2, size=size).astype(np.int8)
-            if target == "bd":
-                decided = fsk_detect(*_set_energies(rng, size, link, bits, noise).T)
-                return [np.count_nonzero(decided != bits)], size
-            y, hd, signs = _primary_grid(rng, size, link, bits, noise)
-            errors = np.count_nonzero(primary_detect(y, hd) != (signs < 0))
-            return [errors], size
-        return kernel
+    def kernel(rng, size, noise):
+        bits = rng.integers(0, 2, size=size).astype(np.int8)
+        if target == "bd":
+            decided = link.decide(_set_energies(rng, size, link, bits, noise), noise)
+            return [np.count_nonzero(decided != bits)], size
+        y, hd, signs = _primary_grid(rng, size, link, bits, noise)
+        return [np.count_nonzero(primary_detect(y, hd) != (signs < 0))], size
 
-    counts, used = _sweep(cfg, point_kernel, target_events)
+    counts, used = _sweep(cfg, kernel, target_events)
     bits = used * (link.sizes[0] if target == "primary" else 1)
     return _curve(cfg, cfg.snr_db, counts[:, 0] / bits, used)
 
@@ -629,23 +624,15 @@ def run_retx(cfg: SystemConfig,
     the frame count per point.
     """
     link = _tag_link(cfg)
-    unit_eta = (analysis.optimal_threshold(cfg.pfa_target, link.sizes[0])
-                if cfg.scheme == "ook" else None)
 
-    def point_kernel(noise):
-        eta = None if unit_eta is None else unit_eta * noise
+    def kernel(rng, size, noise):
+        payloads = rng.integers(0, 2, size=(size, FRAME_PAYLOAD_BITS))
+        tx = crc5_encode_many(payloads, cfg.crc_preset)
+        energy = _set_energies(rng, size * FRAME_BITS, link, tx.reshape(-1), noise)
+        decided = link.decide(energy, noise).reshape(size, FRAME_BITS)
+        return [np.count_nonzero(~crc5_check_many(decided, cfg.crc_preset))], size
 
-        def kernel(rng, size):
-            payloads = rng.integers(0, 2, size=(size, FRAME_PAYLOAD_BITS))
-            tx = crc5_encode_many(payloads, cfg.crc_preset)
-            energy = _set_energies(rng, size * FRAME_BITS, link, tx.reshape(-1),
-                                   noise)
-            decided = (fsk_detect(*energy.T) if eta is None
-                       else ook_detect(energy[:, 0], eta)).reshape(size, FRAME_BITS)
-            return [np.count_nonzero(~crc5_check_many(decided, cfg.crc_preset))], size
-        return kernel
-
-    counts, used = _sweep(cfg, point_kernel, target_events, _BATCH_FRAMES)
+    counts, used = _sweep(cfg, kernel, target_events, _BATCH_FRAMES)
     return _curve(cfg, cfg.snr_db, counts[:, 0] / used, used)
 
 
@@ -712,15 +699,14 @@ def compare_theory_sim(theory_curve, sim_curve):
     return rows, all_ok
 
 
-def _theory_curve(cfg: SystemConfig, kind: str = "auto"):
-    """Analytical ``kind`` curve on the config's SNR grid, as (kind, curve).
+def _theory_curve(cfg: SystemConfig):
+    """The scheme's analytical curve on the config's SNR grid, as (kind, curve).
 
-    Kind "auto" picks OOK_PMD for ook and FSK_BER for the fsk schemes.
-    The curve has zero halfwidths, and its meta reads offset, seed and
+    The kind is OOK_PMD for ook and FSK_BER for the fsk schemes.  The
+    curve has zero halfwidths, and its meta reads offset, seed and
     trials as 0: the analysis has none of them.
     """
-    if kind == "auto":
-        kind = "OOK_PMD" if cfg.scheme == "ook" else "FSK_BER"
+    kind = "OOK_PMD" if cfg.scheme == "ook" else "FSK_BER"
     params = analysis.TheoryParams(cfg.scheme, cfg.n, cfg.gamma_mag, cfg.zeta,
                                    cfg.sigma_v, cfg.pfa_target)
     theory = analysis.theory_sweep(kind, np.asarray(cfg.snr_db), params)
@@ -732,13 +718,12 @@ def _theory_curve(cfg: SystemConfig, kind: str = "auto"):
 def run_compare(cfg: SystemConfig):
     """Analytical curve vs. iid-mode simulation on the config's SNR grid.
 
-    Returns (theory curve, simulated curve, comparison rows, verdict).
+    The analysis has no carrier offset, and neither has iid mode, so a
+    config with one is rejected.  Returns (theory curve, simulated
+    curve, comparison rows, verdict).
     """
     kind, theory = _theory_curve(cfg)
-    sim_cfg = cfg.replace(channel_mode="iid", cfo_eps=0.0)
-    if kind == "OOK_PMD":
-        sim = run_pmd_sweep(sim_cfg)
-    else:
-        sim = run_ber_sweep(sim_cfg, "bd")
+    run = run_pmd_sweep if kind == "OOK_PMD" else run_ber_sweep
+    sim = run(cfg.replace(channel_mode="iid"))
     rows, ok = compare_theory_sim(theory, sim)
     return theory, sim, rows, ok

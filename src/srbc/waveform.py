@@ -46,7 +46,7 @@ def _require_power_of_two(n: int) -> None:
         raise ConfigurationError(f"DFT size must be a power of two >= 8, got {n}")
 
 
-def build_subcarrier_plan(scheme: str, n: int, zeta: int = 1) -> SubcarrierPlan:
+def build_subcarrier_plan(scheme: str, n: int, zeta: int | None = None) -> SubcarrierPlan:
     """Construct the data/null partition and detection sets for a scheme.
 
     OOK alternates blocks of ``zeta`` data bins and ``zeta`` null bins so
@@ -58,10 +58,14 @@ def build_subcarrier_plan(scheme: str, n: int, zeta: int = 1) -> SubcarrierPlan:
     closed form.  FSK2 places a data bin every ``zeta``+1 bins starting
     at bin 1, leaving bin 0 permanently unused, and signals with shifts
     of +1 (bit 0) and +2 (bit 1), each landing on its own null set.
+    ``zeta`` None picks the scheme's natural spacing: 2 for fsk2, whose
+    plan needs two nulls per data bin, else 1.
     """
     _require_power_of_two(n)
     if scheme not in SCHEMES:
         raise ConfigurationError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
+    if zeta is None:
+        zeta = 2 if scheme == "fsk2" else 1
     if int(zeta) != zeta:
         raise ConfigurationError(f"zeta must be an integer, got {zeta!r}")
     zeta = int(zeta)
@@ -113,5 +117,7 @@ def _validate_plan(plan: SubcarrierPlan) -> None:
         raise ConfigurationError("detection sets must lie inside the null set")
     if plan.scheme != "ook" and kb0 & kb1:
         raise ConfigurationError("hypothesis detection sets must be disjoint")
+    if len(kb0) != len(kb1):
+        raise ConfigurationError("hypothesis sets must have equal size")
     if plan.scheme == "fsk2" and (0 in data or 0 in kb0 or 0 in kb1):
         raise ConfigurationError("bin 0 must stay unused under fsk2")

@@ -31,7 +31,7 @@ from srbc.harness import (DFT_SIZES, _ROW_BLOCK, _accumulate, _ci95,
                           _leak_onto, _primary_grid, _set_energies,
                           _signal_power, _tag_link)
 from srbc import cli
-from srbc.waveform import ConfigurationError, build_subcarrier_plan
+from srbc.waveform import SCHEMES, ConfigurationError, build_subcarrier_plan
 
 
 def small_curve():
@@ -81,6 +81,18 @@ def test_config_validation():
         build_subcarrier_plan("fsk2", 64, zeta=2.5)
     whole = SystemConfig(scheme="fsk2", zeta=2.0)
     assert isinstance(whole.zeta, int) and whole.plan().zeta == 2
+
+
+def test_the_plan_owns_the_spacing():
+    # the config and the analysis take the scheme's natural spacing
+    # from the plan, so neither needs it spelled out
+    for scheme in SCHEMES:
+        assert SystemConfig(scheme=scheme).zeta == build_subcarrier_plan(scheme, 64).zeta
+    snr = (0.0, 20.0)
+    natural = analysis.theory_sweep("FSK_BER", snr, analysis.TheoryParams("fsk2", 64, 0.5))
+    explicit = analysis.theory_sweep("FSK_BER", snr,
+                                     analysis.TheoryParams("fsk2", 64, 0.5, zeta=2))
+    assert natural.values.tobytes() == explicit.values.tobytes()
 
 
 def test_sim_curve_validation():
@@ -324,6 +336,16 @@ def test_cli_simulation_commands(tmp_path):
     assert parse_csv(tmp_path / "cfo_eps0.05.csv").meta["cfo"] == "0.05"
 
 
+def test_cli_cfo_rejects_offsets_that_share_a_file(tmp_path, capsys):
+    # each offset's curve is written to a file named by its offset at 6
+    # significant digits, so two that agree there would overwrite one
+    out = tmp_path / "c.csv"
+    assert cli.main(["cfo", "--scheme", "fsk2", "--snr", "10", "--trials", "2000",
+                     "--eps-grid", "0.1,0.1000001", "--out", str(out)]) == 2
+    assert "collide" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_cli_table_is_the_config_fields(tmp_path):
     # one table names every SystemConfig field, and a flag parses its
     # value exactly as the config-file key does
@@ -353,7 +375,7 @@ def test_cli_table_is_the_config_fields(tmp_path):
 def test_cli_offset_needs_tdl(capsys):
     # every simulating command rejects a carrier offset in iid mode
     for argv in (["pmd"], ["roc", "--snr", "10"], ["ber", "--scheme", "fsk2"],
-                 ["retx"], ["cfo"]):
+                 ["retx"], ["cfo"], ["compare"]):
         capsys.readouterr()
         assert cli.main(argv + ["--channel-mode", "iid", "--cfo", "0.1"]) == 2
         assert ("simulating a frequency offset needs channel_mode='tdl'"

@@ -1,0 +1,122 @@
+"""Check that this checkout writes byte for byte what an earlier revision writes.
+
+    python3 tools/output_digest.py --against REV
+
+Run from anywhere inside the repository.  REV is extracted with
+``bench_pairs._extract`` into a temporary directory.  For each tree, REV
+and this checkout, a child process imports that tree's ``src/srbc`` and
+writes into a directory of its own:
+
+- for every command of both workloads of ``srbcbench/workloads.py``, at
+  pass 0 of the benchmark seeds 11, 12 and 13, every CSV it writes and
+  a text file with its exit code, stdout and stderr;
+- ``theory.txt``: 612 ``theory_sweep`` values as ``float.hex``, for
+  ook, fsk1 and fsk2 (with zeta 2) × n 64, 128, 256 and 512 × gamma
+  0.25, 0.5 and 1 × 17 SNRs on linspace(-10, 40) dB.
+
+The commands come from this checkout's ``srbcbench/workloads.py``, which
+is only read.  The two directories are compared file by file: the tool
+exits 0 when they match and 1, listing the files that differ, when not.
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import itertools
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (11, 12, 13)
+THEORY_SCHEMES = ("ook", "fsk1", "fsk2")
+THEORY_SIZES = (64, 128, 256, 512)
+THEORY_GAMMAS = (0.25, 0.5, 1.0)
+THEORY_POINTS = 17
+
+
+def differing(a: Path, b: Path) -> list:
+    """Relative paths of the files that exist under only one root or differ."""
+    def files(root):
+        return {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
+    in_a, in_b = files(a), files(b)
+    changed = {p for p in in_a & in_b if (a / p).read_bytes() != (b / p).read_bytes()}
+    return sorted(str(p) for p in (in_a ^ in_b) | changed)
+
+
+def write_outputs(out: Path) -> None:
+    """Write every output the digest compares under ``out``, from the srbc on sys.path."""
+    import srbc.cli
+    from srbc import analysis
+
+    sys.path.insert(0, str(ROOT / "srbcbench"))
+    import workloads
+
+    for seed in SEEDS:
+        pass_seed = workloads.pass_seed(seed, 0)
+        for name in workloads.WORKLOADS:
+            run_dir = out / f"seed{seed}" / name
+            run_dir.mkdir(parents=True)
+            for cmd in workloads.commands(name, pass_seed):
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    code = srbc.cli.main(cmd.argv(pass_seed, str(run_dir)))
+                (run_dir / f"{cmd.key}.txt").write_text(
+                    f"exit {code}\n{stdout.getvalue()}--- stderr\n{stderr.getvalue()}")
+    snr = np.linspace(-10.0, 40.0, THEORY_POINTS)
+    lines = []
+    for scheme, n, gamma in itertools.product(THEORY_SCHEMES, THEORY_SIZES,
+                                              THEORY_GAMMAS):
+        params = analysis.TheoryParams(scheme, n, gamma, 2 if scheme == "fsk2" else 1)
+        kind = "OOK_PMD" if scheme == "ook" else "FSK_BER"
+        values = analysis.theory_sweep(kind, snr, params).values
+        lines += [f"{scheme} {n} {gamma!r} {float(s)!r} {float(v).hex()}"
+                  for s, v in zip(snr, values)]
+    (out / "theory.txt").write_text("\n".join(lines) + "\n")
+
+
+def _write_in(tree: Path, out: Path) -> None:
+    """Run ``write_outputs`` in a child that imports srbc from ``tree``."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    subprocess.run([sys.executable, str(Path(__file__).resolve()), "--write", str(out)],
+                   env=env, check=True)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", metavar="REV", help="revision to compare with")
+    parser.add_argument("--write", metavar="DIR", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.write:
+        write_outputs(Path(args.write))
+        return 0
+    if not args.against:
+        parser.error("--against is required")
+
+    from bench_pairs import _extract
+
+    with tempfile.TemporaryDirectory(prefix="output-digest-") as tmp:
+        parent, outputs = Path(tmp) / "tree", Path(tmp) / "out"
+        parent.mkdir()
+        sha = _extract(args.against, parent)
+        for side, tree in (("parent", parent), ("change", ROOT)):
+            _write_in(tree, outputs / side)
+        diff = differing(outputs / "parent", outputs / "change")
+        count = sum(1 for p in (outputs / "change").rglob("*") if p.is_file())
+    if diff:
+        print(f"{len(diff)} files differ from {sha[:12]}:")
+        print("\n".join(diff))
+        return 1
+    print(f"all {count} files match {sha[:12]}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
