@@ -14,9 +14,11 @@ energy-detector law of Urkowitz (1967), and the CFAR threshold is w times
 the unit one, found by Newton steps on the log tail from n_b alone.
 
 The signal-bearing laws have no such closed form.  Their
-characteristic functions are products of (1 - i*t*mean)**-1 factors
-(a negative mean is a subtracted exponential, as in the FSK energy
-difference); CDFs come from the sign-split inversion integral
+characteristic functions are products of (1 - i*t*mean)**-count
+factors (a negative mean is a subtracted exponential, as in the FSK
+energy difference), each an integer power of a base of modulus at most
+1 taken by repeated complex squaring; CDFs come from the sign-split
+inversion integral
 F(x) = 1/2 - (1/pi) * int_0^T Im[phi(t) exp(-i t x)] / t dt,
 evaluated with oscillation-aware adaptive quadrature.
 
@@ -47,7 +49,7 @@ from .waveform import build_subcarrier_plan
 
 __all__ = [
     "TheoryCurve", "TheoryParams", "QuadratureError", "gil_pelaez_cdf",
-    "pfa_of_threshold", "pmd_given_v", "pmd_marginal", "optimal_threshold",
+    "pfa_of_threshold", "pmd_marginal", "optimal_threshold",
     "fsk_error_prob", "theory_sweep", "noise_bin_variance",
 ]
 
@@ -79,7 +81,8 @@ class TheoryParams:
     pfa_target: float = 1e-3
 
 
-_T_BLOCK = 128  # t values per block: one (64 nodes, t) float array is 64 KB
+_PLAIN_SQUARINGS = 4  # last squarings of a power taken on the base itself
+_T_BLOCK = 128  # t values per block: one complex (64 nodes, t) array is 128 KB
 
 
 @dataclass(frozen=True)
@@ -93,7 +96,12 @@ class _ExpMixture:
 
     weights: np.ndarray  # (nodes,)
     means: np.ndarray  # (nodes, columns)
-    counts: np.ndarray  # (columns,)
+    counts: np.ndarray  # (columns,), positive integers
+
+    def __post_init__(self):
+        counts = np.asarray(self.counts)
+        if counts.dtype.kind not in "iu" or np.any(counts < 1):
+            raise ValueError(f"counts must be positive integers, got {self.counts!r}")
 
     def tail_bound(self, truncation, x: float) -> np.ndarray:
         """Certified bound on |int_T^inf phi(t) exp(-i*t*x) / t dt| at each T.
@@ -134,29 +142,70 @@ class _ExpMixture:
         return min(float(top + np.log(np.exp(logs - top).sum())), 0.0)
 
 
+def _factor_power(means, count: int, t) -> np.ndarray:
+    """(1 - i*t*m)**-count at every mean m (rows) and t (columns).
+
+    The base 1/(1 - i*a) = (1 + i*a)/(1 + a*a), a = t*m, has modulus
+    at most 1, so its powers by repeated squaring underflow to 0 at
+    large a and never overflow.  Near a = 0 the base rounds to within
+    1e-16 of 1, and each squaring doubles that error.  So the squarings
+    whose error the later ones would multiply more than
+    2**_PLAIN_SQUARINGS-fold carry d = base - 1 = (i*a - a*a)/(1 + a*a)
+    instead, squared as d*(2 + d), which keeps the low bits of a.
+    """
+    a = np.multiply.outer(means, t)
+    q = a * a
+    q += 1.0
+    d = np.empty(a.shape, dtype=np.complex128)
+    np.divide(a, q, out=d.imag)
+    np.negative(a, out=a)
+    np.multiply(a, d.imag, out=d.real)
+    squarings = count.bit_length() - 1
+    switch = max(squarings - _PLAIN_SQUARINGS, 0)
+    power = None
+    for k in range(squarings + 1):
+        if k == switch:
+            d += 1.0  # from here on d holds the base's power itself
+        if count >> k & 1:
+            factor = d if k >= switch else d + 1.0
+            power = factor if power is None else power * factor
+        if k < squarings:
+            d = d * d if k >= switch else d * (d + 2.0)
+    return power
+
+
 def _prod_charfn(t, mix: _ExpMixture):
     """Evaluate the mixture's characteristic function at t.
 
-    Each factor is exp(-c*log(1 - i*t*m)).  The base has real part 1,
-    so the principal log is continuous in t, and at large t*m the
-    magnitude underflows to 0 where a complex power overflows to NaN.
-    The node average runs over blocks of t so that every (nodes, t)
-    array stays in cache and the allocator reuses its memory from block
-    to block, however many panels the quadrature sends.
+    Each factor is an integer power of a base of modulus at most 1 (see
+    ``_factor_power``), so no logarithm, phase or exponential is taken.
+    A column whose mean is the same at every node is a common factor of
+    the node average and is evaluated once per t, outside it; a
+    one-node mixture has no per-node work at all.  The average is the
+    real weights times the interleaved real and imaginary parts.  It
+    runs over blocks of t so that every (nodes, t) array stays in cache
+    and the allocator reuses its memory from block to block, however
+    many panels the quadrature sends.
     """
     t_arr = np.asarray(t, dtype=np.float64)
     flat = t_arr.ravel()
     out = np.empty(flat.shape, dtype=np.complex128)
+    shared = np.all(mix.means == mix.means[:1], axis=0)
     for lo in range(0, len(flat), _T_BLOCK):
         tb = flat[lo:lo + _T_BLOCK]
-        log_mag = phase = 0.0
-        for m, c in zip(mix.means.T, mix.counts):
-            a = m[:, None] * tb
-            log_mag = log_mag - 0.5 * c * np.log1p(a * a)
-            phase = phase + c * np.arctan(a)
-        mag = np.exp(log_mag)
-        out[lo:lo + _T_BLOCK] = (mix.weights @ (mag * np.cos(phase))
-                                 + 1j * (mix.weights @ (mag * np.sin(phase))))
+        per_node = common = None
+        for m, c, one in zip(mix.means.T, mix.counts.tolist(), shared):
+            if one:
+                factor = _factor_power(m[:1], c, tb)[0]
+                common = factor if common is None else common * factor
+            else:
+                factor = _factor_power(m, c, tb)
+                per_node = factor if per_node is None else per_node * factor
+        if per_node is None:
+            out[lo:lo + _T_BLOCK] = mix.weights.sum() * common
+            continue
+        average = (mix.weights @ per_node.view(np.float64)).view(np.complex128)
+        out[lo:lo + _T_BLOCK] = average if common is None else average * common
     return complex(out[0]) if np.isscalar(t) else out.reshape(t_arr.shape)
 
 
@@ -281,12 +330,6 @@ def _missed_detection(eta: float, v, weights, gamma_sq: float, sigma_h_sq,
         return 0.0
     mix = _ExpMixture(weights, *_h1_means(gamma_sq, v, sigma_h_sq, sigma_w_sq, n_b))
     return gil_pelaez_cdf(mix, eta)
-
-
-def pmd_given_v(eta: float, v: float, gamma_sq: float, sigma_h_sq,
-                sigma_w_sq: float, n_b: int) -> float:
-    """Missed-detection probability F(eta) of the signal statistic at fixed v."""
-    return _missed_detection(eta, v, np.ones(1), gamma_sq, sigma_h_sq, sigma_w_sq, n_b)
 
 
 @functools.cache

@@ -51,7 +51,6 @@ from .waveform import ConfigurationError, build_subcarrier_plan
 
 CSV_HEADER = ("abscissa", "value", "ci95", "scheme", "N", "gamma",
               "pfa_target", "cfo", "seed", "trials")
-DFT_SIZES = (64, 128, 256, 512)
 CHANNEL_MODES = ("tdl", "iid")
 TARGET_ERROR_EVENTS = 100
 FRAME_PAYLOAD_BITS = 7
@@ -97,9 +96,7 @@ class SystemConfig:
             if int(value) != value and not isinstance(value, str):
                 raise ConfigurationError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
-        if self.n not in DFT_SIZES:
-            raise ConfigurationError(
-                f"DFT size must be one of {DFT_SIZES}, got {self.n}")
+        object.__setattr__(self, "zeta", self.plan().zeta)
         snr = np.atleast_1d(np.asarray(self.snr_db, dtype=np.float64))
         if snr.ndim != 1 or len(snr) == 0 or not np.isfinite(snr).all():
             raise ConfigurationError("snr_db must be a finite scalar or vector")
@@ -129,7 +126,6 @@ class SystemConfig:
                 f"crc_preset must be a 5-bit value, got {self.crc_preset}")
         if self.threads < 1:
             raise ConfigurationError(f"threads must be >= 1, got {self.threads}")
-        object.__setattr__(self, "zeta", self.plan().zeta)
 
     @property
     def cp_len(self) -> int:
@@ -651,22 +647,6 @@ def emit_csv(curve: SimCurve, path) -> None:
                             + meta)
 
 
-def parse_csv(path) -> SimCurve:
-    """Read a curve back; the inverse of emit_csv."""
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))
-    if not rows or tuple(rows[0]) != CSV_HEADER:
-        raise ValueError(f"{path} does not carry the expected curve header")
-    if len(rows) < 2:
-        raise ValueError(f"{path} holds no curve points")
-    meta_cols = [row[3:] for row in rows[1:]]
-    if any(cols != meta_cols[0] for cols in meta_cols):
-        raise ValueError(f"{path} mixes points from different runs")
-    data = np.array([[float(x) for x in row[:3]] for row in rows[1:]])
-    meta = dict(zip(CSV_HEADER[3:], meta_cols[0]))
-    return SimCurve(data[:, 0], data[:, 1], data[:, 2], meta)
-
-
 def compare_theory_sim(theory_curve, sim_curve):
     """Check simulated points against analytical ones where both resolve.
 
@@ -722,8 +702,11 @@ def run_compare(cfg: SystemConfig):
     config with one is rejected.  Returns (theory curve, simulated
     curve, comparison rows, verdict).
     """
+    iid = cfg.replace(channel_mode="iid")
+    if iid.cfo_eps:  # before the theory curve, which would be thrown away
+        _require_tdl(iid, "simulating a frequency offset")
     kind, theory = _theory_curve(cfg)
     run = run_pmd_sweep if kind == "OOK_PMD" else run_ber_sweep
-    sim = run(cfg.replace(channel_mode="iid"))
+    sim = run(iid)
     rows, ok = compare_theory_sim(theory, sim)
     return theory, sim, rows, ok

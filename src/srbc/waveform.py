@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 SCHEMES = ("ook", "fsk1", "fsk2")
+DFT_SIZES = (64, 128, 256, 512)
 
 
 class ConfigurationError(ValueError):
@@ -41,11 +42,6 @@ class SubcarrierPlan:
         return len(self.data_idx)
 
 
-def _require_power_of_two(n: int) -> None:
-    if n < 8 or (n & (n - 1)) != 0:
-        raise ConfigurationError(f"DFT size must be a power of two >= 8, got {n}")
-
-
 def build_subcarrier_plan(scheme: str, n: int, zeta: int | None = None) -> SubcarrierPlan:
     """Construct the data/null partition and detection sets for a scheme.
 
@@ -59,9 +55,11 @@ def build_subcarrier_plan(scheme: str, n: int, zeta: int | None = None) -> Subca
     at bin 1, leaving bin 0 permanently unused, and signals with shifts
     of +1 (bit 0) and +2 (bit 1), each landing on its own null set.
     ``zeta`` None picks the scheme's natural spacing: 2 for fsk2, whose
-    plan needs two nulls per data bin, else 1.
+    plan needs two nulls per data bin, else 1.  ``n`` must be one of
+    ``DFT_SIZES``.
     """
-    _require_power_of_two(n)
+    if not isinstance(n, (int, np.integer)) or n not in DFT_SIZES:
+        raise ConfigurationError(f"DFT size must be one of {DFT_SIZES}, got {n}")
     if scheme not in SCHEMES:
         raise ConfigurationError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
     if zeta is None:

@@ -18,11 +18,16 @@ from srbc.analysis import (
     noise_bin_variance,
     optimal_threshold,
     pfa_of_threshold,
-    pmd_given_v,
     pmd_marginal,
     rayleigh_nodes,
     theory_sweep,
 )
+
+
+def pmd_given_v(eta, v, gamma_sq, sigma_h_sq, sigma_w_sq, n_b):
+    """Missed-detection probability F(eta) of the signal statistic at fixed v."""
+    return analysis._missed_detection(eta, v, np.ones(1), gamma_sq, sigma_h_sq,
+                                      sigma_w_sq, n_b)
 
 
 def test_noise_bin_variance_convention():
@@ -71,6 +76,76 @@ def test_charfn_blocks_match_scalar_evaluation():
     got = analysis._prod_charfn(t, mix)
     expected = np.array([analysis._prod_charfn(float(x), mix) for x in t])
     assert np.all(np.abs(got - expected) <= 1e-14 * np.abs(expected))
+
+
+def log_form_charfn(t, mix):
+    """The mixture's characteristic function in log/arctan form, as an oracle.
+
+    Each factor is exp(-c*log(1 - i*t*m)).  The base has real part 1,
+    so the principal log is continuous in t, and at large t*m the
+    magnitude underflows to 0.
+    """
+    log_mag = phase = 0.0
+    for m, c in zip(mix.means.T, mix.counts):
+        a = np.multiply.outer(m, np.asarray(t, dtype=np.float64))
+        log_mag = log_mag - 0.5 * c * np.log1p(a * a)
+        phase = phase + c * np.arctan(a)
+    mag = np.exp(log_mag)
+    return (mix.weights @ (mag * np.cos(phase))
+            + 1j * (mix.weights @ (mag * np.sin(phase))))
+
+
+def signed_powers_of_ten(lo, hi):
+    """Either sign, with a log-uniform magnitude from 10**lo to 10**hi."""
+    return st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(lo, hi)).map(
+        lambda p: p[0] * 10.0 ** p[1])
+
+
+SIGNED_MEAN = signed_powers_of_ten(-6.0, 4.0)
+CHARFN_T = st.one_of(st.just(0.0), st.floats(-1e9, 1e9),
+                     signed_powers_of_ten(-16.0, 9.0))
+
+
+@st.composite
+def exp_mixtures(draw):
+    """One to four nodes, one to three columns, one column the same at every node."""
+    nodes, columns = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    row = st.lists(SIGNED_MEAN, min_size=columns, max_size=columns)
+    means = np.array(draw(st.lists(row, min_size=nodes, max_size=nodes)))
+    shared = draw(st.integers(0, columns - 1))
+    means[:, shared] = means[0, shared]
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=nodes,
+                                     max_size=nodes)))
+    counts = draw(st.lists(st.integers(1, 400), min_size=columns, max_size=columns))
+    return analysis._ExpMixture(weights / weights.sum(), means, np.array(counts))
+
+
+@settings(max_examples=300)
+@given(mix=exp_mixtures(), t=st.lists(CHARFN_T, min_size=1, max_size=300))
+def test_charfn_matches_the_log_form(mix, t):
+    # the integer powers agree with the log/arctan form to 2e-14 at
+    # every mean from 1e-6 to 1e4, count to 400 and t to 1e9 (squaring
+    # the rounded base itself all the way misses by up to 1e-13 at
+    # counts near 400); they stay finite and in the unit disc, and
+    # phi(-t) is conj(phi(t)) exactly
+    t = np.array([0.0] + t)
+    phi = analysis._prod_charfn(t, mix)
+    assert np.isfinite(phi).all()
+    assert np.abs(phi).max() <= 1 + 1e-12
+    assert np.abs(phi - log_form_charfn(t, mix)).max() <= 2e-14
+    assert phi[0] == pytest.approx(1.0, abs=1e-15)
+    assert np.array_equal(analysis._prod_charfn(-t, mix), np.conj(phi))
+
+
+def test_mixture_counts_must_be_positive_integers():
+    # the integer powers square a base count times; a fractional or
+    # missing count has no such power
+    means = np.ones((1, 1))
+    for counts in ([0], [-2], [1.5], [2.0], [True], []):
+        with pytest.raises(ValueError, match="positive integers"):
+            analysis._ExpMixture(np.ones(1), means, np.array(counts))
+    assert analysis._prod_charfn(1.0, analysis._ExpMixture(
+        np.ones(1), means, np.array([2]))) == pytest.approx(1 / (1 - 1j) ** 2)
 
 
 def test_charfn_h1_matches_signal_model():

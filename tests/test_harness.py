@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo harness, CSV interchange, and the CLI."""
 
 import argparse
+import csv
 import dataclasses
 import filecmp
 
@@ -19,7 +20,6 @@ from srbc.harness import (
     SystemConfig,
     compare_theory_sim,
     emit_csv,
-    parse_csv,
     run_ber_sweep,
     run_cfo_study,
     run_compare,
@@ -27,11 +27,27 @@ from srbc.harness import (
     run_retx,
     run_roc,
 )
-from srbc.harness import (DFT_SIZES, _ROW_BLOCK, _accumulate, _ci95,
-                          _leak_onto, _primary_grid, _set_energies,
-                          _signal_power, _tag_link)
+from srbc.harness import (_ROW_BLOCK, _accumulate, _ci95, _leak_onto,
+                          _primary_grid, _set_energies, _signal_power, _tag_link)
 from srbc import cli
-from srbc.waveform import SCHEMES, ConfigurationError, build_subcarrier_plan
+from srbc.waveform import (DFT_SIZES, SCHEMES, ConfigurationError,
+                           build_subcarrier_plan)
+
+
+def parse_csv(path) -> SimCurve:
+    """Read a curve back; the inverse of emit_csv."""
+    with open(path, newline="") as f:
+        rows = list(csv.reader(f))
+    if not rows or tuple(rows[0]) != CSV_HEADER:
+        raise ValueError(f"{path} does not carry the expected curve header")
+    if len(rows) < 2:
+        raise ValueError(f"{path} holds no curve points")
+    meta_cols = [row[3:] for row in rows[1:]]
+    if any(cols != meta_cols[0] for cols in meta_cols):
+        raise ValueError(f"{path} mixes points from different runs")
+    data = np.array([[float(x) for x in row[:3]] for row in rows[1:]])
+    meta = dict(zip(CSV_HEADER[3:], meta_cols[0]))
+    return SimCurve(data[:, 0], data[:, 1], data[:, 2], meta)
 
 
 def small_curve():
@@ -380,6 +396,17 @@ def test_cli_offset_needs_tdl(capsys):
         assert cli.main(argv + ["--channel-mode", "iid", "--cfo", "0.1"]) == 2
         assert ("simulating a frequency offset needs channel_mode='tdl'"
                 in capsys.readouterr().err), argv
+
+
+def test_compare_rejects_an_offset_before_the_theory_curve(monkeypatch, capsys):
+    # the offset dooms the iid simulation, so no theory curve is computed
+    def refuse(*args, **kwargs):
+        raise AssertionError("the theory curve ran before the offset was rejected")
+
+    monkeypatch.setattr(analysis, "theory_sweep", refuse)
+    assert cli.main(["compare", "--cfo", "0.2"]) == 2
+    assert ("simulating a frequency offset needs channel_mode='tdl'"
+            in capsys.readouterr().err)
 
 
 def test_cli_rejects_bad_input(tmp_path, capsys):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from reference_link import FreqGrid, map_symbols, ofdm_demodulate, ofdm_modulate
-from srbc.waveform import ConfigurationError, build_subcarrier_plan
+from srbc.waveform import DFT_SIZES, ConfigurationError, build_subcarrier_plan
 
 
 def landing_set(data_idx, shift, n):
@@ -17,19 +17,20 @@ def landing_set(data_idx, shift, n):
 
 
 def test_ook_plan_small_grid():
-    plan = build_subcarrier_plan("ook", 8, zeta=1)
-    assert plan.data_idx.tolist() == [0, 2, 4, 6]
-    assert plan.null_idx.tolist() == [1, 3, 5, 7]
-    assert plan.kb0.tolist() == plan.kb1.tolist()
-    assert plan.n_data == 4
+    # the smallest grid: data on the even bins, the odd bins empty
+    plan = build_subcarrier_plan("ook", 64, zeta=1)
+    assert plan.data_idx.tolist() == list(range(0, 64, 2))
+    assert plan.null_idx.tolist() == list(range(1, 64, 2))
+    assert plan.kb0.tolist() == plan.kb1.tolist() == list(range(1, 64, 2))
+    assert plan.n_data == 32
 
 
 def test_ook_plan_zeta_two_blocks():
-    plan = build_subcarrier_plan("ook", 16, zeta=2)
+    plan = build_subcarrier_plan("ook", 64, zeta=2)
     # alternating blocks of two data bins and two null bins
-    assert plan.data_idx.tolist() == [0, 1, 4, 5, 8, 9, 12, 13]
-    assert plan.null_idx.tolist() == [2, 3, 6, 7, 10, 11, 14, 15]
-    assert set(plan.kb0.tolist()) <= set(plan.null_idx.tolist())
+    assert plan.data_idx.tolist() == [4 * j + b for j in range(16) for b in (0, 1)]
+    assert plan.null_idx.tolist() == [4 * j + b for j in range(16) for b in (2, 3)]
+    assert plan.kb0.tolist() == plan.null_idx.tolist()
 
 
 def test_fsk1_plan_reference_grid():
@@ -44,7 +45,7 @@ def test_fsk1_plan_reference_grid():
 def test_fsk1_detection_bins_are_landing_differences():
     # the bit-0 detection bin is reachable only by the down-shift, the
     # bit-1 bin only by the up-shift
-    for n in (8, 16, 64, 256):
+    for n in DFT_SIZES:
         plan = build_subcarrier_plan("fsk1", n)
         down = landing_set(plan.data_idx, -1, n)
         up = landing_set(plan.data_idx, 1, n)
@@ -65,7 +66,7 @@ def test_fsk2_plan_reference_grid():
 
 def test_plan_invariants_across_sizes():
     cases = [("ook", 1), ("ook", 2), ("fsk1", 1), ("fsk2", 2), ("fsk2", 3)]
-    for n in (8, 16, 32, 64, 128, 256, 512):
+    for n in DFT_SIZES:
         for scheme, zeta in cases:
             if scheme == "ook" and n % (2 * zeta):
                 continue
@@ -98,6 +99,11 @@ def test_plan_rejects_bad_arguments():
         build_subcarrier_plan("ook", 12)
     with pytest.raises(ConfigurationError):
         build_subcarrier_plan("ook", 4)
+    # a power of two outside the simulator's sizes is refused here, so
+    # the analysis cannot evaluate a grid that no configuration runs
+    for n in (8, 32, 1024, 64.0):
+        with pytest.raises(ConfigurationError, match="DFT size must be one of"):
+            build_subcarrier_plan("ook", n)
     with pytest.raises(ConfigurationError):
         build_subcarrier_plan("ook", 64, zeta=0)
     with pytest.raises(ConfigurationError):
@@ -110,10 +116,10 @@ def test_plan_rejects_bad_arguments():
 
 
 def test_map_symbols_ook_reference():
-    plan = build_subcarrier_plan("ook", 8, zeta=1)
-    grid = map_symbols(np.ones(4), plan)
-    assert np.array_equal(grid.values, np.array([1, 0, 1, 0, 1, 0, 1, 0],
-                                                dtype=np.complex128))
+    plan = build_subcarrier_plan("ook", 64, zeta=1)
+    grid = map_symbols(np.ones(32), plan)
+    expect = np.tile(np.array([1, 0], dtype=np.complex128), 32)
+    assert np.array_equal(grid.values, expect)
 
 
 def test_map_symbols_fsk2_reference():
@@ -127,11 +133,11 @@ def test_map_symbols_fsk2_reference():
 
 
 def test_map_symbols_batched_and_length_checked():
-    plan = build_subcarrier_plan("ook", 16, zeta=1)
+    plan = build_subcarrier_plan("ook", 64, zeta=1)
     rng = np.random.default_rng(7)
     symbols = rng.choice([-1.0, 1.0], size=(5, plan.n_data))
     grid = map_symbols(symbols, plan)
-    assert grid.values.shape == (5, 16)
+    assert grid.values.shape == (5, 64)
     assert np.array_equal(grid.values[:, plan.data_idx], symbols)
     assert not grid.values[:, plan.null_idx].any()
     with pytest.raises(ValueError):
