@@ -230,13 +230,19 @@ def _h1_means(gamma_sq: float, v, sigma_h_sq, sigma_w_sq: float, n_b: int):
 
 
 def auto_quadrature(mix: _ExpMixture, x: float, abs_tol: float) -> float:
-    """First T = 1e-3 * 2**k whose certified tail bound at x is below abs_tol/10."""
+    """First T = 1e-3 * 2**k, k < 100, whose certified tail bound at x is below abs_tol/10.
+
+    The bound does not increase with T, so it is taken at every tenth k,
+    and then only at the nine k before the first of those below.
+    """
     ts = 1e-3 * 2.0 ** np.arange(100)
-    below = np.flatnonzero(mix.tail_bound(ts, x) < abs_tol / 10.0)
-    if len(below) == 0:
+    coarse = np.flatnonzero(mix.tail_bound(ts[9::10], x) < abs_tol / 10.0)
+    if len(coarse) == 0:
         raise QuadratureError("characteristic function decays too slowly to truncate",
                               np.nan, np.inf)
-    return float(ts[below[0]])
+    lo = 10 * coarse[0]
+    fine = np.flatnonzero(mix.tail_bound(ts[lo:lo + 9], x) < abs_tol / 10.0)
+    return float(ts[lo + (fine[0] if len(fine) else 9)])
 
 
 def _inversion_edges(truncation: float, x: float) -> np.ndarray:

@@ -9,6 +9,7 @@ numerically or a theory/simulation comparison missed its band.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -187,7 +188,9 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="srbc",
         description="Backscatter-over-OFDM link simulator and analytical toolkit")
@@ -210,13 +213,18 @@ def main(argv=None) -> int:
     for name, func, help_text, *extra in specs:
         p = sub.add_parser(name, help=help_text)
         _add_common_flags(p)
-        p.set_defaults(func=func)
+        # by name: the parser outlives a call, and the function to run is
+        # the module's at call time, even if it was since replaced
+        p.set_defaults(func=func.__name__)
         if extra:
             p.add_argument(extra[0], **extra[1])
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[args.func](args)
     except (ConfigurationError, ValueError, OSError,
             argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

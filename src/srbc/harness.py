@@ -1,7 +1,9 @@
 """Config-driven Monte Carlo experiment runner.
 
-Every random draw comes from a generator seeded by (seed, point index,
-batch index) over a fixed batch geometry, and the adaptive stop rule
+Every random draw comes from a generator seeded by (seed, batch index)
+over a fixed batch geometry, shared by every point of a curve: a batch
+is drawn once and scored at each SNR point, as the noise enters only as
+a scale on unit draws (common random numbers).  The adaptive stop rule
 scans batch results in index order, so a run's numbers depend only on
 its configuration — never on the worker-thread count or on completion
 order.  Results are curves (abscissa, value, 95% confidence halfwidth)
@@ -24,17 +26,18 @@ products run over cache-sized blocks of rows after the batch's draws, so
 the blocks change no number.  The tests check the kernel against a
 time-domain reference link and receiver.
 
-Every simulated curve runs one per-point loop, ``_sweep``: each runner
-supplies only its validation and its batch kernel, which takes the
-point's per-bin noise energy.  Nothing is drawn per time sample, so the
-kernel knows no other noise unit.  Every tag-bit decision is the link's
-own (``_TagLink.decide``): the OOK threshold test or the FSK comparison.
+Every simulated curve runs one loop over the shared batches,
+``_accumulate`` via ``_sweep``: each runner supplies only its validation
+and its batch kernel, which makes the batch's noise-free part and
+returns its scoring at a point's per-bin noise energy.  Nothing is drawn
+per time sample, so the kernel knows no other noise unit.  Every tag-bit
+decision is the link's own (``_TagLink.decide``): the OOK threshold test
+or the FSK comparison.
 """
 from __future__ import annotations
 
 import csv
 import dataclasses
-import functools
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -195,9 +198,14 @@ def _ci95(p: np.ndarray, trials) -> np.ndarray:
 # Deterministic batched Monte Carlo engine
 
 
-def _batch_rng(seed: int, point_index: int, batch_index: int) -> np.random.Generator:
-    seq = np.random.SeedSequence(entropy=seed,
-                                 spawn_key=(point_index, batch_index))
+def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
+    """Batch ``batch_index``'s stream, shared by every point of a curve.
+
+    The key's leading 0 keeps the streams that the first point of a
+    curve read when each point had its own, so one-point curves and
+    every curve's first point are unchanged.
+    """
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=(0, batch_index))
     return np.random.default_rng(seq)
 
 
@@ -208,54 +216,68 @@ def _batch_sizes(total: int, batch_size: int) -> list:
     return sizes
 
 
-def _accumulate(batch_fn, total: int, seed: int, point_index: int, *,
+def _accumulate(batch_fn, total: int, seed: int, noises, *,
                 threads: int = 1, target_events: int | None = None,
                 batch_size: int = _BATCH_SYMBOLS):
-    """Sum batch counts under the in-order adaptive stop rule.
+    """Sum batch counts at every point under the in-order adaptive stop rule.
 
-    ``batch_fn(rng, size)`` returns (counts vector, trials consumed).
-    The run stops after the batch that brings the first count to
-    ``target_events``, and runs every batch for None.  Batches may run
-    concurrently, but the stop rule walks results in batch order and
-    discards everything past the stopping batch, so the outcome is
-    schedule-independent.  The first batch runs alone, as many points
-    stop on it; after it at most ``threads`` batches are in flight, the
-    one the scan waits for included, so a later stop throws away at
-    most threads - 1 computed batches.
+    ``batch_fn(rng, size)`` makes one batch's draws and returns
+    ``score(noise)``, the batch's counts vector at per-bin noise energy
+    ``noise``.  Batch j is drawn once, from ``_batch_rng(seed, j)``, and
+    scored at every point of ``noises`` still running.  Point i stops
+    after the batch that brings its first count to ``target_events``
+    (never, for None) and is charged no later batch.  A score reads the
+    draws only, so a point's count for a batch does not depend on the
+    other points it is scored at: batches may run ahead on the pool,
+    scored at the points running when they were submitted, while the
+    walk over their results in batch order charges only the points still
+    running, so the outcome is schedule-independent.  The first batch
+    runs alone, as many curves stop on it; after it at most ``threads``
+    batches are in flight, the one the walk waits for included, so the
+    last stop throws away at most threads - 1 computed batches.
+
+    Returns the (points, counts) sums, the trials taken from the stream
+    and the trials each point used.
     """
     sizes = _batch_sizes(total, batch_size)
-    counts = used = 0
+    running = list(range(len(noises)))
+    counts = [0] * len(noises)
+    used = np.zeros(len(noises), dtype=np.int64)
 
-    def run(j):
-        return batch_fn(_batch_rng(seed, point_index, j), sizes[j])
+    def run(j, points):
+        score = batch_fn(_batch_rng(seed, j), sizes[j])
+        return sizes[j], {i: score(noises[i]) for i in points}
 
     def consume(result) -> bool:
-        nonlocal counts, used
-        c, t = result
-        counts = counts + np.asarray(c, dtype=np.int64)
-        used += int(t)
-        return target_events is not None and counts[0] >= target_events
+        size, scored = result
+        for i in tuple(running):
+            counts[i] = counts[i] + np.asarray(scored[i], dtype=np.int64)
+            used[i] += size
+            if target_events is not None and counts[i][0] >= target_events:
+                running.remove(i)
+        return not running
 
     if threads == 1:
         for j in range(len(sizes)):
-            if consume(run(j)):
+            if consume(run(j, running)):
                 break
-        return counts, used
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        ahead = deque()
-        try:
-            for j in range(len(sizes)):
-                ahead.append(pool.submit(run, j))
-                if (len(ahead) == (threads if j else 1)
-                        and consume(ahead.popleft().result())):
-                    return counts, used
-            while ahead:
-                if consume(ahead.popleft().result()):
-                    break
-        finally:
-            for future in ahead:
-                future.cancel()
-    return counts, used
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            ahead = deque()
+            try:
+                for j in range(len(sizes)):
+                    ahead.append(pool.submit(run, j, tuple(running)))
+                    if (len(ahead) == (threads if j else 1)
+                            and consume(ahead.popleft().result())):
+                        break
+                else:
+                    while ahead:
+                        if consume(ahead.popleft().result()):
+                            break
+            finally:
+                for future in ahead:
+                    future.cancel()
+    return np.array(counts), int(used.max()), used
 
 
 # ---------------------------------------------------------------------------
@@ -353,11 +375,14 @@ def _tag_link(cfg: SystemConfig, target: str = "bd") -> _TagLink:
     return _TagLink(cfg, sizes, unit_eta, landings=tuple(landings))
 
 
+def _normal_pairs(rng, shape) -> np.ndarray:
+    """Complex numbers with standard normal real and imaginary parts, as one draw."""
+    return rng.standard_normal(tuple(shape) + (2,)).view(np.complex128)[..., 0]
+
+
 def _complex_normal_draw(rng, shape, variance) -> np.ndarray:
     """Circular complex normals of the given total variance, as one draw."""
-    z = rng.standard_normal(tuple(shape) + (2,)).view(np.complex128)[..., 0]
-    z *= math.sqrt(variance / 2.0)
-    return z
+    return _normal_pairs(rng, shape) * math.sqrt(variance / 2.0)
 
 
 def _leak_onto(out, link: _TagLink, bits, hb, taps, direct, signs) -> np.ndarray:
@@ -416,8 +441,9 @@ def _signal_power(link: _TagLink, bits, hb, taps, direct=None, signs=None,
     return power
 
 
-def _set_energies(rng, size, link: _TagLink, bits, noise: float) -> np.ndarray:
-    """(size, sets) energies the tag-bit detectors read: kb0 (then kb1).
+def _set_energies(rng, size, link: _TagLink, bits):
+    """Draw a batch; return ``energies(noise)``, the (size, sets) energies
+    the tag-bit detectors read, kb0 (then kb1), at per-bin noise ``noise``.
 
     The channel memory fits the cyclic prefix and tag tones are integer
     bins, so bin k of the DFT is exactly Z[k] = Hd[k]*X[k] +
@@ -433,19 +459,22 @@ def _set_energies(rng, size, link: _TagLink, bits, noise: float) -> np.ndarray:
     whatever n_b is.  In iid mode every landing bin is an independent
     unit complex-normal gain, so ||s||^2 = gamma^2*|hb|^2*Gamma(n_b).
 
-    The draws come in a fixed order: the noise (the gamma, then w, of
-    every set), hb, then the forward taps (tdl) or the iid landing
-    energies, and only at a nonzero offset the data signs and direct
-    taps.  An offset run therefore shares its noise, hb and forward
-    taps with the zero-offset run on the same stream.  Every draw is
-    made for the whole batch before ``_signal_power`` walks its row
-    blocks, so the block size leaves the streams alone.
+    The draws come in a fixed order: the noise at unit scale (the gamma,
+    then w, of every set), hb, then the forward taps (tdl) or the iid
+    landing energies, and only at a nonzero offset the data signs and
+    direct taps.  An offset run therefore shares its noise, hb and
+    forward taps with the zero-offset run on the same stream.  Every
+    draw is made for the whole batch before ``_signal_power`` walks its
+    row blocks, so the block size leaves the streams alone.  All of it,
+    and the amplitudes ||s||, are computed once per batch; ``energies``
+    scales the unit noise to the point's and adds it, so every point of
+    a curve reads the same draws.
     """
     cfg = link.cfg
     bits = np.asarray(bits)
     sets = len(link.sizes)
     rest = rng.standard_gamma(link.sizes - 1.0, size=(size, sets))
-    w = _complex_normal_draw(rng, (size, sets), noise)
+    pairs = _normal_pairs(rng, (size, sets))
     hb = _complex_normal_draw(rng, (size,), cfg.sigma_v ** 2)
     taps = (_complex_normal_draw(rng, (size, cfg.l_forward), 1.0 / cfg.l_forward)
             if cfg.channel_mode == "tdl" else None)
@@ -454,17 +483,22 @@ def _set_energies(rng, size, link: _TagLink, bits, noise: float) -> np.ndarray:
         n_data = link.spectra.shape[1] // 2
         signs = 1.0 - 2.0 * rng.integers(0, 2, size=(size, n_data))
         direct = _complex_normal_draw(rng, (size, cfg.l_direct), 1.0 / cfg.l_direct)
-    power = _signal_power(link, bits, hb, taps, direct, signs, rng)
-    return (np.sqrt(power) + w.real) ** 2 + w.imag ** 2 + noise * rest
+    amplitude = np.sqrt(_signal_power(link, bits, hb, taps, direct, signs, rng))
+
+    def energies(noise: float) -> np.ndarray:
+        w = pairs * math.sqrt(noise / 2.0)
+        return (amplitude + w.real) ** 2 + w.imag ** 2 + noise * rest
+    return energies
 
 
-def _primary_grid(rng, size, link: _TagLink, bits, noise: float):
-    """Data bins of one batch of symbols, with Hd there and the data signs.
+def _primary_grid(rng, size, link: _TagLink, bits):
+    """Draw a batch of symbols; return ``received(noise)``, Hd and the data signs.
 
     Bin k holds Hd[k]*X[k] + W[k], W of per-bin variance ``noise``, plus
     the direct and tag terms an offset spreads onto it through the
     link's leakage matrices; without an offset those add exact zeros, as
-    every tag tone lands on nulls.
+    every tag tone lands on nulls.  ``received(noise)`` scales the unit
+    noise to the point's and adds it to the noise-free bins.
     """
     cfg = link.cfg
     direct = _complex_normal_draw(rng, (size, cfg.l_direct), 1.0 / cfg.l_direct)
@@ -472,10 +506,14 @@ def _primary_grid(rng, size, link: _TagLink, bits, noise: float):
     taps = _complex_normal_draw(rng, (size, cfg.l_forward), 1.0 / cfg.l_forward)
     n_data = link.sizes[0]
     signs = 1.0 - 2.0 * rng.integers(0, 2, size=(size, n_data))
-    out = _complex_normal_draw(rng, (size, n_data), noise)
-    terms = _leak_onto(out, link, np.asarray(bits), hb, taps, direct, signs)
+    pairs = _normal_pairs(rng, (size, n_data))
+    clean = np.zeros((size, n_data), dtype=np.complex128)
+    terms = _leak_onto(clean, link, np.asarray(bits), hb, taps, direct, signs)
+
+    def received(noise: float) -> np.ndarray:
+        return pairs * math.sqrt(noise / 2.0) + clean
     # the signs are +-1, so a second product undoes the first exactly
-    return out, terms[:, :n_data] * signs, signs
+    return received, terms[:, :n_data] * signs, signs
 
 
 # ---------------------------------------------------------------------------
@@ -486,19 +524,18 @@ def _sweep(cfg: SystemConfig, kernel, target_events: int | None,
            batch_size: int = _BATCH_SYMBOLS):
     """Run the batch kernel at every point of the SNR grid under the stop rule.
 
-    ``kernel(rng, size, noise)`` is one batch at per-bin noise energy
-    ``noise``, which each point binds.  Each point draws from its own
-    (seed, point index) streams and stops once its first count reaches
+    ``kernel(rng, size)`` draws one batch and returns its scoring at a
+    point's per-bin noise energy.  Every point reads the same (seed,
+    batch index) streams and stops once its first count reaches
     ``target_events`` (never, for None).  Returns the counts as a
     (points, counts per batch) array and the trials each point used.
     """
     if cfg.cfo_eps:
         _require_tdl(cfg, "simulating a frequency offset")
-    runs = [_accumulate(functools.partial(kernel, noise=noise_bin_variance(snr)),
-                        cfg.trials, cfg.seed, i, threads=cfg.threads,
-                        target_events=target_events, batch_size=batch_size)
-            for i, snr in enumerate(cfg.snr_db)]
-    return np.array([c for c, _ in runs]), np.array([u for _, u in runs])
+    counts, _, used = _accumulate(
+        kernel, cfg.trials, cfg.seed, [noise_bin_variance(s) for s in cfg.snr_db],
+        threads=cfg.threads, target_events=target_events, batch_size=batch_size)
+    return counts, used
 
 
 def _curve(cfg: SystemConfig, abscissa, p, used) -> SimCurve:
@@ -522,9 +559,9 @@ def run_pmd_sweep(cfg: SystemConfig,
             f"= {math.ceil(TARGET_ERROR_EVENTS / cfg.pfa_target)}, got {cfg.trials}")
     link = _tag_link(cfg)
 
-    def kernel(rng, size, noise):
-        energy = _set_energies(rng, size, link, np.ones(size, dtype=np.int8), noise)
-        return [np.count_nonzero(link.decide(energy, noise) == 0)], size
+    def kernel(rng, size):
+        energies = _set_energies(rng, size, link, np.ones(size, dtype=np.int8))
+        return lambda noise: [np.count_nonzero(link.decide(energies(noise), noise) == 0)]
 
     counts, used = _sweep(cfg, kernel, target_events)
     return _curve(cfg, cfg.snr_db, counts[:, 0] / used, used)
@@ -546,11 +583,11 @@ def run_roc(cfg: SystemConfig, eta_grid) -> SimCurve:
         raise ValueError("eta_grid must be a nonempty vector of thresholds >= 0")
     link = _tag_link(cfg)
 
-    def kernel(rng, size, noise):
-        above = [np.count_nonzero(_set_energies(
-            rng, size, link, np.full(size, bit, dtype=np.int8), noise)
-            > etas, axis=0) for bit in (0, 1)]
-        return np.concatenate(above), size
+    def kernel(rng, size):
+        hypotheses = [_set_energies(rng, size, link, np.full(size, bit, dtype=np.int8))
+                      for bit in (0, 1)]
+        return lambda noise: np.concatenate(
+            [np.count_nonzero(energies(noise) > etas, axis=0) for energies in hypotheses])
 
     # one point, counting false alarms then detections, that never stops
     counts, used = _sweep(cfg, kernel, None)
@@ -578,13 +615,15 @@ def run_ber_sweep(cfg: SystemConfig, target: str = "bd",
         _require_tdl(cfg, "primary-link detection")
     link = _tag_link(cfg, target)
 
-    def kernel(rng, size, noise):
+    def kernel(rng, size):
         bits = rng.integers(0, 2, size=size).astype(np.int8)
         if target == "bd":
-            decided = link.decide(_set_energies(rng, size, link, bits, noise), noise)
-            return [np.count_nonzero(decided != bits)], size
-        y, hd, signs = _primary_grid(rng, size, link, bits, noise)
-        return [np.count_nonzero(primary_detect(y, hd) != (signs < 0))], size
+            energies = _set_energies(rng, size, link, bits)
+            return lambda noise: [np.count_nonzero(
+                link.decide(energies(noise), noise) != bits)]
+        received, hd, signs = _primary_grid(rng, size, link, bits)
+        return lambda noise: [np.count_nonzero(
+            primary_detect(received(noise), hd) != (signs < 0))]
 
     counts, used = _sweep(cfg, kernel, target_events)
     bits = used * (link.sizes[0] if target == "primary" else 1)
@@ -596,7 +635,8 @@ def run_cfo_study(cfg: SystemConfig, eps_grid,
     """One tag BER curve per frequency offset.
 
     Every curve runs the frequency-domain kernel on the same (seed,
-    point, batch) streams, and the zero-offset curve is the plain sweep.
+    batch) streams, shared by all its points, and the zero-offset curve
+    is the plain sweep.
     An offset curve draws the same bits, noise, backward gains and
     forward taps as the zero-offset one, and only then its data signs
     and direct taps, so the curves are paired: differences between them
@@ -621,12 +661,15 @@ def run_retx(cfg: SystemConfig,
     """
     link = _tag_link(cfg)
 
-    def kernel(rng, size, noise):
+    def kernel(rng, size):
         payloads = rng.integers(0, 2, size=(size, FRAME_PAYLOAD_BITS))
         tx = crc5_encode_many(payloads, cfg.crc_preset)
-        energy = _set_energies(rng, size * FRAME_BITS, link, tx.reshape(-1), noise)
-        decided = link.decide(energy, noise).reshape(size, FRAME_BITS)
-        return [np.count_nonzero(~crc5_check_many(decided, cfg.crc_preset))], size
+        energies = _set_energies(rng, size * FRAME_BITS, link, tx.reshape(-1))
+
+        def score(noise):
+            decided = link.decide(energies(noise), noise).reshape(size, FRAME_BITS)
+            return [np.count_nonzero(~crc5_check_many(decided, cfg.crc_preset))]
+        return score
 
     counts, used = _sweep(cfg, kernel, target_events, _BATCH_FRAMES)
     return _curve(cfg, cfg.snr_db, counts[:, 0] / used, used)

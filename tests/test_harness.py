@@ -4,6 +4,7 @@ import argparse
 import csv
 import dataclasses
 import filecmp
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from srbc.harness import (
 )
 from srbc.harness import (_ROW_BLOCK, _accumulate, _ci95, _leak_onto,
                           _primary_grid, _set_energies, _signal_power, _tag_link)
-from srbc import cli
+from srbc import cli, harness
 from srbc.waveform import (DFT_SIZES, SCHEMES, ConfigurationError,
                            build_subcarrier_plan)
 
@@ -176,15 +177,119 @@ def test_point_that_stops_on_its_first_batch_computes_only_it():
 
     def batch(rng, size):
         calls.append(size)
-        return [size], size
+        return lambda noise: [size]
 
-    counts, used = _accumulate(batch, 10_000, 5, 0, threads=2,
-                               target_events=1, batch_size=1_000)
-    assert calls == [1_000] and used == 1_000 and counts[0] == 1_000
+    counts, taken, used = _accumulate(batch, 10_000, 5, (1.0,), threads=2,
+                                      target_events=1, batch_size=1_000)
+    assert calls == [1_000] and taken == 1_000 and counts[0, 0] == 1_000
+    assert used.tolist() == [1_000]
     calls.clear()
-    _, used = _accumulate(batch, 10_000, 5, 0, threads=2,
-                          target_events=2_500, batch_size=1_000)
-    assert used == 3_000 and 3 <= len(calls) <= 4
+    _, taken, _ = _accumulate(batch, 10_000, 5, (1.0,), threads=2,
+                              target_events=2_500, batch_size=1_000)
+    assert taken == 3_000 and 3 <= len(calls) <= 4
+
+
+def test_each_point_is_charged_the_batches_up_to_its_own_stop():
+    # a fake kernel whose first count per batch is the point's noise:
+    # at a target of 3 events the points stop after 3, 2 and 1 batches
+    # and the silent one runs to the cap, the last batch a short one.
+    # Each point is charged the batch sizes up to its own stop, and on
+    # one thread it is scored at no later batch
+    for threads in (1, 2, 3):
+        scored = []
+
+        def batch(rng, size):
+            def score(noise):
+                scored.append(noise)
+                return [noise, size]
+            return score
+
+        counts, taken, used = _accumulate(batch, 950, 5, (1, 2, 3, 0),
+                                          threads=threads, target_events=3,
+                                          batch_size=100)
+        assert used.tolist() == [300, 200, 100, 950], threads
+        assert counts.tolist() == [[3, 300], [4, 200], [3, 100], [0, 950]]
+        assert taken == 950
+        if threads == 1:
+            assert [scored.count(noise) for noise in (1, 2, 3, 0)] == [3, 2, 1, 10]
+
+
+def _run_recording_trials(run, cfg):
+    # the curve run(cfg) returns and the trials each of its points used
+    used = []
+
+    def recording(*args, **kwargs):
+        result = _accumulate(*args, **kwargs)
+        used.append(result[2].tolist())
+        return result
+
+    with mock.patch.object(harness, "_accumulate", recording):
+        curve = run(cfg)
+    return curve, used[-1]
+
+
+# Each curve kind: the schemes it takes, whether it needs tdl, and its run.
+_CURVE_KINDS = {
+    "pmd": (("ook",), False, run_pmd_sweep),
+    "ber": (("fsk1", "fsk2"), False, run_ber_sweep),
+    "primary": (SCHEMES, True, lambda c: run_ber_sweep(c, "primary")),
+    "retx": (SCHEMES, False, run_retx),
+    "cfo": (("fsk1", "fsk2"), True,
+            lambda c: run_cfo_study(c.replace(cfo_eps=0.0), (c.cfo_eps,))[0]),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(sorted(_CURVE_KINDS)),
+       mode=st.sampled_from(("tdl", "iid")),
+       threads=st.sampled_from((1, 2)),
+       data=st.data())
+def test_point_reads_the_same_alone_and_inside_a_grid(kind, mode, threads, data):
+    # every point of a curve reads the same batches, and its count for
+    # a batch does not depend on the other points, so its value, its
+    # interval and its trials are the same alone as inside a grid
+    schemes, needs_tdl, run = _CURVE_KINDS[kind]
+    snr = sorted(data.draw(st.sets(st.sampled_from(
+        (-5.0, 0.0, 5.0, 10.0, 15.0, 20.0, 30.0)), min_size=2, max_size=4)))
+    point = data.draw(st.integers(0, len(snr) - 1))
+    cfg = SystemConfig(
+        scheme=data.draw(st.sampled_from(schemes)), n=64,
+        gamma_mag=data.draw(st.sampled_from((0.25, 1.0))), snr_db=tuple(snr),
+        cfo_eps=data.draw(st.sampled_from(
+            (0.05, -0.2) if kind == "cfo" else (0.0, 0.1) if kind == "primary"
+            else (0.0,))),
+        trials=data.draw(st.sampled_from(
+            (1_300, 2_048) if kind == "retx" else (2_048, 5_000))),
+        pfa_target=0.05, channel_mode="tdl" if needs_tdl else mode,
+        seed=data.draw(st.integers(0, 2 ** 32 - 1)), threads=threads)
+    grid, grid_used = _run_recording_trials(run, cfg)
+    alone, alone_used = _run_recording_trials(run, cfg.replace(snr_db=(snr[point],)))
+    assert grid.values[point] == alone.values[0]
+    assert grid.confidence_halfwidth[point] == alone.confidence_halfwidth[0]
+    assert grid_used[point] == alone_used[0]
+
+
+@pytest.mark.parametrize("job", ("offset-grid", "retx"))
+def test_shared_batches_are_thread_deterministic(job, tmp_path):
+    # a multi-point tdl grid under an offset, and retx, whose points
+    # stop on different batches: byte-identical CSVs on 1, 2 and 4 threads
+    cfg, run = {
+        "offset-grid": (SystemConfig(scheme="fsk2", n=64, gamma_mag=0.25,
+                                     snr_db=(10.0, 20.0, 30.0, 40.0),
+                                     cfo_eps=0.05, trials=5 * 2048, seed=307),
+                        run_ber_sweep),
+        "retx": (SystemConfig(scheme="ook", n=64, gamma_mag=0.25,
+                              snr_db=(20.0, 30.0, 40.0), trials=6 * 512,
+                              seed=311), run_retx),
+    }[job]
+    paths = []
+    for threads in (1, 2, 4):
+        curve, used = _run_recording_trials(run, cfg.replace(threads=threads))
+        assert len(set(used)) > 1, used
+        paths.append(tmp_path / f"t{threads}.csv")
+        emit_csv(curve, paths[-1])
+    assert filecmp.cmp(paths[0], paths[1], shallow=False)
+    assert filecmp.cmp(paths[0], paths[2], shallow=False)
 
 
 def test_silent_tag_hits_false_alarm_floor():
@@ -271,7 +376,7 @@ def test_offset_kernel_shares_the_zero_offset_draws():
 
     def energies(c):
         return _set_energies(np.random.default_rng(7), 512, _tag_link(c),
-                             bits, noise)
+                             bits)(noise)
 
     w = energies(cfg.replace(gamma_mag=0.0))
     zero = energies(cfg)
@@ -290,6 +395,27 @@ def test_compare_smoke():
                        sim.confidence_halfwidth, sim.meta)
     _, all_ok = compare_theory_sim(theory, bad_sim)
     assert not all_ok
+
+
+def test_cli_parser_is_built_once_and_keeps_no_values(tmp_path, capsys):
+    # one parser serves every call in a process; a flag given to one
+    # call must not carry over into the next
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    assert cli.main(["ber", "--target", "primary", "--scheme", "fsk2",
+                     "--n", "64", "--snr", "10", "--gamma", "0.5",
+                     "--trials", "64", "--seed", "3", "--out", str(first)]) == 0
+    assert cli.main(["ber", "--scheme", "fsk1", "--n", "128", "--snr", "20",
+                     "--trials", "64", "--out", str(second)]) == 0
+    assert cli._parser() is cli._parser()
+    labels = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("# ")]
+    assert labels[0].startswith("# primary bit error rate")
+    assert labels[1].startswith("# bd bit error rate")
+    defaults = SystemConfig()
+    meta = parse_csv(second).meta
+    assert (meta["scheme"], meta["N"], meta["trials"]) == ("fsk1", "128", "64")
+    assert meta["gamma"] == repr(defaults.gamma_mag)
+    assert meta["seed"] == str(defaults.seed)
 
 
 def test_cli_theory_and_config_precedence(tmp_path):
@@ -566,7 +692,7 @@ def _kernel_energies(cfg):
     link = _tag_link(cfg)
 
     def energies(rng, size, bits, noise):
-        return _set_energies(rng, size, link, bits, noise)
+        return _set_energies(rng, size, link, bits)(noise)
     return energies
 
 
@@ -581,15 +707,15 @@ def _tag_error_rate(cfg, energies_of, trials, seed):
         if cfg.scheme == "ook":
             bits = np.ones(size, dtype=np.int8)
             energy = energies_of(rng, size, bits, noise)
-            return np.array([np.count_nonzero(
-                ook_detect(energy[:, 0], eta) == 0)]), size
-        bits = rng.integers(0, 2, size=size).astype(np.int8)
-        energy = energies_of(rng, size, bits, noise)
-        decided = fsk_detect(energy[:, 0], energy[:, 1])
-        return np.array([np.count_nonzero(decided != bits)]), size
+            count = np.count_nonzero(ook_detect(energy[:, 0], eta) == 0)
+        else:
+            bits = rng.integers(0, 2, size=size).astype(np.int8)
+            energy = energies_of(rng, size, bits, noise)
+            count = np.count_nonzero(fsk_detect(energy[:, 0], energy[:, 1]) != bits)
+        return lambda point_noise: [count]
 
-    counts, used = _accumulate(kernel, trials, seed, 0, threads=2)
-    p = counts[0] / used
+    counts, used, _ = _accumulate(kernel, trials, seed, (noise,), threads=2)
+    p = counts[0, 0] / used
     return p, float(_ci95(p, used))
 
 
@@ -618,12 +744,13 @@ def test_roc_point_matches_time_domain_statistically():
 
     def rates(energies_of, seed):
         def kernel(rng, size):
-            return np.array([np.count_nonzero(energies_of(
+            above = [np.count_nonzero(energies_of(
                 rng, size, np.full(size, bit, dtype=np.int8), noise)[:, 0] > eta)
-                for bit in (0, 1)]), size
+                for bit in (0, 1)]
+            return lambda point_noise: above
 
-        counts, used = _accumulate(kernel, 200_000, seed, 0, threads=2)
-        p = counts / used
+        counts, used, _ = _accumulate(kernel, 200_000, seed, (noise,), threads=2)
+        p = counts[0] / used
         return p, _ci95(p, used)
 
     p_fd, ci_fd = rates(_kernel_energies(cfg), 269)
@@ -670,8 +797,8 @@ def test_primary_kernel_matches_time_domain_statistically():
     noise = analysis.noise_bin_variance(10.0)
 
     def kernel_errors(rng, size, bits):
-        y, hd, signs = _primary_grid(rng, size, link, bits, noise)
-        return primary_detect(y, hd) != (signs < 0)
+        received, hd, signs = _primary_grid(rng, size, link, bits)
+        return primary_detect(received(noise), hd) != (signs < 0)
 
     def time_errors(rng, size, bits):
         grid, ch, data_bits = tdl_grid(rng, size, cfg, bits,
@@ -682,10 +809,11 @@ def test_primary_kernel_matches_time_domain_statistically():
     def error_rate(errors_of, seed):
         def kernel(rng, size):
             bits = rng.integers(0, 2, size=size).astype(np.int8)
-            return [np.count_nonzero(errors_of(rng, size, bits))], size
+            count = np.count_nonzero(errors_of(rng, size, bits))
+            return lambda point_noise: [count]
 
-        counts, used = _accumulate(kernel, 200_000, seed, 0, threads=2)
-        p = counts[0] / (used * plan.n_data)
+        counts, used, _ = _accumulate(kernel, 200_000, seed, (noise,), threads=2)
+        p = counts[0, 0] / (used * plan.n_data)
         return p, float(_ci95(p, used))
 
     p_fd, ci_fd = error_rate(kernel_errors, 257)

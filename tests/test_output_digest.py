@@ -24,3 +24,42 @@ def test_differing_lists_changed_and_one_sided_files(tmp_path):
     assert output_digest.differing(a, b) == [
         "only_a.csv", "same.csv", str(Path("seed11") / "only_b.csv"),
         str(Path("seed11") / "x.txt")]
+
+
+def _curve_file(path, rows, trials="4096"):
+    header = "abscissa,value,ci95,scheme,N,gamma,pfa_target,cfo,seed,trials\n"
+    path.write_text(header + "".join(
+        f"{x!r},{v!r},{c!r},fsk2,64,0.25,0.001,0.0,7,{trials}\n" for x, v, c in rows))
+    return path
+
+
+def test_band_check_passes_points_within_the_gate_band(tmp_path):
+    ref = _curve_file(tmp_path / "ref.csv", [(0.0, 0.4, 0.02), (10.0, 0.01, 0.001)])
+    # 0.4 -> 0.45 is within its band max(0.04, 3*hypot(0.02, 0.02)) = 0.085
+    near = _curve_file(tmp_path / "near.csv", [(0.0, 0.45, 0.02), (10.0, 0.0105, 0.001)])
+    ok, account = output_digest.band_check(ref, near)
+    assert ok, account
+    far = _curve_file(tmp_path / "far.csv", [(0.0, 0.4, 0.02), (10.0, 0.02, 0.001)])
+    ok, account = output_digest.band_check(ref, far)
+    assert not ok and account.startswith("point 1"), account
+
+
+def test_band_check_refuses_moved_abscissas_and_theory_curves(tmp_path):
+    ref = _curve_file(tmp_path / "ref.csv", [(0.0, 0.4, 0.02)])
+    moved = _curve_file(tmp_path / "moved.csv", [(1.0, 0.4, 0.02)])
+    assert not output_digest.band_check(ref, moved)[0]
+    theory = _curve_file(tmp_path / "theory.csv", [(0.0, 0.4, 0.0)], trials="0")
+    other = _curve_file(tmp_path / "theory2.csv", [(0.0, 0.4000001, 0.0)], trials="0")
+    assert not output_digest.band_check(theory, other)[0]
+    values = tmp_path / "theory.txt"
+    values.write_text("ook 64 0.25 -10.0 0x1.0p-1\n")
+    assert not output_digest.band_check(values, values)[0]
+
+
+def test_band_check_reads_exit_code_and_stderr_of_command_text(tmp_path):
+    ref, same, worse = (tmp_path / f"{k}.txt" for k in ("ref", "same", "worse"))
+    ref.write_text("exit 0\nabscissa=0 value=0.4\n--- stderr\n")
+    same.write_text("exit 0\nabscissa=0 value=0.41\n--- stderr\n")
+    worse.write_text("exit 1\nabscissa=0 value=0.41\n--- stderr\ncomparison failed\n")
+    assert output_digest.band_check(ref, same)[0]
+    assert not output_digest.band_check(ref, worse)[0]

@@ -1,6 +1,6 @@
 """Check that this checkout writes byte for byte what an earlier revision writes.
 
-    python3 tools/output_digest.py --against REV
+    python3 tools/output_digest.py --against REV [--band]
 
 Run from anywhere inside the repository.  REV is extracted with
 ``bench_pairs._extract`` into a temporary directory.  For each tree, REV
@@ -17,13 +17,24 @@ writes into a directory of its own:
 The commands come from this checkout's ``srbcbench/workloads.py``, which
 is only read.  The two directories are compared file by file: the tool
 exits 0 when they match and 1, listing the files that differ, when not.
+
+With ``--band``, a change of random streams can pass: a simulated CSV
+(one whose trials column is not 0) that differs passes when it has REV's
+abscissas and metadata and every value lies within max(0.1*ref,
+3*hypot(ci, ci_ref)) of REV's value ref, the benchmark gate's band; a
+command's text file passes when its exit code and stderr are REV's, as
+its stdout prints the points the CSVs hold.  Theory outputs must still
+match byte for byte.  Each differing file is listed with its worst gap
+as a share of its band, and the tool exits 1 when any file fails.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import io
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -47,6 +58,43 @@ def differing(a: Path, b: Path) -> list:
     in_a, in_b = files(a), files(b)
     changed = {p for p in in_a & in_b if (a / p).read_bytes() != (b / p).read_bytes()}
     return sorted(str(p) for p in (in_a ^ in_b) | changed)
+
+
+def _read_rows(path: Path) -> list:
+    with open(path, newline="") as f:
+        return list(csv.reader(f))
+
+
+def band_check(ref: Path, new: Path) -> tuple:
+    """Whether a differing file passes the band check, and a one-line account."""
+    if ref.suffix == ".txt" and ref.read_text().startswith("exit "):
+        def outcome(path):
+            text = path.read_text()
+            return text.split("\n", 1)[0], text.partition("--- stderr\n")[2]
+        same = outcome(ref) == outcome(new)
+        return same, "same exit code and stderr" if same else "exit code or stderr differ"
+    if ref.suffix != ".csv":
+        return False, "not a command's output"
+    old, now = _read_rows(ref), _read_rows(new)
+    if old[0] != now[0] or len(old) != len(now):
+        return False, "header or point count differ"
+    trials = old[0].index("trials")
+    if old[1][trials] == "0":
+        return False, "theory curve"
+    worst = 0.0
+    for k, (a, b) in enumerate(zip(old[1:], now[1:])):
+        if a[0] != b[0] or a[3:] != b[3:]:
+            return False, f"point {k}: abscissa or metadata differ"
+        (v_ref, ci_ref), (v, ci) = map(float, a[1:3]), map(float, b[1:3])
+        band = max(0.1 * v_ref, 3.0 * math.hypot(ci, ci_ref))
+        gap = abs(v - v_ref)
+        share = gap / band if band > 0 else (0.0 if gap == 0 else math.inf)
+        if share > 1.0:
+            return False, f"point {k}: {v!r} against {v_ref!r}, outside the band {band:.3g}"
+        worst = max(worst, share)
+    first = "the same" if old[1] == now[1] else "moved"
+    return True, (f"{len(old) - 1} points, worst gap {worst:.2f} of the band, "
+                  f"first point {first}")
 
 
 def write_outputs(out: Path) -> None:
@@ -92,6 +140,9 @@ def _write_in(tree: Path, out: Path) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", metavar="REV", help="revision to compare with")
+    parser.add_argument("--band", action="store_true",
+                        help="pass a differing simulated CSV whose points lie "
+                             "within the gate's band of REV's")
     parser.add_argument("--write", metavar="DIR", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.write:
@@ -110,12 +161,22 @@ def main(argv=None) -> int:
             _write_in(tree, outputs / side)
         diff = differing(outputs / "parent", outputs / "change")
         count = sum(1 for p in (outputs / "change").rglob("*") if p.is_file())
-    if diff:
-        print(f"{len(diff)} files differ from {sha[:12]}:")
-        print("\n".join(diff))
-        return 1
-    print(f"all {count} files match {sha[:12]}")
-    return 0
+        if not diff:
+            print(f"all {count} files match {sha[:12]}")
+            return 0
+        print(f"{len(diff)} of {count} files differ from {sha[:12]}:")
+        if not args.band:
+            print("\n".join(diff))
+            return 1
+        failed = 0
+        for rel in diff:
+            ref, new = outputs / "parent" / rel, outputs / "change" / rel
+            ok, account = (band_check(ref, new) if ref.is_file() and new.is_file()
+                           else (False, "on one side only"))
+            failed += not ok
+            print(f"{'ok  ' if ok else 'FAIL'} {rel}: {account}")
+    print(f"{failed} differing files fail the band check")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
