@@ -13,19 +13,27 @@ Poisson sum exp(-x) * sum_{j<n_b} x**j / j! at x = eta/w, the
 energy-detector law of Urkowitz (1967), and the CFAR threshold is w times
 the unit one, found by Newton steps on the log tail from n_b alone.
 
-The signal-bearing laws have no such closed form.  Their
-characteristic functions are products of (1 - i*t*mean)**-count
-factors (a negative mean is a subtracted exponential, as in the FSK
-energy difference), each an integer power of a base of modulus at most
-1 taken by repeated complex squaring; CDFs come from the sign-split
-inversion integral
+When every bin shares one gain, as on every theory curve, the
+signal-bearing laws are exact at each node v_j of the backward-gain
+rule too: the OOK statistic is Gamma(n_b) with the bin mean m_j as
+scale, so its CDF at eta is one less the same Erlang tail at eta/m_j,
+and the FSK bit is lost when one Gamma(n_b) energy falls below another,
+with probability I_p(n_b, n_b) at p = w/(m_j + w), a binomial tail.
+
+Bins of unequal gain give unequal means at every node, and those laws
+are inverted.  Their characteristic functions are products of
+(1 - i*t*mean)**-count factors (a negative mean is a subtracted
+exponential, as in the FSK energy difference), each an integer power of
+a base of modulus at most 1 taken by repeated complex squaring; CDFs
+come from the sign-split inversion integral
 F(x) = 1/2 - (1/pi) * int_0^T Im[phi(t) exp(-i t x)] / t dt,
 evaluated with oscillation-aware adaptive quadrature.
 
 The backward link magnitude is Rayleigh, averaged with a 64-node rule
 on [0, 6*sigma_v] whose weights are normalized to unit mass over the
-truncated support.  The inversion integral is linear in phi, so a
-marginal is one inversion of the node-averaged characteristic function
+truncated support.  An exact law is averaged node by node.  The
+inversion integral is linear in phi, so an inverted marginal is one
+inversion of the node-averaged characteristic function
 sum_j w_j phi_j(t), not one inversion per node.  ``gil_pelaez_cdf``
 inverts only such exponential mixtures, and its truncation T is always
 the first doubling at which a certified bound on the dropped tail,
@@ -292,26 +300,42 @@ def _stirling_error(k: int) -> float:
     return (1 / 12 - r * (1 / 360 - r * (1 / 1260 - r * (1 / 1680 - r / 1188)))) / k
 
 
-def _erlang_log_tail(x: float, n_b: int) -> tuple[float, float]:
-    """log P(G > x) and log f(x) for G ~ Gamma(n_b, 1) and x > 0.
+def _log_sum_exp(logs: np.ndarray) -> np.ndarray:
+    """log(sum(exp(logs))) along the last axis."""
+    top = logs.max(axis=-1)
+    return top + np.log(np.exp(logs - top[..., None]).sum(axis=-1))
 
-    The density f(x) = x**k * exp(-x) / k!, k = n_b - 1, is the last
-    Poisson term of the tail.  It is taken in Loader's (2000) saddle-point
-    form exp(-stirling_error(k) - k*(u - log1p(u))) / sqrt(2*pi*k),
-    u = x/k - 1, so that k*log(x), x and log(k!), each up to thousands,
-    never cancel.  The tail is f(x) times the sum of every term's ratio
-    to the last, a log-sum-exp of cumulative log(j/x).
+
+def _erlang_log_tail(x, n_b: int) -> tuple[np.ndarray, np.ndarray]:
+    """log P(G > x) and log f(x) for G ~ Gamma(n_b, 1), at each x > 0.
+
+    The density f(x) = x**k * exp(-x) / k!, k = n_b - 1, is the Poisson
+    term P(N = k), N ~ Poisson(x), and G > x exactly when N <= k.  It is
+    taken in Loader's (2000) saddle-point form exp(-stirling_error(k) -
+    k*(u - log1p(u))) / sqrt(2*pi*k), u = x/k - 1, so that k*log(x), x
+    and log(k!), each up to thousands, never cancel.  A tail is f(x)
+    times a log-sum-exp of its terms' cumulative ratios to P(N = k),
+    summed on the side of the mode where those ratios fall: at x >= k
+    the upper tail, terms j < k with ratios j/x; below k the lower tail
+    P(G <= x), terms k + i with ratios x/(k + i), of which the first
+    k + 40 leave out less than exp(-40) of the sum.  On the other side
+    the ratios grow to exp(k*log(k/x)) while f(x) shrinks to match, and
+    their logs would cancel.
     """
+    x = np.asarray(x, dtype=np.float64)
     k = n_b - 1
     if k == 0:
         return -x, -x
     u = (x - k) / k
-    log_density = (-_stirling_error(k) - k * (u - math.log1p(u))
+    log_density = (-_stirling_error(k) - k * (u - np.log1p(u))
                    - 0.5 * (_LOG_2PI + math.log(k)))
-    log_ratios = np.cumsum(np.log(np.arange(k, 0, -1) / x))
-    top = max(float(log_ratios.max()), 0.0)
-    log_sum = top + math.log(math.exp(-top) + float(np.exp(log_ratios - top).sum()))
-    return min(log_density + log_sum, 0.0), log_density
+    down = np.cumsum(np.log(np.arange(k, 0, -1) / x[..., None]), axis=-1)
+    upper = log_density + np.logaddexp(0.0, _log_sum_exp(down))
+    up = np.cumsum(np.log(x[..., None] / np.arange(n_b, n_b + k + 40)), axis=-1)
+    below = x < k
+    lower = np.where(below, log_density + _log_sum_exp(up), -np.inf)
+    log_tail = np.where(below, np.log1p(-np.exp(lower)), upper)
+    return np.minimum(log_tail, 0.0), log_density
 
 
 def pfa_of_threshold(x: float, n_b: int) -> float:
@@ -324,18 +348,36 @@ def pfa_of_threshold(x: float, n_b: int) -> float:
         raise ValueError(f"x must be >= 0, got {x}")
     if x == 0:
         return 1.0
-    return math.exp(_erlang_log_tail(x, n_b)[0])
+    return math.exp(float(_erlang_log_tail(x, n_b)[0]))
+
+
+def _node_average(weights: np.ndarray, values: np.ndarray) -> float:
+    """The weighted average of per-node values.
+
+    It is divided by the weights' own sum, which is 1 only to rounding,
+    so that a value the same at every node is its own average exactly.
+    """
+    return float(np.sum(weights * values) / np.sum(weights))
 
 
 def _missed_detection(eta: float, v, weights, gamma_sq: float, sigma_h_sq,
                       sigma_w_sq: float, n_b: int) -> float:
-    """F(eta) of the signal statistic averaged over gains v with weights."""
-    if eta < 0:
-        raise ValueError(f"eta must be >= 0, got {eta}")
+    """F(eta) of the signal statistic averaged over gains v with weights.
+
+    When every bin shares one gain, the statistic at gain v_j is
+    Gamma(n_b) with the bin mean m_j as scale, so F(eta) is the Erlang
+    CDF at eta/m_j, averaged node by node; unequal gains take one
+    inversion.
+    """
+    if not 0 <= eta < math.inf:
+        raise ValueError(f"eta must be finite and >= 0, got {eta}")
     if eta == 0:
         return 0.0
-    mix = _ExpMixture(weights, *_h1_means(gamma_sq, v, sigma_h_sq, sigma_w_sq, n_b))
-    return gil_pelaez_cdf(mix, eta)
+    means, counts = _h1_means(gamma_sq, v, sigma_h_sq, sigma_w_sq, n_b)
+    if len(counts) == 1:
+        return _node_average(weights,
+                             -np.expm1(_erlang_log_tail(eta / means[:, 0], n_b)[0]))
+    return gil_pelaez_cdf(_ExpMixture(weights, means, counts), eta)
 
 
 @functools.cache
@@ -368,8 +410,9 @@ def pmd_marginal(eta: float, sigma_v: float, gamma_sq: float, sigma_h_sq,
                  sigma_w_sq: float, n_b: int) -> float:
     """Missed-detection probability averaged over the Rayleigh backward gain.
 
-    One inversion of the node-averaged characteristic function; bins
-    with unequal ``sigma_h_sq`` give unequal means at every node.
+    The exact Erlang law at every node when the bins share one gain;
+    bins with unequal ``sigma_h_sq`` give unequal means at every node,
+    and one inversion of the node-averaged characteristic function.
     """
     v_nodes, weights = rayleigh_nodes(sigma_v)
     return _missed_detection(eta, v_nodes, weights, gamma_sq, sigma_h_sq,
@@ -393,7 +436,7 @@ def optimal_threshold(pfa_target: float, n_b: int) -> float:
     log_target = math.log(pfa_target)
     lo, hi, x = 0.0, math.inf, float(n_b)
     for _ in range(100):
-        log_tail, log_density = _erlang_log_tail(x, n_b)
+        log_tail, log_density = (float(v) for v in _erlang_log_tail(x, n_b))
         residual = log_tail - log_target
         if residual > 0:
             lo = x
@@ -408,19 +451,43 @@ def optimal_threshold(pfa_target: float, n_b: int) -> float:
     raise RuntimeError(f"threshold search stalled for pfa_target {pfa_target:.6g}")
 
 
+def _fsk_loss(signal, noise: float, n_b: int) -> np.ndarray:
+    """P(E0 < E1) for independent Gamma(n_b) energies of scales signal and noise.
+
+    It is the regularized beta I_p(n_b, n_b) at p = noise / (signal +
+    noise), which is P(B >= n_b) for B ~ Bin(2*n_b - 1, p), a sum of
+    binomial terms taken in log space from logs of signal and noise, so
+    that no power of p underflows before its coefficient lifts it.  At
+    equal scales the two energies are exchangeable, and it is exactly 1/2.
+    """
+    n = 2 * n_b - 1
+    k = np.arange(n_b, n + 1)
+    log_fact = np.array([math.lgamma(j + 1.0) for j in range(n + 1)])
+    log_total = np.log(signal + noise)[:, None]
+    log_p = math.log(noise) - log_total
+    log_q = np.log(signal)[:, None] - log_total
+    terms = np.exp(log_fact[n] - log_fact[k] - log_fact[n - k]
+                   + k * log_p + (n - k) * log_q)
+    return np.where(signal == noise, 0.5, terms.sum(axis=1))
+
+
 def fsk_error_prob(gamma_sq: float, sigma_v: float, sigma_h_sq,
                    sigma_w_sq: float, n_b: int) -> float:
     """Bit error probability of the two-set energy detector, Rayleigh-averaged.
 
     With bit 0 sent, set 0 carries signal plus noise and set 1 noise
-    only; the bit is lost when D = E0 - E1 < 0.  The noise sum enters D
-    as exponentials of negative mean, so phi_D = phi_signal *
-    conj(phi_noise), and one inversion of its node average at 0 gives
-    the error rate.  Bit 1 sent gives -D, whose CF is the conjugate: the
-    same inversion, so the equiprobable average needs nothing more.
+    only; the bit is lost when D = E0 - E1 < 0, and bit 1 sent is the
+    mirror image, so the equiprobable average needs nothing more.  When
+    every bin shares one gain, E0 and E1 are independent Gamma(n_b)
+    energies at every node (``_fsk_loss``).  Unequal gains take one
+    inversion at 0 of the node-averaged phi_D = phi_signal *
+    conj(phi_noise), the noise sum entering D as exponentials of
+    negative mean.
     """
     v_nodes, weights = rayleigh_nodes(sigma_v)
     signal, counts = _h1_means(gamma_sq, v_nodes, sigma_h_sq, sigma_w_sq, n_b)
+    if len(counts) == 1:
+        return _node_average(weights, _fsk_loss(signal[:, 0], sigma_w_sq, n_b))
     means = np.column_stack([signal, np.full(len(v_nodes), -sigma_w_sq)])
     return gil_pelaez_cdf(_ExpMixture(weights, means, np.append(counts, n_b)), 0.0)
 

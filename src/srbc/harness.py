@@ -62,6 +62,7 @@ _BATCH_SYMBOLS = 2048
 _BATCH_FRAMES = 512
 _ROW_BLOCK = 128  # offset-kernel rows per block: its temporaries stay in L2
 _MIN_PROB = 1e-3  # smallest analytical value compare_theory_sim checks
+_MIN_NOISE = np.finfo(np.float64).tiny  # below it a noise energy loses precision
 
 
 @dataclass(frozen=True)
@@ -105,6 +106,13 @@ class SystemConfig:
             raise ConfigurationError("snr_db must be a finite scalar or vector")
         if len(snr) > 1 and np.any(np.diff(snr) <= 0):
             raise ConfigurationError("snr_db grid must be strictly increasing")
+        with np.errstate(over="ignore"):
+            noise = noise_bin_variance(snr)
+        for s, w in zip(snr, noise):
+            if not _MIN_NOISE <= w < math.inf:
+                raise ConfigurationError(
+                    f"snr_db {s:g} puts the per-bin noise energy 10**(-snr_db/10) "
+                    f"at {w:g}, outside the normal floats")
         object.__setattr__(self, "snr_db", tuple(float(s) for s in snr))
         if not 0.0 <= self.gamma_mag <= 1.0:
             raise ConfigurationError(

@@ -7,6 +7,7 @@ records the detection index sets for both bit hypotheses.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +57,8 @@ def build_subcarrier_plan(scheme: str, n: int, zeta: int | None = None) -> Subca
     of +1 (bit 0) and +2 (bit 1), each landing on its own null set.
     ``zeta`` None picks the scheme's natural spacing: 2 for fsk2, whose
     plan needs two nulls per data bin, else 1.  ``n`` must be one of
-    ``DFT_SIZES``.
+    ``DFT_SIZES``.  Each plan is built once per process, and its index
+    arrays are read-only.
     """
     if not isinstance(n, (int, np.integer)) or n not in DFT_SIZES:
         raise ConfigurationError(f"DFT size must be one of {DFT_SIZES}, got {n}")
@@ -69,7 +71,11 @@ def build_subcarrier_plan(scheme: str, n: int, zeta: int | None = None) -> Subca
     zeta = int(zeta)
     if zeta < 1:
         raise ConfigurationError(f"zeta must be >= 1, got {zeta}")
+    return _build_plan(str(scheme), int(n), zeta)
 
+
+@functools.cache
+def _build_plan(scheme: str, n: int, zeta: int) -> SubcarrierPlan:
     if scheme == "ook":
         if zeta not in (1, 2):
             raise ConfigurationError(f"ook supports zeta in (1, 2), got {zeta}")
@@ -101,6 +107,8 @@ def build_subcarrier_plan(scheme: str, n: int, zeta: int | None = None) -> Subca
     plan = SubcarrierPlan(scheme, n, zeta, data, null, np.asarray(kb0, dtype=np.int64),
                           np.asarray(kb1, dtype=np.int64))
     _validate_plan(plan)
+    for part in (plan.data_idx, plan.null_idx, plan.kb0, plan.kb1):
+        part.flags.writeable = False
     return plan
 
 

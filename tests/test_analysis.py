@@ -493,3 +493,55 @@ def test_pmd_marginal_with_unequal_bin_variances(sigma_h_sq, snr_db, gamma,
         state[:, 1:] += moved[:, :-1]
     ref = float(weights @ (1.0 - survival))
     assert abs(value - ref) <= 1e-8
+
+
+def one_gain_mixture(gamma, sigma_v, w, n_b, fsk=False):
+    """The node-averaged mixture of n_b signal bins of unit gain, for gil_pelaez_cdf.
+
+    With ``fsk`` the n_b noise bins of the other set are subtracted.
+    """
+    nodes, weights = rayleigh_nodes(sigma_v)
+    means, counts = analysis._h1_means(gamma ** 2, nodes, 1.0, w, n_b)
+    if fsk:
+        means = np.column_stack([means, np.full(len(nodes), -w)])
+        counts = np.append(counts, n_b)
+    return analysis._ExpMixture(weights, means, counts)
+
+
+@settings(max_examples=40)
+@given(n_b=OOK_SET_SIZES, snr_db=SNR_DB, gamma=GAMMA, sigma_v=SIGMA_V,
+       pfa=st.floats(1e-4, 0.1))
+def test_pmd_closed_form_matches_one_inversion(n_b, snr_db, gamma, sigma_v, pfa):
+    # the exact Erlang law at every node, which the production curves
+    # use, against one inversion of the same node-averaged mixture,
+    # which unequal bin gains still take
+    w = noise_bin_variance(snr_db)
+    eta = w * optimal_threshold(pfa, n_b)
+    mix = one_gain_mixture(gamma, sigma_v, w, n_b)
+    value = pmd_marginal(eta, sigma_v, gamma ** 2, 1.0, w, n_b)
+    assert abs(value - gil_pelaez_cdf(mix, eta)) <= 1e-9
+
+
+@settings(max_examples=40)
+@given(n_b=FSK_SET_SIZES, snr_db=SNR_DB, gamma=GAMMA, sigma_v=SIGMA_V)
+def test_fsk_closed_form_matches_one_inversion(n_b, snr_db, gamma, sigma_v):
+    # the binomial tail of two Gamma(n_b) energies at every node against
+    # one inversion at 0 of the node-averaged energy difference
+    w = noise_bin_variance(snr_db)
+    mix = one_gain_mixture(gamma, sigma_v, w, n_b, fsk=True)
+    value = fsk_error_prob(gamma ** 2, sigma_v, 1.0, w, n_b)
+    assert abs(value - gil_pelaez_cdf(mix, 0.0)) <= 1e-9
+
+
+@pytest.mark.parametrize("scheme", ["ook", "fsk1", "fsk2"])
+def test_theory_curves_take_no_inversion(scheme, monkeypatch):
+    # every bin of a theory curve shares one gain, so its laws are exact
+    # at every node; the inversion is left for unequal gains
+    def refuse(*args, **kwargs):
+        raise AssertionError("a theory curve inverted a characteristic function")
+
+    monkeypatch.setattr(analysis, "gil_pelaez_cdf", refuse)
+    kind = "OOK_PMD" if scheme == "ook" else "FSK_BER"
+    curve = theory_sweep(kind, np.linspace(-10.0, 50.0, 13),
+                         TheoryParams(scheme, 64, 0.25))
+    assert np.isfinite(curve.values).all()

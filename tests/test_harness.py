@@ -459,6 +459,19 @@ def test_cli_theory_reports_a_failed_point(tmp_path, monkeypatch, capsys):
     assert out.read_text().splitlines()[2].split(",")[1] == "nan"
 
 
+@pytest.mark.parametrize("scheme", ["ook", "fsk2"])
+def test_cli_refuses_an_snr_whose_noise_energy_underflows(scheme, capsys):
+    # above about 3 236 dB the per-bin noise energy 10**(-snr_db/10) is
+    # 0; ook used to answer 0 and fsk2 to name an internal parameter
+    assert cli.main(["theory", "--scheme", scheme, "--n", "64", "--snr", "3300"]) == 2
+    assert "error: snr_db 3300 puts the per-bin noise energy" in capsys.readouterr().err
+    # a subnormal noise energy, and one that overflows, are refused too
+    for snr in ((10.0, 3230.0), (-3100.0, 10.0)):
+        with pytest.raises(ConfigurationError, match="snr_db"):
+            SystemConfig(scheme=scheme, snr_db=snr)
+    assert SystemConfig(scheme=scheme, snr_db=(3000.0,)).snr_db == (3000.0,)
+
+
 def test_cli_simulation_commands(tmp_path):
     out = tmp_path / "pmd.csv"
     code = cli.main(["pmd", "--channel-mode", "iid", "--snr", "10",

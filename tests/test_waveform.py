@@ -115,6 +115,20 @@ def test_plan_rejects_bad_arguments():
     assert issubclass(ConfigurationError, ValueError)
 
 
+def test_each_plan_is_built_once_and_read_only():
+    # the natural zeta, an integral float and a numpy integer all name
+    # one plan, whose index arrays no caller can change
+    plan = build_subcarrier_plan("fsk2", 128)
+    assert build_subcarrier_plan("fsk2", np.int64(128), 2.0) is plan
+    for part in (plan.data_idx, plan.null_idx, plan.kb0, plan.kb1):
+        with pytest.raises(ValueError, match="read-only"):
+            part[0] = 0
+    # unhashable or non-integral arguments are refused before the cache
+    for args in ((["ook"], 64), ("ook", [64]), ("ook", 64, 1.5), ("ook", 64, "1")):
+        with pytest.raises(ConfigurationError):
+            build_subcarrier_plan(*args)
+
+
 def test_map_symbols_ook_reference():
     plan = build_subcarrier_plan("ook", 64, zeta=1)
     grid = map_symbols(np.ones(32), plan)
