@@ -3,8 +3,8 @@
 Each subcommand builds a SystemConfig from defaults, an optional
 key=value config file, and command-line flags (in that precedence),
 runs one experiment, prints the resulting points, and optionally writes
-them to CSV.  The exit code is nonzero when any requested point failed
-numerically or a theory/simulation comparison missed its band.
+them to CSV.  The exit code is 2 when an input is refused, 1 when a
+theory/simulation comparison missed its band, and 0 otherwise.
 """
 from __future__ import annotations
 
@@ -117,53 +117,46 @@ def _eta_grid(cfg: SystemConfig, text: str) -> np.ndarray:
     return np.asarray(_parse_float_list(text))
 
 
-# Curve commands: the run and the printed label, formatted with the args.
-_CURVES = {
-    "pmd": (lambda cfg, args: run_pmd_sweep(cfg),
-            "missed-detection probability vs SNR"),
-    "roc": (lambda cfg, args: run_roc(cfg, _eta_grid(cfg, args.eta_grid)),
-            "detection vs false-alarm probability"),
-    "ber": (lambda cfg, args: run_ber_sweep(cfg, args.target),
-            "{target} bit error rate vs SNR"),
-    "retx": (lambda cfg, args: run_retx(cfg),
-             "frame retransmission probability vs SNR"),
-}
-
-
-def _cmd_curve(args) -> int:
-    run, label = _CURVES[args.command]
-    curve = run(build_config(args), args)
-    _print_curve(curve, label.format_map(vars(args)))
-    if args.out:
-        emit_csv(curve, args.out)
-    return 0
-
-
-def _cmd_cfo(args) -> int:
-    cfg = build_config(args)
+def _cfo_curves(cfg: SystemConfig, args):
     eps = np.asarray(_parse_float_list(args.eps_grid))
     # each offset's label and file suffix is its 6-significant-digit form
     tags = [f"{e:g}" for e in eps]
     if len(set(tags)) < len(tags):
         raise ValueError(f"offsets {args.eps_grid} collide at the 6 significant "
                          "digits that name each curve and its file")
-    curves = run_cfo_study(cfg, eps)
-    for tag, curve in zip(tags, curves):
-        _print_curve(curve, f"tag bit error rate vs SNR at offset {tag}")
+    return [(f"tag bit error rate vs SNR at offset {tag}", curve, f"eps{tag}")
+            for tag, curve in zip(tags, run_cfo_study(cfg, eps))]
+
+
+def _analytical_curve(cfg: SystemConfig, args):
+    kind, curve = _theory_curve(cfg)
+    return [(f"analytical {kind}", curve, None)]
+
+
+# Curve commands: each runs on (config, args) and returns its curves as
+# (printed label, curve, CSV file suffix or None for the --out file).
+_CURVES = {
+    "pmd": lambda cfg, args: [
+        ("missed-detection probability vs SNR", run_pmd_sweep(cfg), None)],
+    "roc": lambda cfg, args: [
+        ("detection vs false-alarm probability",
+         run_roc(cfg, _eta_grid(cfg, args.eta_grid)), None)],
+    "ber": lambda cfg, args: [
+        (f"{args.target} bit error rate vs SNR",
+         run_ber_sweep(cfg, args.target), None)],
+    "cfo": _cfo_curves,
+    "retx": lambda cfg, args: [
+        ("frame retransmission probability vs SNR", run_retx(cfg), None)],
+    "theory": _analytical_curve,
+}
+
+
+def _cmd_curve(args) -> int:
+    for label, curve, suffix in _CURVES[args.command](build_config(args), args):
+        _print_curve(curve, label)
         if args.out:
-            emit_csv(curve, _suffixed(args.out, f"eps{tag}"))
-    return 0
-
-
-def _cmd_theory(args) -> int:
-    kind, curve = _theory_curve(build_config(args))
-    _print_curve(curve, f"analytical {kind}")
-    if args.out:
-        emit_csv(curve, args.out)
-    failed = ",".join(str(i) for i in np.flatnonzero(np.isnan(curve.values)))
-    if failed:
-        print(f"numerical failure at point indices {failed}", file=sys.stderr)
-        return 1
+            emit_csv(curve, args.out if suffix is None
+                     else _suffixed(args.out, suffix))
     return 0
 
 
@@ -197,25 +190,22 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     specs = (
-        ("pmd", _cmd_curve, "missed-detection probability sweep (ook)"),
-        ("roc", _cmd_curve, "detection vs false-alarm curve (ook, single SNR)",
+        ("pmd", "missed-detection probability sweep (ook)"),
+        ("roc", "detection vs false-alarm curve (ook, single SNR)",
          "--eta-grid", dict(default="auto",
                             help="comma-separated thresholds, or 'auto'")),
-        ("ber", _cmd_curve, "bit error rate sweep",
+        ("ber", "bit error rate sweep",
          "--target", dict(choices=("bd", "primary"), default="bd")),
-        ("cfo", _cmd_cfo, "bit error rate under carrier offsets",
+        ("cfo", "bit error rate under carrier offsets",
          "--eps-grid", dict(default="0.0,0.05",
                             help="comma-separated carrier offsets")),
-        ("retx", _cmd_curve, "frame retransmission probability sweep"),
-        ("theory", _cmd_theory, "analytical curve without simulation"),
-        ("compare", _cmd_compare, "analytical vs iid-mode simulation"),
+        ("retx", "frame retransmission probability sweep"),
+        ("theory", "analytical curve without simulation"),
+        ("compare", "analytical vs iid-mode simulation"),
     )
-    for name, func, help_text, *extra in specs:
+    for name, help_text, *extra in specs:
         p = sub.add_parser(name, help=help_text)
         _add_common_flags(p)
-        # by name: the parser outlives a call, and the function to run is
-        # the module's at call time, even if it was since replaced
-        p.set_defaults(func=func.__name__)
         if extra:
             p.add_argument(extra[0], **extra[1])
     return parser
@@ -223,8 +213,10 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    # looked up at call time, so a function replaced since still runs
+    command = _cmd_compare if args.command == "compare" else _cmd_curve
     try:
-        return globals()[args.func](args)
+        return command(args)
     except (ConfigurationError, ValueError, OSError,
             argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,6 +4,7 @@ import argparse
 import csv
 import dataclasses
 import filecmp
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -29,7 +30,8 @@ from srbc.harness import (
     run_roc,
 )
 from srbc.harness import (_ROW_BLOCK, _accumulate, _ci95, _leak_onto,
-                          _primary_grid, _set_energies, _signal_power, _tag_link)
+                          _primary_grid, _set_energies, _signal_power, _tag_link,
+                          _theory_curve)
 from srbc import cli, harness
 from srbc.waveform import (DFT_SIZES, SCHEMES, ConfigurationError,
                            build_subcarrier_plan)
@@ -120,6 +122,8 @@ def test_sim_curve_validation():
                  np.array([0.01, 0.01]), curve.meta)
     with pytest.raises(ValueError):
         SimCurve(np.array([0.0]), np.array([1.5]), np.array([0.01]), curve.meta)
+    with pytest.raises(ValueError):
+        SimCurve(np.array([0.0]), np.array([np.nan]), np.array([0.01]), curve.meta)
     with pytest.raises(ValueError):
         SimCurve(np.array([0.0]), np.array([0.5]), np.array([-0.01]), curve.meta)
     with pytest.raises(ValueError):
@@ -437,26 +441,22 @@ def test_cli_theory_and_config_precedence(tmp_path):
     assert not curve.confidence_halfwidth.any()
 
 
-def test_cli_theory_reports_a_failed_point(tmp_path, monkeypatch, capsys):
-    # a point whose quadrature fails is written as NaN, named on stderr,
-    # and makes the run exit 1
-    exact = analysis.fsk_error_prob
-
-    def fail_at_20db(gamma_sq, sigma_v, sigma_h_sq, sigma_w_sq, n_b):
-        if sigma_w_sq == analysis.noise_bin_variance(20.0):
-            raise analysis.QuadratureError("forced failure", np.nan, np.inf)
-        return exact(gamma_sq, sigma_v, sigma_h_sq, sigma_w_sq, n_b)
-
-    monkeypatch.setattr(analysis, "fsk_error_prob", fail_at_20db)
-    out = tmp_path / "theory.csv"
-    code = cli.main(["theory", "--scheme", "fsk2", "--snr", "10,20,30",
-                     "--out", str(out)])
-    assert code == 1
-    assert "numerical failure at point indices 1" in capsys.readouterr().err
-    curve = parse_csv(out)
-    assert np.isnan(curve.values[1])
-    assert np.isfinite(curve.values[[0, 2]]).all()
-    assert out.read_text().splitlines()[2].split(",")[1] == "nan"
+@settings(max_examples=200)
+@given(scheme=st.sampled_from(SCHEMES), n=st.sampled_from(DFT_SIZES),
+       gamma=st.floats(0.0, 1.0), sigma_v=st.floats(0.01, 100.0),
+       pfa=st.floats(1e-12, 0.99), snr_db=st.floats(-3000.0, 3000.0))
+def test_theory_curve_is_a_probability_everywhere(scheme, n, gamma, sigma_v,
+                                                  pfa, snr_db):
+    # every theory point is an exact law, so over every configuration
+    # SystemConfig accepts it is a probability, reached without overflow,
+    # division by zero or any other floating-point warning
+    cfg = SystemConfig(scheme=scheme, n=n, gamma_mag=gamma, sigma_v=sigma_v,
+                       pfa_target=pfa, snr_db=snr_db)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, curve = _theory_curve(cfg)
+    assert np.isfinite(curve.values).all()
+    assert ((curve.values >= 0) & (curve.values <= 1)).all()
 
 
 @pytest.mark.parametrize("scheme", ["ook", "fsk2"])
