@@ -107,8 +107,8 @@ def _auto_eta_grid(cfg: SystemConfig) -> np.ndarray:
     plan = cfg.plan()
     w_bin = analysis.noise_bin_variance(cfg.snr_db[0])
     pfas = np.geomspace(5e-3, 0.9, 12)
-    etas = [w_bin * analysis.optimal_threshold(float(p), len(plan.kb0)) for p in pfas]
-    return np.array([0.0] + etas)
+    etas = w_bin * analysis.optimal_threshold(pfas, len(plan.kb0))
+    return np.concatenate(([0.0], etas))
 
 
 def _eta_grid(cfg: SystemConfig, text: str) -> np.ndarray:

@@ -5,9 +5,13 @@ first through the usual Galois shift register.  The register preset is
 all-zeros by default; passing ``GEN2_PRESET`` reproduces the RFID Gen2
 variant of the same code.  A frame is valid when feeding payload and
 check bits through the register (from the same preset) ends in the zero
-state, which holds for every preset.
+state, which holds for every preset.  The register is linear over GF(2)
+in its bits, so a batch runs as the preset's own final state XOR the
+syndromes of the set bit positions, cached per frame length and preset.
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -24,14 +28,32 @@ def _validate_preset(preset: int) -> int:
     return preset
 
 
+@functools.cache
+def _affine_map(length: int, preset: int) -> tuple[int, np.ndarray]:
+    """The register over ``length`` bits as an affine map over GF(2).
+
+    Returns the final state from ``preset`` after all-zero bits, and per
+    bit position the state a one there adds by XOR (its syndrome), read
+    off the shift register run on unit frames.
+    """
+    def run(bits, reg):
+        for bit in bits:
+            feedback = ((reg >> 4) & 1) ^ bit
+            reg = ((reg << 1) & 0x1F) ^ (_POLY_LOW if feedback else 0)
+        return reg
+
+    # 5-bit states fit int8, so the product with int8 bits stays one byte a bit
+    columns = np.array([run((i == j for j in range(length)), 0) for i in range(length)],
+                       dtype=np.int8)
+    columns.flags.writeable = False
+    return run((0,) * length, preset), columns
+
+
 def _register(bits: np.ndarray, preset: int) -> np.ndarray:
-    """Run the shift register over the trailing axis; returns final states."""
+    """Final register states of the rows of 0/1 bits on the trailing axis."""
     bits = np.asarray(bits)
-    reg = np.full(bits.shape[:-1], preset, dtype=np.int64)
-    for i in range(bits.shape[-1]):
-        feedback = ((reg >> 4) & 1) ^ bits[..., i]
-        reg = ((reg << 1) & 0x1F) ^ np.where(feedback, _POLY_LOW, 0)
-    return reg
+    start, columns = _affine_map(bits.shape[-1], preset)
+    return start ^ np.bitwise_xor.reduce(bits * columns, axis=-1)
 
 
 def _register_to_bits(reg: np.ndarray) -> np.ndarray:
@@ -42,7 +64,7 @@ def _register_to_bits(reg: np.ndarray) -> np.ndarray:
 def crc5_encode_many(payloads, preset: int = 0) -> np.ndarray:
     """Encode a batch of payload rows into full frame-bit rows."""
     payloads = np.asarray(payloads)
-    if payloads.ndim != 2 or not np.isin(payloads, (0, 1)).all():
+    if payloads.ndim != 2 or not ((payloads == 0) | (payloads == 1)).all():
         raise ValueError("payloads must be a 2-d 0/1 array, one payload per row")
     payloads = payloads.astype(np.int8)
     preset = _validate_preset(preset)
@@ -53,7 +75,7 @@ def crc5_encode_many(payloads, preset: int = 0) -> np.ndarray:
 def crc5_check_many(frame_bits, preset: int = 0) -> np.ndarray:
     """Boolean validity per row of a batch of full frame-bit rows."""
     frame_bits = np.asarray(frame_bits)
-    if frame_bits.ndim != 2 or not np.isin(frame_bits, (0, 1)).all():
+    if frame_bits.ndim != 2 or not ((frame_bits == 0) | (frame_bits == 1)).all():
         raise ValueError("frame_bits must be a 2-d 0/1 array, one frame per row")
     if frame_bits.shape[1] <= CRC_BITS:
         raise ValueError(

@@ -447,6 +447,14 @@ def _signal_power(link: _TagLink, bits, hb, taps, direct=None, signs=None,
     return power
 
 
+def _data_signs(rng, shape) -> np.ndarray:
+    """The +-1 data signs 1 - 2*b of one integer draw b, formed in its float copy."""
+    signs = rng.integers(0, 2, size=shape).astype(np.float64)
+    signs *= -2.0
+    signs += 1.0
+    return signs
+
+
 def _set_energies(rng, size, link: _TagLink, bits):
     """Draw a batch; return ``energies(noise)``, the (size, sets) energies
     the tag-bit detectors read, kb0 (then kb1), at per-bin noise ``noise``.
@@ -487,7 +495,7 @@ def _set_energies(rng, size, link: _TagLink, bits):
     direct = signs = None
     if link.leakage:
         n_data = link.spectra.shape[1] // 2
-        signs = 1.0 - 2.0 * rng.integers(0, 2, size=(size, n_data))
+        signs = _data_signs(rng, (size, n_data))
         direct = _complex_normal_draw(rng, (size, cfg.l_direct), 1.0 / cfg.l_direct)
     amplitude = np.sqrt(_signal_power(link, bits, hb, taps, direct, signs, rng))
 
@@ -511,7 +519,7 @@ def _primary_grid(rng, size, link: _TagLink, bits):
     hb = _complex_normal_draw(rng, (size,), cfg.sigma_v ** 2)
     taps = _complex_normal_draw(rng, (size, cfg.l_forward), 1.0 / cfg.l_forward)
     n_data = link.sizes[0]
-    signs = 1.0 - 2.0 * rng.integers(0, 2, size=(size, n_data))
+    signs = _data_signs(rng, (size, n_data))
     pairs = _normal_pairs(rng, (size, n_data))
     clean = np.zeros((size, n_data), dtype=np.complex128)
     terms = _leak_onto(clean, link, np.asarray(bits), hb, taps, direct, signs)

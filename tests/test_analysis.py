@@ -2,6 +2,7 @@
 
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from srbc.analysis import (
     rayleigh_nodes,
     theory_sweep,
 )
+from srbc.waveform import build_subcarrier_plan
 
 
 def pmd_given_v(eta, v, gamma_sq, sigma_h_sq, sigma_w_sq, n_b):
@@ -545,3 +547,91 @@ def test_theory_curves_take_no_inversion(scheme, monkeypatch):
     curve = theory_sweep(kind, np.linspace(-10.0, 50.0, 13),
                          TheoryParams(scheme, 64, 0.25))
     assert np.isfinite(curve.values).all()
+
+
+def log_erlang_tail(n_b, x):
+    """log P(G > x), G ~ Gamma(n_b, 1), from scipy: log1p of the lower
+    tail where that is small, else the log of the upper tail."""
+    lower = special.gammainc(n_b, x)
+    if lower < 0.5:
+        return math.log1p(-lower)
+    upper = special.gammaincc(n_b, x)
+    return math.log(upper) if upper > 0 else -math.inf
+
+
+@settings(max_examples=300)
+@given(n_b=st.integers(1, 512), log10_x=st.floats(-300.0, 6.0),
+       near=st.floats(0.5, 2.0))
+def test_erlang_tail_matches_scipy(n_b, log10_x, near):
+    # x anywhere from 1e-300 to 1e6 and near the mode n_b - 1, where the
+    # sum turns from the lower tail to the upper one; no floating-point
+    # warning on the way
+    xs = np.array([10.0 ** log10_x, max(n_b - 1, 1) * near])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        log_tail = analysis._erlang_log_tail(xs, n_b)[0]
+    for x, got in zip(xs, log_tail):
+        ref = log_erlang_tail(n_b, x)
+        if ref == -math.inf:  # below the smallest double
+            assert got < math.log(np.finfo(float).tiny), (x, got)
+        else:
+            assert abs(got - ref) <= 1e-12 * abs(ref) + 1e-300, (x, got, ref)
+
+
+@settings(max_examples=300)
+@given(n_b=st.integers(1, 512), log10_ratio=st.floats(0.0, 12.0),
+       noise=st.floats(1e-30, 1e30))
+def test_fsk_loss_matches_the_regularized_beta(n_b, log10_ratio, noise):
+    # P(E0 < E1) for Gamma(n_b) energies of scales signal and noise is
+    # I_p(n_b, n_b) at p = noise / (signal + noise).  Both sides build it
+    # from logs, so they are compared in log form: scipy's own error grows
+    # with |log I| (7.8e-11 relative at 9e-287, n_b = 32, against an
+    # exact rational sum), and so would a relative tolerance
+    signal = noise * 10.0 ** log10_ratio
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = float(analysis._fsk_loss(np.array([signal]), noise, n_b)[0])
+    ref = special.betainc(n_b, n_b, noise / (signal + noise))
+    if ref < 1e-300:
+        assert got < 1e-290, (got, ref)
+    else:
+        log_ref = math.log(ref)
+        assert abs(math.log(got) - log_ref) <= 2e-12 * max(1.0, -log_ref), (got, ref)
+
+
+@settings(max_examples=60)
+@given(scheme=st.sampled_from(["ook", "fsk1", "fsk2"]),
+       n=st.sampled_from([64, 128, 256, 512]), gamma=st.floats(0.0, 2.0),
+       sigma_v=st.floats(0.01, 100.0), pfa=st.floats(1e-12, 0.99),
+       snr=st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=40, unique=True))
+def test_theory_sweep_is_the_pointwise_law(scheme, n, gamma, sigma_v, pfa, snr):
+    # the curve's array pass, in blocks of points, gives what the scalar
+    # entries give one point at a time
+    snr = np.sort(snr)
+    params = TheoryParams(scheme, n, gamma, sigma_v=sigma_v, pfa_target=pfa)
+    kind = "OOK_PMD" if scheme == "ook" else "FSK_BER"
+    curve = theory_sweep(kind, snr, params)
+    n_b = len(build_subcarrier_plan(scheme, n).kb0)
+    for s, value in zip(snr, curve.values):
+        w = noise_bin_variance(s)
+        if kind == "OOK_PMD":
+            ref = pmd_marginal(w * optimal_threshold(pfa, n_b), sigma_v, gamma ** 2,
+                               1.0, w, n_b)
+        else:
+            ref = fsk_error_prob(gamma ** 2, sigma_v, 1.0, w, n_b)
+        assert value == pytest.approx(ref, rel=1e-13, abs=0.0), s
+
+
+@settings(max_examples=100)
+@given(n_b=st.integers(1, 512),
+       log10_pfa=st.lists(st.floats(-12.0, math.log10(0.99)), min_size=1, max_size=20))
+def test_threshold_array_is_the_scalar_solve(n_b, log10_pfa):
+    # one masked loop over an array of targets takes each target's own
+    # steps: every threshold is the scalar one, bit for bit
+    targets = 10.0 ** np.array(log10_pfa)
+    thresholds = optimal_threshold(targets, n_b)
+    assert thresholds.shape == targets.shape
+    for target, x in zip(targets, thresholds):
+        assert x == optimal_threshold(float(target), n_b)
+    square = optimal_threshold(np.tile(targets, (2, 1)), n_b)
+    assert square.shape == (2, len(targets)) and (square == thresholds).all()

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from srbc import crc
 from srbc.crc import CRC_BITS, GEN2_PRESET, crc5_check_many, crc5_encode_many
 
 # independently computed by long division of x^5 + x^3 + 1 into the
@@ -117,3 +120,29 @@ def test_check_many_validates_shape():
     short = encode(np.array([1], dtype=np.int8))
     assert crc5_check_many(short[None, :])[0]
 
+
+
+def bitwise_register(bits, preset):
+    """The x^5 + x^3 + 1 shift register, MSB first, one bit at a time."""
+    reg = preset
+    for bit in bits:
+        top = (reg >> 4) & 1
+        reg = (reg << 1) & 0b11111
+        if top ^ bit:
+            reg ^= 0b01001
+    return reg
+
+
+@settings(max_examples=25)
+@given(rows=st.lists(st.integers(0, 2 ** 20 - 1), min_size=1, max_size=8))
+def test_register_is_the_bitwise_shift_register(rows):
+    # the affine form, the preset's own final state XOR the syndrome of
+    # each set bit, is the register run bit by bit, at every preset and
+    # frame length 6-20 (each row's last `length` bits)
+    for length in range(6, 21):
+        bits = np.array([[(row >> (length - 1 - i)) & 1 for i in range(length)]
+                         for row in rows], dtype=np.int8)
+        for preset in range(32):
+            got = crc._register(bits, preset)
+            assert got.tolist() == [bitwise_register(row, preset)
+                                    for row in bits.tolist()], (length, preset)

@@ -63,3 +63,34 @@ def test_band_check_reads_exit_code_and_stderr_of_command_text(tmp_path):
     worse.write_text("exit 1\nabscissa=0 value=0.41\n--- stderr\ncomparison failed\n")
     assert output_digest.band_check(ref, same)[0]
     assert not output_digest.band_check(ref, worse)[0]
+
+
+def test_theory_check_passes_values_within_the_relative_tolerance(tmp_path):
+    ref, near, far, moved = (tmp_path / k / "theory.txt"
+                             for k in ("ref", "near", "far", "moved"))
+    for path, value, snr in ((ref, 0.25, "0.0"), (near, 0.25 * (1 + 1e-14), "0.0"),
+                             (far, 0.25 * (1 + 1e-10), "0.0"), (moved, 0.25, "1.0")):
+        path.parent.mkdir()
+        path.write_text(f"ook 64 0.25 -10.0 {0.5.hex()}\n"
+                        f"fsk2 64 0.25 {snr} {value.hex()}\n")
+    ok, account, worst = output_digest.theory_check(ref, near, 1e-12)
+    assert ok and 9e-15 < worst < 2e-14, account
+    ok, account, worst = output_digest.theory_check(ref, far, 1e-12)
+    assert not ok and worst > 1e-12, account
+    assert not output_digest.theory_check(ref, moved, 1e-12)[0]
+
+
+def test_theory_check_reads_only_theory_files(tmp_path):
+    # a curve CSV whose trials column is 0 is a theory curve; its
+    # abscissas, halfwidths and metadata must match, its values within R
+    ref = _curve_file(tmp_path / "ref.csv", [(0.0, 0.4, 0.0)], trials="0")
+    near = _curve_file(tmp_path / "near.csv", [(0.0, 0.4 * (1 + 1e-13), 0.0)], trials="0")
+    assert output_digest.theory_check(ref, near, 1e-12)[0]
+    assert not output_digest.theory_check(ref, near, 1e-14)[0]
+    # a simulated curve in place of a theory one is not within any tolerance
+    sim = _curve_file(tmp_path / "sim.csv", [(0.0, 0.4, 0.02)])
+    assert not output_digest.theory_check(ref, sim, 1.0)[0]
+    text = tmp_path / "cmd.txt"
+    text.write_text("exit 0\n--- stderr\n")
+    assert output_digest._theory_values(sim) is None
+    assert output_digest._theory_values(text) is None

@@ -1,6 +1,6 @@
 """Check that this checkout writes byte for byte what an earlier revision writes.
 
-    python3 tools/output_digest.py --against REV [--band]
+    python3 tools/output_digest.py --against REV [--band] [--theory-rtol R]
 
 Run from anywhere inside the repository.  REV is extracted with
 ``bench_pairs._extract`` into a temporary directory.  For each tree, REV
@@ -26,6 +26,14 @@ command's text file passes when its exit code and stderr are REV's, as
 its stdout prints the points the CSVs hold.  Theory outputs must still
 match byte for byte.  Each differing file is listed with its worst gap
 as a share of its band, and the tool exits 1 when any file fails.
+
+With ``--theory-rtol R`` (default 0, byte for byte), a change of theory
+arithmetic can pass: a theory file, ``theory.txt`` or a CSV whose trials
+column is 0, that differs passes when it has REV's points and metadata
+and every value lies within R of REV's value relative to it.  Each such
+file is listed with its worst relative gap, and the worst over all of
+them is printed last.  Every other file must still match byte for byte,
+or pass ``--band`` when that is given too.
 """
 from __future__ import annotations
 
@@ -97,6 +105,31 @@ def band_check(ref: Path, new: Path) -> tuple:
                   f"first point {first}")
 
 
+def _theory_values(path: Path):
+    """(points and metadata, values) of a theory file; None for any other file."""
+    if path.name == "theory.txt":
+        rows = [line.rsplit(" ", 1) for line in path.read_text().splitlines()]
+        return [r[0] for r in rows], [float.fromhex(r[1]) for r in rows]
+    if path.suffix != ".csv":
+        return None
+    rows = _read_rows(path)
+    trials = rows[0].index("trials") if "trials" in rows[0] else None
+    if trials is None or len(rows) < 2 or rows[1][trials] != "0":
+        return None
+    return [rows[0]] + [r[:1] + r[2:] for r in rows[1:]], [float(r[1]) for r in rows[1:]]
+
+
+def theory_check(ref: Path, new: Path, rtol: float) -> tuple:
+    """Whether a differing theory file is within rtol of ref, a one-line account
+    and the worst relative gap."""
+    (keys, old), now = _theory_values(ref), _theory_values(new)
+    if now is None or now[0] != keys:
+        return False, "points or metadata differ", math.inf
+    worst = max((abs(v - r) / abs(r) if r else (0.0 if v == r else math.inf)
+                 for r, v in zip(old, now[1])), default=0.0)
+    return worst <= rtol, f"{len(old)} values, worst gap {worst:.3g} relative", worst
+
+
 def write_outputs(out: Path) -> None:
     """Write every output the digest compares under ``out``, from the srbc on sys.path."""
     import srbc.cli
@@ -143,6 +176,9 @@ def main(argv=None) -> int:
     parser.add_argument("--band", action="store_true",
                         help="pass a differing simulated CSV whose points lie "
                              "within the gate's band of REV's")
+    parser.add_argument("--theory-rtol", type=float, default=0.0, metavar="R",
+                        help="pass a differing theory file whose values lie "
+                             "within R relative of REV's (default 0: byte for byte)")
     parser.add_argument("--write", metavar="DIR", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.write:
@@ -165,17 +201,26 @@ def main(argv=None) -> int:
             print(f"all {count} files match {sha[:12]}")
             return 0
         print(f"{len(diff)} of {count} files differ from {sha[:12]}:")
-        if not args.band:
+        if not args.band and not args.theory_rtol:
             print("\n".join(diff))
             return 1
-        failed = 0
+        failed, worst = 0, None
         for rel in diff:
             ref, new = outputs / "parent" / rel, outputs / "change" / rel
-            ok, account = (band_check(ref, new) if ref.is_file() and new.is_file()
-                           else (False, "on one side only"))
+            if not (ref.is_file() and new.is_file()):
+                ok, account = False, "on one side only"
+            elif args.theory_rtol and _theory_values(ref) is not None:
+                ok, account, gap = theory_check(ref, new, args.theory_rtol)
+                worst = gap if worst is None else max(worst, gap)
+            elif args.band:
+                ok, account = band_check(ref, new)
+            else:
+                ok, account = False, "differs"
             failed += not ok
             print(f"{'ok  ' if ok else 'FAIL'} {rel}: {account}")
-    print(f"{failed} differing files fail the band check")
+    if worst is not None:
+        print(f"worst theory gap {worst:.3g} relative, against {args.theory_rtol:g}")
+    print(f"{failed} differing files fail the check")
     return 1 if failed else 0
 
 
