@@ -408,8 +408,8 @@ def rayleigh_nodes(sigma_v: float):
     to sum to one over the truncated range (the mass beyond 6*sigma_v
     is below exp(-36)), making the average a proper expectation.
     """
-    if sigma_v <= 0:
-        raise ValueError(f"sigma_v must be > 0, got {sigma_v}")
+    if not 0 < sigma_v < math.inf:
+        raise ValueError(f"sigma_v must be finite and > 0, got {sigma_v}")
     x, w = _legendre_rule()
     v = 3.0 * sigma_v * (x + 1.0)
     density = (v / sigma_v ** 2) * np.exp(-(v / sigma_v) ** 2)

@@ -15,16 +15,17 @@ the receiver reads: for the tag bit the energy of each detection set,
 whose law given a row's channel draws is exact (``_set_energies``), for
 primary detection the data bins.  The two channel modes differ in the
 tag's gain per bin: "tdl" evaluates the response of tapped-delay-line
-fading, while "iid" draws an independent complex-normal gain per
-subcarrier — the analytical model's own assumptions — and exists to
-validate the analysis module.  A carrier offset (tdl only) enters the
-kernel as one exact matrix per link from the data bins to the bins it
-reads: the detection bins for the tag bit, the data bins themselves for
-primary detection.  Without an offset the primary link's matrix is the
-identity on the direct term and zero on the tag's.  The tag bit's offset
-products run over cache-sized blocks of rows after the batch's draws, so
-the blocks change no number.  The tests check the kernel against a
-time-domain reference link and receiver.
+fading, while "iid" gives every subcarrier an independent complex-normal
+gain — the analytical model's own assumptions — and exists to validate
+the analysis module; it draws each set's energy as one gamma variate.
+A carrier offset (tdl only) enters the kernel as one exact matrix per
+link from the data bins to the bins it reads: the detection bins for the
+tag bit, the data bins themselves for primary detection.  Without an
+offset the primary link's matrix is the identity on the direct term and
+zero on the tag's.  The tag bit's offset products run over cache-sized
+blocks of rows after the batch's draws, so the blocks change no number.
+The tests check the kernel against a time-domain reference link and
+receiver, and its iid mode against a per-bin reference.
 
 Every simulated curve runs one loop over the shared batches,
 ``_accumulate`` via ``_sweep``: each runner supplies only its validation
@@ -95,11 +96,15 @@ class SystemConfig:
 
     def __post_init__(self):
         for name in ("gamma_mag", "cfo_eps", "sigma_v", "pfa_target"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
         for name in ("n", "l_direct", "l_forward", "trials", "seed",
                      "crc_preset", "threads"):
             value = getattr(self, name)
-            if int(value) != value and not isinstance(value, str):
+            if (isinstance(value, float) and not value.is_integer()  # inf, nan
+                    or int(value) != value and not isinstance(value, str)):
                 raise ConfigurationError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
         object.__setattr__(self, "zeta", self.plan().zeta)
@@ -408,18 +413,16 @@ def _leak_onto(out, link: _TagLink, bits, hb, taps, direct, signs) -> np.ndarray
     return terms
 
 
-def _signal_power(link: _TagLink, bits, hb, taps, direct=None, signs=None,
-                  rng=None) -> np.ndarray:
-    """(size, sets) noise-free energy ||s||^2 of each detection set.
+def _signal_power(link: _TagLink, bits, hb, taps, direct=None,
+                  signs=None) -> np.ndarray:
+    """(size, sets) noise-free energy ||s||^2 of each tdl detection set.
 
     Without an offset it is gamma^2*|hb|^2 * taps^H G taps on the sent
-    bit's landing set, with G that set's Gram, and zero elsewhere; with
-    ``taps`` None every landing bin is an independent unit complex-normal
-    gain (the iid channel model), whose energies sum to a Gamma(n_b)
-    draw from ``rng``.  With an offset it sums |.|^2 per set over what
-    ``_leak_onto`` adds to zeros, ``_ROW_BLOCK`` rows at a time: a whole
-    batch's (rows, columns) temporaries would be fresh pages every
-    batch, while a block's stay in cache and reuse the same memory.
+    bit's landing set, with G that set's Gram, and zero elsewhere.  With
+    an offset it sums |.|^2 per set over what ``_leak_onto`` adds to
+    zeros, ``_ROW_BLOCK`` rows at a time: a whole batch's (rows, columns)
+    temporaries would be fresh pages every batch, while a block's stay
+    in cache and reuse the same memory.
     """
     power = np.zeros((len(bits), len(link.sizes)))
     if link.leakage:
@@ -438,12 +441,8 @@ def _signal_power(link: _TagLink, bits, hb, taps, direct=None, signs=None,
             continue
         col, gram = landing
         rows = np.flatnonzero(bits == bit)
-        if taps is None:
-            fade = rng.standard_gamma(link.sizes[col], size=len(rows))
-        else:
-            x = taps[rows].view(np.float64)
-            fade = np.einsum("ri,ri->r", x @ gram, x)
-        power[rows, col] = gain[rows] * fade
+        x = taps[rows].view(np.float64)
+        power[rows, col] = gain[rows] * np.einsum("ri,ri->r", x @ gram, x)
     return power
 
 
@@ -470,34 +469,46 @@ def _set_energies(rng, size, link: _TagLink, bits):
     by the rotation invariance of W its energy ||s + W||^2 has exactly
     the law of sigma^2*Gamma(n_b - 1) + |(||s||) + w|^2, w ~ CN(0,
     sigma^2).  So each set costs one gamma and one complex normal draw,
-    whatever n_b is.  In iid mode every landing bin is an independent
-    unit complex-normal gain, so ||s||^2 = gamma^2*|hb|^2*Gamma(n_b).
+    whatever n_b is.  In iid mode each landing bin's gain is an
+    independent unit complex normal, so given hb a set's bins are CN(0,
+    gamma^2*|hb|^2 + sigma^2) where the sent bit lands and CN(0, sigma^2)
+    elsewhere: its energy is that variance times one Gamma(n_b) draw
+    (Urkowitz 1967), and |hb|^2 is sigma_v^2 times one exponential.
 
-    The draws come in a fixed order: the noise at unit scale (the gamma,
-    then w, of every set), hb, then the forward taps (tdl) or the iid
-    landing energies, and only at a nonzero offset the data signs and
-    direct taps.  An offset run therefore shares its noise, hb and
-    forward taps with the zero-offset run on the same stream.  Every
-    draw is made for the whole batch before ``_signal_power`` walks its
-    row blocks, so the block size leaves the streams alone.  All of it,
-    and the amplitudes ||s||, are computed once per batch; ``energies``
-    scales the unit noise to the point's and adds it, so every point of
-    a curve reads the same draws.
+    The draws come in a fixed order.  In iid mode: the unit Gamma(n_b)
+    of every set, then the exponential of every row.  In tdl mode: the
+    noise at unit scale (the gamma, then w, of every set), hb, the
+    forward taps, and only at a nonzero offset the data signs and direct
+    taps.  An offset run therefore shares its noise, hb and forward taps
+    with the zero-offset run on the same stream.  Every draw is made for
+    the whole batch before ``_signal_power`` walks its row blocks, so
+    the block size leaves the streams alone.  All of it, and the
+    amplitudes ||s||, are computed once per batch; ``energies`` scales
+    the unit noise to the point's and adds it, so every point of a curve
+    reads the same draws.
     """
     cfg = link.cfg
     bits = np.asarray(bits)
     sets = len(link.sizes)
+    if cfg.channel_mode == "iid":
+        unit = rng.standard_gamma(link.sizes, size=(size, sets))
+        gain = cfg.gamma_mag ** 2 * cfg.sigma_v ** 2 * rng.standard_exponential(size)
+        power = np.zeros((size, sets))
+        for bit, landing in enumerate(link.landings):
+            if landing is not None:
+                rows = bits == bit
+                power[rows, landing[0]] = gain[rows]
+        return lambda noise: (power + noise) * unit
     rest = rng.standard_gamma(link.sizes - 1.0, size=(size, sets))
     pairs = _normal_pairs(rng, (size, sets))
     hb = _complex_normal_draw(rng, (size,), cfg.sigma_v ** 2)
-    taps = (_complex_normal_draw(rng, (size, cfg.l_forward), 1.0 / cfg.l_forward)
-            if cfg.channel_mode == "tdl" else None)
+    taps = _complex_normal_draw(rng, (size, cfg.l_forward), 1.0 / cfg.l_forward)
     direct = signs = None
     if link.leakage:
         n_data = link.spectra.shape[1] // 2
         signs = _data_signs(rng, (size, n_data))
         direct = _complex_normal_draw(rng, (size, cfg.l_direct), 1.0 / cfg.l_direct)
-    amplitude = np.sqrt(_signal_power(link, bits, hb, taps, direct, signs, rng))
+    amplitude = np.sqrt(_signal_power(link, bits, hb, taps, direct, signs))
 
     def energies(noise: float) -> np.ndarray:
         w = pairs * math.sqrt(noise / 2.0)

@@ -1,9 +1,17 @@
-"""Shared test settings: one hypothesis profile for every property test.
+"""Shared test settings: the hypothesis profiles of every property test.
 
 Kernel and quadrature examples take uneven time, so no per-example
-deadline applies, and no example database is kept between runs.
+deadline applies, and no example database is kept between runs.  The
+default profile, "srbc", derandomizes: each property test draws the same
+examples on every run, so two runs of one tree give one verdict.  The
+"srbc-sweep" profile draws fresh examples, or those of
+``--hypothesis-seed``, to search wider; select it with
+``SRBC_HYPOTHESIS_PROFILE=srbc-sweep``.
 """
+import os
+
 from hypothesis import settings
 
-settings.register_profile("srbc", deadline=None, database=None)
-settings.load_profile("srbc")
+settings.register_profile("srbc", deadline=None, database=None, derandomize=True)
+settings.register_profile("srbc-sweep", deadline=None, database=None)
+settings.load_profile(os.environ.get("SRBC_HYPOTHESIS_PROFILE", "srbc"))

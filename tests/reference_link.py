@@ -4,7 +4,8 @@ OFDM synthesis with a cyclic prefix, tapped-delay-line channels, the
 tag's sample-by-sample reflection, white noise, the carrier-offset ramp
 and the receiver DFT, each written out the long way, and the receiver
 that reads the tag bit's detection-set energies off the demodulated
-bins.  The simulator runs none of this; the tests hold its kernel to
+bins.  For the iid channel model, the detection-set energies drawn bin
+by bin.  The simulator runs none of this; the tests hold its kernel to
 these samples.  The
 synthesis IDFT carries the 1/n factor and the analysis DFT is
 unnormalized, so a frequency-domain grid round-trips exactly through
@@ -240,6 +241,30 @@ def tdl_grid(rng, size, cfg, bits, noise):
     if cfg.cfo_eps:
         received = apply_cfo(received, CfoSpec(cfg.cfo_eps))
     return ofdm_demodulate(received), ch, data_bits
+
+
+def iid_set_energies(rng, size, cfg, bits, noise):
+    """The iid channel model's detection-set energies, drawn bin by bin.
+
+    Each row draws its backward gain hb ~ CN(0, sigma_v^2).  Every bin of
+    the set the row's bit lands on holds gamma*hb*g + W, with g ~ CN(0, 1)
+    drawn independently per bin, and every other detection bin holds W
+    alone, W ~ CN(0, ``noise``) per bin.  Returns the (size, sets) sums
+    of |.|^2, kb0 then (fsk) kb1: bit b's tone lands on kb_b, and ook's
+    one set is bit 1's, as its bit 0 reflects nothing.
+    """
+    plan = cfg.plan()
+    sets = (plan.kb0,) if plan.scheme == "ook" else (plan.kb0, plan.kb1)
+    bits = np.asarray(bits)
+    hb = complex_normal(rng, (size, 1), cfg.sigma_v ** 2)
+    energies = np.empty((size, len(sets)))
+    for col, kb in enumerate(sets):
+        bins = complex_normal(rng, (size, len(kb)), noise)
+        lands = bits == (1 if plan.scheme == "ook" else col)
+        gains = complex_normal(rng, (np.count_nonzero(lands), len(kb)), 1.0)
+        bins[lands] += cfg.gamma_mag * hb[lands] * gains
+        energies[:, col] = np.sum(bins.real ** 2 + bins.imag ** 2, axis=1)
+    return energies
 
 
 def set_energy(values: np.ndarray, idx: np.ndarray) -> np.ndarray:

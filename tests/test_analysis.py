@@ -3,6 +3,7 @@
 import math
 import time
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -578,6 +579,35 @@ def test_erlang_tail_matches_scipy(n_b, log10_x, near):
             assert abs(got - ref) <= 1e-12 * abs(ref) + 1e-300, (x, got, ref)
 
 
+def _exact_log_fsk_loss(signal, noise, n_b):
+    """log I_p(n_b, n_b) at p = noise / (signal + noise), summed exactly.
+
+    I_p(n_b, n_b) is the binomial tail P(Bin(m, p) >= n_b), m = 2n_b - 1.
+    With p = P/D in lowest terms (the floats are exact rationals) and
+    Q = D - P, it is P^n_b * sum_j C(m, n_b + j) P^j Q^(n_b-1-j) / D^m,
+    whose integer sum runs by Horner's rule; only the final logs round.
+    """
+    p = Fraction(noise) / (Fraction(signal) + Fraction(noise))
+    P, D = p.numerator, p.denominator
+    m = 2 * n_b - 1
+    total, q_power = 1, 1
+    for j in range(n_b - 2, -1, -1):
+        q_power *= D - P
+        total = total * P + math.comb(m, n_b + j) * q_power
+    return n_b * math.log(P) + math.log(total) - m * math.log(D)
+
+
+def test_exact_fsk_loss_reference():
+    # the exact sum against closed forms: I_p(1, 1) = p, I_p(2, 2) =
+    # p^2 (3 - 2p), and the falsifying example scipy's betainc misses
+    # by 1.2 % (n_b = 37, ratio 10**8.5: 2.7608742086014e-294)
+    assert _exact_log_fsk_loss(3.0, 1.0, 1) == pytest.approx(math.log(0.25), rel=1e-15)
+    assert _exact_log_fsk_loss(1.0, 3.0, 2) == pytest.approx(
+        math.log(0.75 ** 2 * 1.5), rel=1e-15)
+    assert _exact_log_fsk_loss(10.0 ** 8.5, 1.0, 37) == pytest.approx(
+        math.log(2.7608742086014e-294), abs=1e-12)
+
+
 @settings(max_examples=300)
 @given(n_b=st.integers(1, 512), log10_ratio=st.floats(0.0, 12.0),
        noise=st.floats(1e-30, 1e30))
@@ -585,17 +615,19 @@ def test_fsk_loss_matches_the_regularized_beta(n_b, log10_ratio, noise):
     # P(E0 < E1) for Gamma(n_b) energies of scales signal and noise is
     # I_p(n_b, n_b) at p = noise / (signal + noise).  Both sides build it
     # from logs, so they are compared in log form: scipy's own error grows
-    # with |log I| (7.8e-11 relative at 9e-287, n_b = 32, against an
-    # exact rational sum), and so would a relative tolerance
+    # with |log I| (7.8e-11 relative at 9e-287, n_b = 32), and so would a
+    # relative tolerance.  Below about 1e-280 scipy's betainc is up to 10 %
+    # low, so there the reference is the exact rational binomial sum
     signal = noise * 10.0 ** log10_ratio
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = float(analysis._fsk_loss(np.array([signal]), noise, n_b)[0])
     ref = special.betainc(n_b, n_b, noise / (signal + noise))
-    if ref < 1e-300:
-        assert got < 1e-290, (got, ref)
+    log_ref = (math.log(ref) if ref >= 1e-280
+               else _exact_log_fsk_loss(signal, noise, n_b))
+    if log_ref < math.log(1e-300):
+        assert got < 1e-290, (got, log_ref)
     else:
-        log_ref = math.log(ref)
         assert abs(math.log(got) - log_ref) <= 2e-12 * max(1.0, -log_ref), (got, ref)
 
 

@@ -4,6 +4,7 @@ import argparse
 import csv
 import dataclasses
 import filecmp
+import math
 import warnings
 from unittest import mock
 
@@ -12,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_link import (NoiseSpec, fsk_metrics, ook_test_statistic,
-                            snr_to_noise_variance, tdl_grid)
+from reference_link import (NoiseSpec, fsk_metrics, iid_set_energies,
+                            ook_test_statistic, snr_to_noise_variance, tdl_grid)
 from srbc import analysis
 from srbc.detector import fsk_detect, ook_detect, primary_detect
 from srbc.harness import (
@@ -100,6 +101,30 @@ def test_config_validation():
         build_subcarrier_plan("fsk2", 64, zeta=2.5)
     whole = SystemConfig(scheme="fsk2", zeta=2.0)
     assert isinstance(whole.zeta, int) and whole.plan().zeta == 2
+
+
+@pytest.mark.parametrize("name, value, argv", (
+    ("cfo_eps", math.nan, ["ber", "--scheme", "fsk2", "--cfo", "nan"]),
+    ("cfo_eps", -math.inf, ["ber", "--scheme", "fsk2", "--cfo=-inf"]),
+    ("sigma_v", math.nan, ["pmd", "--sigma-v", "nan", "--trials", "100000"]),
+    ("sigma_v", math.inf, ["ber", "--scheme", "fsk2", "--sigma-v", "inf"]),
+    ("sigma_v", math.inf, ["theory", "--scheme", "fsk2", "--sigma-v", "inf"]),
+    ("trials", math.inf, None),
+    ("trials", math.nan, None),
+))
+def test_non_finite_inputs_are_refused(name, value, argv, capsys):
+    # a NaN or infinite offset, backward gain or trial cap is refused
+    # before any number is computed from it, with no warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError, match=name):
+            SystemConfig(scheme="fsk2", **{name: value})
+        if name == "sigma_v":
+            with pytest.raises(ValueError, match="sigma_v"):
+                analysis.rayleigh_nodes(value)
+        if argv is not None:
+            assert cli.main(argv + ["--n", "64", "--snr", "10,20"]) == 2
+            assert f"error: {name} must be finite" in capsys.readouterr().err
 
 
 def test_the_plan_owns_the_spacing():
@@ -745,6 +770,23 @@ def test_frequency_kernel_matches_time_domain_statistically(scheme, eps):
     p_td, ci_td = _tag_error_rate(cfg, _reference_energies(cfg), 200_000, 239)
     assert 0.005 < p_fd < 0.5
     assert abs(p_fd - p_td) <= ci_fd + ci_td, (p_fd, ci_fd, p_td, ci_td)
+
+
+@pytest.mark.parametrize("scheme, n, snr", (("ook", 64, 15.0), ("ook", 512, 10.0),
+                                            ("fsk2", 64, 10.0), ("fsk2", 512, 5.0)))
+def test_iid_kernel_matches_per_bin_reference_statistically(scheme, n, snr):
+    # ook missed detection and fsk2 bit errors of the iid model, 200k
+    # symbols each way: the kernel's one gamma variate per set and the
+    # reference's per-bin gains and noise agree within their combined
+    # intervals
+    cfg = SystemConfig(scheme=scheme, n=n, gamma_mag=0.25, snr_db=(snr,),
+                       pfa_target=1e-3, channel_mode="iid")
+    p_fd, ci_fd = _tag_error_rate(cfg, _kernel_energies(cfg), 200_000, 277)
+    p_ref, ci_ref = _tag_error_rate(
+        cfg, lambda rng, size, bits, noise: iid_set_energies(rng, size, cfg, bits, noise),
+        200_000, 281)
+    assert 0.05 < p_fd < 0.5
+    assert abs(p_fd - p_ref) <= ci_fd + ci_ref, (p_fd, ci_fd, p_ref, ci_ref)
 
 
 def test_roc_point_matches_time_domain_statistically():
