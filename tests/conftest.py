@@ -6,12 +6,10 @@ default profile, "srbc", derandomizes: each property test draws the same
 examples on every run, so two runs of one tree give one verdict.  The
 "srbc-sweep" profile draws fresh examples, or those of
 ``--hypothesis-seed``, to search wider; select it with
-``SRBC_HYPOTHESIS_PROFILE=srbc-sweep``.
+``--hypothesis-profile=srbc-sweep``.
 """
-import os
-
 from hypothesis import settings
 
 settings.register_profile("srbc", deadline=None, database=None, derandomize=True)
 settings.register_profile("srbc-sweep", deadline=None, database=None)
-settings.load_profile(os.environ.get("SRBC_HYPOTHESIS_PROFILE", "srbc"))
+settings.load_profile("srbc")
