@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 
 import numpy as np
@@ -205,6 +206,9 @@ def _parser() -> argparse.ArgumentParser:
     )
     for name, help_text, *extra in specs:
         p = sub.add_parser(name, help=help_text)
+        # "-1e-3" and "-5,10" are values: argparse before Python 3.13
+        # takes only -<digits> and -<digits>.<digits> for numbers
+        p._negative_number_matcher = re.compile(r"-\.?\d")
         _add_common_flags(p)
         if extra:
             p.add_argument(extra[0], **extra[1])

@@ -18,6 +18,8 @@ tag's gain per bin: "tdl" evaluates the response of tapped-delay-line
 fading, while "iid" gives every subcarrier an independent complex-normal
 gain — the analytical model's own assumptions — and exists to validate
 the analysis module; it draws each set's energy as one gamma variate.
+Without an offset tdl draws the tag's landing energy from its exact law,
+one exponential per eigenvalue of the landing Gram and one for hb.
 A carrier offset (tdl only) enters the kernel as one exact matrix per
 link from the data bins to the bins it reads: the detection bins for the
 tag bit, the data bins themselves for primary detection.  Without an
@@ -220,13 +222,6 @@ def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
     return np.random.default_rng(seq)
 
 
-def _batch_sizes(total: int, batch_size: int) -> list:
-    n_batches = math.ceil(total / batch_size)
-    sizes = [batch_size] * n_batches
-    sizes[-1] = total - batch_size * (n_batches - 1)
-    return sizes
-
-
 def _accumulate(batch_fn, total: int, seed: int, noises, *,
                 threads: int = 1, target_events: int | None = None,
                 batch_size: int = _BATCH_SYMBOLS):
@@ -250,7 +245,8 @@ def _accumulate(batch_fn, total: int, seed: int, noises, *,
     Returns the (points, counts) sums, the trials taken from the stream
     and the trials each point used.
     """
-    sizes = _batch_sizes(total, batch_size)
+    full, last = divmod(total, batch_size)
+    sizes = [batch_size] * full + ([last] if last else [])
     running = list(range(len(noises)))
     counts = [0] * len(noises)
     used = np.zeros(len(noises), dtype=np.int64)
@@ -308,11 +304,11 @@ class _TagLink:
     the tag bit the detection sets side by side, kb0 then kb1 (kb0 alone
     for ook, whose sets coincide), for primary detection the data bins
     as one block.  At zero offset a tag-bit link has ``landings``: per
-    bit None, when the bit does not reflect, or the set its tone lands
-    on and the Gram G = R R^H of the matrix R that maps forward taps to
-    Hf at the set's source bins, as the real (2*l_forward)-square matrix
-    that acts on the taps' interleaved real and imaginary parts.  Every plan builds
-    its landing sets as shifted data bins, so every bin has a source.
+    bit None, when the bit does not reflect, or the column its tone
+    lands on and the eigenvalues over l_forward (clipped at 0; None in
+    iid mode) of the Gram G = R R^H of the matrix R that maps forward
+    taps to Hf at the set's source bins.  Every plan builds its landing
+    sets as shifted data bins, so every bin has a source.
     At a nonzero offset, and always for primary detection, ``spectra``
     is the block-diagonal matrix that maps [direct taps, forward taps]
     to [Hd, Hf] on the data bins, and ``leakage`` holds per bit the
@@ -378,11 +374,11 @@ def _tag_link(cfg: SystemConfig, target: str = "bd") -> _TagLink:
         if s is None:
             landings.append(None)
             continue
+        # iid mode reads only the column; a first LAPACK call adds 1 MB to peak RSS
         response = _tap_response(cfg.l_forward, (kb - s) % plan.n, plan.n)
-        gram = response @ response.conj().T
-        landings.append((0 if plan.scheme == "ook" else bit,
-                         np.kron(gram.real, np.eye(2))
-                         + np.kron(gram.imag, [[0.0, 1.0], [-1.0, 0.0]])))
+        weights = (None if cfg.channel_mode == "iid" else np.maximum(
+            np.linalg.eigvalsh(response @ response.conj().T), 0.0) / cfg.l_forward)
+        landings.append((0 if plan.scheme == "ook" else bit, weights))
     return _TagLink(cfg, sizes, unit_eta, landings=tuple(landings))
 
 
@@ -413,36 +409,36 @@ def _leak_onto(out, link: _TagLink, bits, hb, taps, direct, signs) -> np.ndarray
     return terms
 
 
-def _signal_power(link: _TagLink, bits, hb, taps, direct=None,
-                  signs=None) -> np.ndarray:
-    """(size, sets) noise-free energy ||s||^2 of each tdl detection set.
+def _signal_power(link: _TagLink, bits, hb, taps, direct, signs) -> np.ndarray:
+    """(size, sets) noise-free energy ||s||^2 of each set at a nonzero offset.
 
-    Without an offset it is gamma^2*|hb|^2 * taps^H G taps on the sent
-    bit's landing set, with G that set's Gram, and zero elsewhere.  With
-    an offset it sums |.|^2 per set over what ``_leak_onto`` adds to
-    zeros, ``_ROW_BLOCK`` rows at a time: a whole batch's (rows, columns)
+    It sums |.|^2 per set over what ``_leak_onto`` adds to zeros,
+    ``_ROW_BLOCK`` rows at a time: a whole batch's (rows, columns)
     temporaries would be fresh pages every batch, while a block's stay
     in cache and reuse the same memory.
     """
     power = np.zeros((len(bits), len(link.sizes)))
-    if link.leakage:
-        # the sets lie side by side, each complex column two float ones
-        starts = 2 * (np.cumsum(link.sizes) - link.sizes)
-        for lo in range(0, len(bits), _ROW_BLOCK):
-            rows = slice(lo, lo + _ROW_BLOCK)
-            out = np.zeros((len(bits[rows]), link.sizes.sum()), dtype=np.complex128)
-            _leak_onto(out, link, bits[rows], hb[rows], taps[rows], direct[rows],
-                       signs[rows])
-            power[rows] = np.add.reduceat(out.view(np.float64) ** 2, starts, axis=1)
-        return power
-    gain = link.cfg.gamma_mag ** 2 * (hb.real ** 2 + hb.imag ** 2)
+    # the sets lie side by side, each complex column two float ones
+    starts = 2 * (np.cumsum(link.sizes) - link.sizes)
+    for lo in range(0, len(bits), _ROW_BLOCK):
+        rows = slice(lo, lo + _ROW_BLOCK)
+        out = np.zeros((len(bits[rows]), link.sizes.sum()), dtype=np.complex128)
+        _leak_onto(out, link, bits[rows], hb[rows], taps[rows], direct[rows],
+                   signs[rows])
+        power[rows] = np.add.reduceat(out.view(np.float64) ** 2, starts, axis=1)
+    return power
+
+
+def _landing_power(link: _TagLink, bits, gain, fades=None) -> np.ndarray:
+    """(size, sets) ``gain`` (times fades @ weights) on each sent bit's landing set."""
+    power = np.zeros((len(bits), len(link.sizes)))
     for bit, landing in enumerate(link.landings):
-        if landing is None:
-            continue
-        col, gram = landing
-        rows = np.flatnonzero(bits == bit)
-        x = taps[rows].view(np.float64)
-        power[rows, col] = gain[rows] * np.einsum("ri,ri->r", x @ gram, x)
+        if landing is not None:
+            col, weights = landing
+            # whole columns times the 0/1 mask: a boolean gather and
+            # scatter of the rows would cost several times more
+            power[:, col] += (bits == bit) * (gain if fades is None
+                                              else gain * (fades @ weights))
     return power
 
 
@@ -469,7 +465,11 @@ def _set_energies(rng, size, link: _TagLink, bits):
     by the rotation invariance of W its energy ||s + W||^2 has exactly
     the law of sigma^2*Gamma(n_b - 1) + |(||s||) + w|^2, w ~ CN(0,
     sigma^2).  So each set costs one gamma and one complex normal draw,
-    whatever n_b is.  In iid mode each landing bin's gain is an
+    whatever n_b is.  Without an offset ||s||^2 = gamma^2*|hb|^2 *
+    taps^H G taps on the landing set, zero elsewhere, has exactly the
+    law of gamma^2*sigma_v^2*E_0 * sum_i lambda_i*E_i/l_forward, the
+    lambda_i the eigenvalues of G and the E_i unit exponentials (Imhof
+    1961).  In iid mode each landing bin's gain is an
     independent unit complex normal, so given hb a set's bins are CN(0,
     gamma^2*|hb|^2 + sigma^2) where the sent bit lands and CN(0, sigma^2)
     elsewhere: its energy is that variance times one Gamma(n_b) draw
@@ -477,10 +477,10 @@ def _set_energies(rng, size, link: _TagLink, bits):
 
     The draws come in a fixed order.  In iid mode: the unit Gamma(n_b)
     of every set, then the exponential of every row.  In tdl mode: the
-    noise at unit scale (the gamma, then w, of every set), hb, the
-    forward taps, and only at a nonzero offset the data signs and direct
-    taps.  An offset run therefore shares its noise, hb and forward taps
-    with the zero-offset run on the same stream.  Every draw is made for
+    noise at unit scale (the gamma, then w, of every set), then without
+    an offset every row's E_0, E_1, ..., and with one hb, the forward
+    taps, the data signs and the direct taps: an offset run shares only
+    the noise with the zero-offset run on its stream.  Every draw is made for
     the whole batch before ``_signal_power`` walks its row blocks, so
     the block size leaves the streams alone.  All of it, and the
     amplitudes ||s||, are computed once per batch; ``energies`` scales
@@ -490,25 +490,23 @@ def _set_energies(rng, size, link: _TagLink, bits):
     cfg = link.cfg
     bits = np.asarray(bits)
     sets = len(link.sizes)
+    gain = cfg.gamma_mag ** 2 * cfg.sigma_v ** 2
     if cfg.channel_mode == "iid":
         unit = rng.standard_gamma(link.sizes, size=(size, sets))
-        gain = cfg.gamma_mag ** 2 * cfg.sigma_v ** 2 * rng.standard_exponential(size)
-        power = np.zeros((size, sets))
-        for bit, landing in enumerate(link.landings):
-            if landing is not None:
-                rows = bits == bit
-                power[rows, landing[0]] = gain[rows]
+        power = _landing_power(link, bits, gain * rng.standard_exponential(size))
         return lambda noise: (power + noise) * unit
     rest = rng.standard_gamma(link.sizes - 1.0, size=(size, sets))
     pairs = _normal_pairs(rng, (size, sets))
-    hb = _complex_normal_draw(rng, (size,), cfg.sigma_v ** 2)
-    taps = _complex_normal_draw(rng, (size, cfg.l_forward), 1.0 / cfg.l_forward)
-    direct = signs = None
     if link.leakage:
-        n_data = link.spectra.shape[1] // 2
-        signs = _data_signs(rng, (size, n_data))
+        hb = _complex_normal_draw(rng, (size,), cfg.sigma_v ** 2)
+        taps = _complex_normal_draw(rng, (size, cfg.l_forward), 1.0 / cfg.l_forward)
+        signs = _data_signs(rng, (size, link.spectra.shape[1] // 2))
         direct = _complex_normal_draw(rng, (size, cfg.l_direct), 1.0 / cfg.l_direct)
-    amplitude = np.sqrt(_signal_power(link, bits, hb, taps, direct, signs))
+        power = _signal_power(link, bits, hb, taps, direct, signs)
+    else:
+        fades = rng.standard_exponential((size, 1 + cfg.l_forward))
+        power = _landing_power(link, bits, gain * fades[:, 0], fades[:, 1:])
+    amplitude = np.sqrt(power)
 
     def energies(noise: float) -> np.ndarray:
         w = pairs * math.sqrt(noise / 2.0)
@@ -661,11 +659,9 @@ def run_cfo_study(cfg: SystemConfig, eps_grid,
 
     Every curve runs the frequency-domain kernel on the same (seed,
     batch) streams, shared by all its points, and the zero-offset curve
-    is the plain sweep.
-    An offset curve draws the same bits, noise, backward gains and
-    forward taps as the zero-offset one, and only then its data signs
-    and direct taps, so the curves are paired: differences between them
-    are not washed out by independent sampling noise.
+    is the plain sweep.  An offset curve shares the bits and unit noise
+    of the zero-offset one, not its channel, which the zero-offset
+    kernel draws from the landing energy's exact law.
     """
     eps = np.atleast_1d(np.asarray(eps_grid, dtype=np.float64))
     if len(eps) == 0 or not np.isfinite(eps).all():

@@ -5,8 +5,9 @@ tag's sample-by-sample reflection, white noise, the carrier-offset ramp
 and the receiver DFT, each written out the long way, and the receiver
 that reads the tag bit's detection-set energies off the demodulated
 bins.  For the iid channel model, the detection-set energies drawn bin
-by bin.  The simulator runs none of this; the tests hold its kernel to
-these samples.  The
+by bin, and for the tdl model at zero offset the noise-free energy of
+each detection set from complex-normal channel draws.  The simulator
+runs none of this; the tests hold its kernel to these samples.  The
 synthesis IDFT carries the 1/n factor and the analysis DFT is
 unnormalized, so a frequency-domain grid round-trips exactly through
 modulate/demodulate.  Last, the exponential mixtures that the inversion
@@ -265,6 +266,36 @@ def iid_set_energies(rng, size, cfg, bits, noise):
         bins[lands] += cfg.gamma_mag * hb[lands] * gains
         energies[:, col] = np.sum(bins.real ** 2 + bins.imag ** 2, axis=1)
     return energies
+
+
+def tdl_signal_power(rng, size, cfg, bits):
+    """The tdl link's noise-free detection-set energies at zero offset.
+
+    Each row draws its backward gain hb ~ CN(0, sigma_v^2) and
+    ``l_forward`` forward taps of variance 1/l_forward.  The sent bit's
+    tone carries the forward response Hf (the taps' n-point DFT) from
+    the source bins kb - s onto its landing set kb, and the direct link
+    puts nothing on a detection bin, so the landing set holds energy
+    gamma^2*|hb|^2 * sum |Hf[kb - s]|^2, the Gram form
+    gamma^2*|hb|^2 * taps^H G taps, and every other set none.  Returns
+    the (size, sets) energies, kb0 then (fsk) kb1.
+    """
+    plan = cfg.plan()
+    sets = (plan.kb0,) if plan.scheme == "ook" else (plan.kb0, plan.kb1)
+    bits = np.asarray(bits)
+    hb = complex_normal(rng, (size,), cfg.sigma_v ** 2)
+    hf = np.fft.fft(rayleigh_taps(rng, (size,), cfg.l_forward), plan.n, axis=-1)
+    power = np.zeros((size, len(sets)))
+    for bit in (0, 1):
+        shift = tag_shift(cfg.scheme, bit, plan.zeta)
+        if shift is None:
+            continue
+        col = 0 if plan.scheme == "ook" else bit
+        rows = bits == bit
+        source = hf[rows][:, (sets[col] - shift) % plan.n]
+        power[rows, col] = (cfg.gamma_mag ** 2 * np.abs(hb[rows]) ** 2
+                            * np.sum(np.abs(source) ** 2, axis=1))
+    return power
 
 
 def set_energy(values: np.ndarray, idx: np.ndarray) -> np.ndarray:

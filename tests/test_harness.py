@@ -12,10 +12,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from reference_link import (NoiseSpec, fsk_metrics, iid_set_energies,
-                            ook_test_statistic, snr_to_noise_variance, tdl_grid)
+                            ook_test_statistic, snr_to_noise_variance, tdl_grid,
+                            tdl_signal_power)
 from srbc import analysis
+from srbc.backscatter import tag_shift
 from srbc.detector import fsk_detect, ook_detect, primary_detect
 from srbc.harness import (
     CSV_HEADER,
@@ -395,11 +398,11 @@ def test_cfo_study_zero_offset_matches_plain_sweep():
 
 
 def test_offset_kernel_shares_the_zero_offset_draws():
-    # an offset draws its data signs and direct taps after the noise,
-    # hb and forward taps, so on one stream a vanishing offset keeps
-    # those: its set energies are the zero-offset ones, up to far less
-    # than the tag adds to the noise energies
-    cfg = SystemConfig(scheme="fsk2", n=64, gamma_mag=0.5, snr_db=(10.0,))
+    # on one stream the offset and zero-offset kernels draw the same
+    # unit noise first, and only then their own channel terms, so
+    # without a tag a vanishing offset's set energies are the
+    # zero-offset ones, up to the direct link's 1e-9 leakage
+    cfg = SystemConfig(scheme="fsk2", n=64, gamma_mag=0.0, snr_db=(10.0,))
     noise = analysis.noise_bin_variance(10.0)
     bits = np.random.default_rng(5).integers(0, 2, size=512).astype(np.int8)
 
@@ -407,10 +410,13 @@ def test_offset_kernel_shares_the_zero_offset_draws():
         return _set_energies(np.random.default_rng(7), 512, _tag_link(c),
                              bits)(noise)
 
-    w = energies(cfg.replace(gamma_mag=0.0))
     zero = energies(cfg)
     tiny = energies(cfg.replace(cfo_eps=1e-9))
-    assert np.abs(tiny - zero).max() <= 1e-6 * np.abs(zero - w).max()
+    assert np.abs(tiny - zero).max() <= 1e-6 * zero.max()
+    # and a run draws its bits before either kernel's draws
+    clean, offset = run_cfo_study(cfg.replace(trials=10_000, seed=199),
+                                  (0.0, 1e-9), target_events=None)
+    assert np.array_equal(offset.values, clean.values)
 
 
 def test_compare_smoke():
@@ -552,6 +558,31 @@ def test_cli_table_is_the_config_fields(tmp_path):
         threads=2)
 
 
+@pytest.mark.parametrize("argv, dest, value", (
+    (["ber", "--cfo", "-1e-3"], "cfo", -1e-3),
+    (["ber", "--cfo", "-.05"], "cfo", -0.05),
+    (["ber", "--snr", "-5,10"], "snr", (-5.0, 10.0)),
+    (["ber", "--snr", "-1e1,-2.5E0"], "snr", (-10.0, -2.5)),
+    (["cfo", "--eps-grid", "-1e-3,0.05"], "eps_grid", "-1e-3,0.05"),
+    (["cfo", "--eps-grid", "-0.1,-2e-2"], "eps_grid", "-0.1,-2e-2"),
+))
+def test_cli_reads_negative_numbers_as_values(argv, dest, value):
+    # argparse of itself takes only "-<digits>" and "-<digits>.<digits>"
+    # for numbers, so "--cfo -1e-3" and "--snr -5,10" used to exit 2
+    assert getattr(cli._parser().parse_args(argv), dest) == value
+
+
+def test_cli_runs_negative_offsets_and_grids(tmp_path):
+    out = tmp_path / "ber.csv"
+    assert cli.main(["ber", "--scheme", "fsk2", "--cfo", "-1e-3", "--snr", "-5,10",
+                     "--trials", "64", "--out", str(out)]) == 0
+    curve = parse_csv(out)
+    assert curve.meta["cfo"] == "-0.001" and curve.abscissa.tolist() == [-5.0, 10.0]
+    assert cli.main(["cfo", "--scheme", "fsk2", "--snr", "10", "--trials", "64",
+                     "--eps-grid", "-1e-3,0.05", "--out", str(out)]) == 0
+    assert parse_csv(tmp_path / "ber_eps-0.001.csv").meta["cfo"] == "-0.001"
+
+
 def test_cli_offset_needs_tdl(capsys):
     # every simulating command rejects a carrier offset in iid mode
     for argv in (["pmd"], ["roc", "--snr", "10"], ["ber", "--scheme", "fsk2"],
@@ -590,11 +621,46 @@ def test_cli_rejects_bad_input(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: bad number list"), argv
 
 
+def _landing_weight_error(cfg, seed):
+    # at zero offset a landing set's noise-free bins are gamma*hb times
+    # the data sign on each source bin times a fixed linear map M of the
+    # forward taps; fit M by least squares from noise-free time-domain
+    # rows, check that it reproduces them, and return the largest gap
+    # between the eigenvalues of its Gram G = M M^H over l_forward and
+    # the link's landing weights, relative to the largest weight
+    plan = cfg.plan()
+    sets = (plan.kb0,) if cfg.scheme == "ook" else (plan.kb0, plan.kb1)
+    rows = cfg.l_forward + 8
+    rng = np.random.default_rng(seed)
+    error = 0.0
+    for bit, landing in enumerate(_tag_link(cfg).landings):
+        shift = tag_shift(cfg.scheme, bit, plan.zeta)
+        assert (landing is None) == (shift is None)
+        if landing is None:
+            continue
+        col, weights = landing
+        grid, ch, data_bits = tdl_grid(rng, rows, cfg, np.full(rows, bit),
+                                       NoiseSpec(0.0))
+        signs = np.zeros((rows, plan.n))
+        signs[:, plan.data_idx] = 1.0 - 2.0 * data_bits
+        kb = sets[col]
+        z = grid.values[:, kb] / (cfg.gamma_mag * ch.taps_backward[:, :1]
+                                  * signs[:, (kb - shift) % plan.n])
+        m = np.linalg.lstsq(ch.taps_forward, z, rcond=None)[0]
+        assert np.abs(ch.taps_forward @ m - z).max() <= 1e-10 * np.abs(z).max()
+        fitted = np.linalg.eigvalsh(m @ m.conj().T) / cfg.l_forward
+        assert weights.shape == fitted.shape and weights.min() >= 0
+        error = max(error, np.abs(fitted - weights).max() / weights.max())
+    return error
+
+
 def _set_energy_error(cfg, rows, seed):
     # same taps, backward gain, data signs and bits, no noise: the
     # largest gap between the kernel's signal energy on each detection
     # set and the energy of the time-domain link's bins there, relative
-    # to the largest
+    # to the largest; at zero offset, the landing weights' gap instead
+    if not cfg.cfo_eps:
+        return _landing_weight_error(cfg, seed)
     plan = cfg.plan()
     rng = np.random.default_rng(seed)
     bits = rng.permutation(np.arange(rows) % 2).astype(np.int8)
@@ -607,17 +673,15 @@ def _set_energy_error(cfg, rows, seed):
         expected = np.stack(fsk_metrics(grid, plan), axis=1)
     scale = expected.max()
     assert scale > 0 and got.shape == expected.shape
-    if cfg.scheme == "ook" and not cfg.cfo_eps:
-        assert not got[bits == 0].any()
     return np.abs(got - expected).max() / scale
 
 
 @pytest.mark.parametrize("n", (64, 512))
 @pytest.mark.parametrize("scheme", ("ook", "fsk1", "fsk2"))
 def test_frequency_kernel_matches_time_domain_bins(scheme, n):
-    # at zero offset the kernel's set energy is the Gram form of the
-    # forward taps: the energy of the time-domain link's bins, whose
-    # data signs it leaves out
+    # at zero offset the kernel's landing energy is a weighted sum of
+    # exponentials, one per eigenvalue of the Gram that the time-domain
+    # link's bins realise
     cfg = SystemConfig(scheme=scheme, n=n, gamma_mag=0.5, snr_db=(10.0,))
     assert _set_energy_error(cfg, 64, 229) <= 1e-10
 
@@ -770,6 +834,35 @@ def test_frequency_kernel_matches_time_domain_statistically(scheme, eps):
     p_td, ci_td = _tag_error_rate(cfg, _reference_energies(cfg), 200_000, 239)
     assert 0.005 < p_fd < 0.5
     assert abs(p_fd - p_td) <= ci_fd + ci_td, (p_fd, ci_fd, p_td, ci_td)
+
+
+@pytest.mark.parametrize("n", (64, 512))
+@pytest.mark.parametrize("scheme", ("ook", "fsk1", "fsk2"))
+def test_landing_power_matches_the_gram_form_statistically(scheme, n):
+    # the kernel's noise-free landing energy, one exponential per Gram
+    # eigenvalue, against gamma^2*|hb|^2 * taps^H G taps from
+    # complex-normal hb and taps (Imhof 1961): 100k rows per reflecting
+    # bit each way agree in a two-sample Kolmogorov-Smirnov test; every
+    # other set, and ook's one set when its tag sends 0, reads exactly 0
+    cfg = SystemConfig(scheme=scheme, n=n, gamma_mag=0.25, snr_db=(10.0,))
+    link = _tag_link(cfg)
+    rows, block = 100_000, 2000
+    for bit, landing in enumerate(link.landings):
+        bits = np.full(block, bit, dtype=np.int8)
+        kernel_rng, reference_rng = (np.random.default_rng(283 + bit),
+                                     np.random.default_rng(293 + bit))
+        got = np.concatenate([_set_energies(kernel_rng, block, link, bits)(0.0)
+                              for _ in range(rows // block)])
+        if landing is None:
+            assert not got.any()
+            continue
+        col = landing[0]
+        ref = np.concatenate([tdl_signal_power(reference_rng, block, cfg, bits)
+                              for _ in range(rows // block)])
+        assert not np.delete(got, col, axis=1).any()
+        assert not np.delete(ref, col, axis=1).any()
+        p = stats.ks_2samp(got[:, col], ref[:, col]).pvalue
+        assert p > 1e-3, (bit, p)
 
 
 @pytest.mark.parametrize("scheme, n, snr", (("ook", 64, 15.0), ("ook", 512, 10.0),
