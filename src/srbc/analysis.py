@@ -14,38 +14,19 @@ energy-detector law of Urkowitz (1967), and the CFAR threshold is w times
 the unit one, found by Newton steps on the log tail from n_b alone, for
 a whole array of targets in one masked loop.
 
-When every bin shares one gain, as on every theory curve, the
-signal-bearing laws are exact at each node v_j of the backward-gain
-rule too: the OOK statistic is Gamma(n_b) with the bin mean m_j as
-scale, so its CDF at eta is one less the same Erlang tail at eta/m_j,
-and the FSK bit is lost when one Gamma(n_b) energy falls below another,
-with probability I_p(n_b, n_b) at p = w/(m_j + w), a binomial tail.
+Every bin shares one gain, so the signal-bearing laws are exact at
+each node v_j of the backward-gain rule too: the OOK statistic is
+Gamma(n_b) with the bin mean m_j as scale, so its CDF at eta is one
+less the same Erlang tail at eta/m_j, and the FSK bit is lost when one
+Gamma(n_b) energy falls below another, with probability I_p(n_b, n_b)
+at p = w/(m_j + w), a binomial tail.
 Both tails are sums of terms built up by cumulative products of term
 ratios at most 1, each taken on the side of its mode where the terms
 fall, and a curve evaluates them on one (points, nodes) array.
 
-Bins of unequal gain give unequal means at every node, and those laws
-are inverted.  Their characteristic functions are products of
-(1 - i*t*mean)**-count factors (a negative mean is a subtracted
-exponential, as in the FSK energy difference), each an integer power of
-a base of modulus at most 1 taken by repeated complex squaring; CDFs
-come from the sign-split inversion integral
-F(x) = 1/2 - (1/pi) * int_0^T Im[phi(t) exp(-i t x)] / t dt,
-evaluated with oscillation-aware adaptive quadrature.
-
 The backward link magnitude is Rayleigh, averaged with a 64-node rule
 on [0, 6*sigma_v] whose weights are normalized to unit mass over the
-truncated support.  An exact law is averaged node by node.  The
-inversion integral is linear in phi, so an inverted marginal is one
-inversion of the node-averaged characteristic function
-sum_j w_j phi_j(t), not one inversion per node.  ``gil_pelaez_cdf``
-inverts only such exponential mixtures, and its truncation T is always
-the first doubling at which a certified bound on the dropped tail,
-taken node by node so that phase cancellation between nodes cannot
-hide a slowly decaying one, falls below a tenth of the absolute
-tolerance.  Far out in the upper tail of a law with only positive
-means, a Chernoff bound on P(X > x) below the tolerance gives the CDF
-as 1 without any inversion.
+truncated support, and each exact law is averaged node by node.
 """
 from __future__ import annotations
 
@@ -56,18 +37,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import noise_bin_variance
-from .quadrature import QuadratureError, integrate_adaptive
 from .waveform import build_subcarrier_plan
 
 __all__ = [
-    "TheoryCurve", "TheoryParams", "QuadratureError", "gil_pelaez_cdf",
-    "pfa_of_threshold", "pmd_marginal", "optimal_threshold",
-    "fsk_error_prob", "theory_sweep", "noise_bin_variance",
+    "TheoryCurve", "TheoryParams", "pfa_of_threshold", "pmd_marginal",
+    "optimal_threshold", "fsk_error_prob", "theory_sweep", "noise_bin_variance",
 ]
 
-_INIT_PANEL_CAP = 16384
-_REL_TOL = 1e-8
-_MAX_EVALS = 3_000_000
 _LOG_2PI = math.log(2.0 * math.pi)
 _NEWTON_REL_TOL = 1e-15
 _N_NODES = 64  # Gauss-Legendre nodes of the backward-gain average
@@ -94,140 +70,12 @@ class TheoryParams:
     pfa_target: float = 1e-3
 
 
-_PLAIN_SQUARINGS = 4  # last squarings of a power taken on the base itself
-_T_BLOCK = 128  # t values per block: one complex (64 nodes, t) array is 128 KB
+def _h1_means(gamma_sq: float, v, sigma_h_sq: float, sigma_w_sq, n_b: int):
+    """Bin mean of the signal-bearing statistic at each gain in v.
 
-
-@dataclass(frozen=True)
-class _ExpMixture:
-    """Characteristic function sum_j w_j * prod_g (1 - i*t*m_jg)**-c_g.
-
-    Node j (of the backward-gain rule, or the only one) has weight w_j
-    and c_g independent exponentials of mean m_jg in column g; a
-    negative mean is a subtracted exponential, as in an energy difference.
-    """
-
-    weights: np.ndarray  # (nodes,)
-    means: np.ndarray  # (nodes, columns)
-    counts: np.ndarray  # (columns,), positive integers
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts)
-        if counts.dtype.kind not in "iu" or np.any(counts < 1):
-            raise ValueError(f"counts must be positive integers, got {self.counts!r}")
-
-    def tail_bound(self, truncation, x: float) -> np.ndarray:
-        """Certified bound on |int_T^inf phi(t) exp(-i*t*x) / t dt| at each T.
-
-        Each factor has |1 - i*t*m| >= t*|m|, so |phi_j(t)| <= P_j(t) =
-        prod_g (t*|m_jg|)**-c_g and the tail is at most P(T) / K, with
-        P = sum_j w_j P_j and K = sum_g c_g.  For x != 0, integrating by
-        parts, with |phi_j'| <= K*|phi_j|/t <= K*P_j/t, bounds it by
-        (E(T) + P(T)) / (T*|x|), where E(T) = sum_j w_j*|phi_j(T)|.
-        Both bound every node's magnitude, so no phase cancellation
-        between nodes can hide a slowly decaying one.
-        """
-        truncation = np.asarray(truncation, dtype=np.float64)
-        tm = np.multiply.outer(truncation, np.abs(self.means))
-        power = np.exp(np.minimum(-np.log(tm) @ self.counts, 700.0)) @ self.weights
-        if x == 0:
-            return power / self.counts.sum()
-        envelope = np.exp(-0.5 * np.log1p(tm * tm) @ self.counts) @ self.weights
-        with np.errstate(over="ignore"):  # an infinite bound is a true one
-            by_parts = (envelope + power) / (truncation * abs(x))
-        return np.minimum(power / self.counts.sum(), by_parts)
-
-    def chernoff_log_tail(self, x: float) -> float:
-        """Chernoff bound on log P(X > x); 0, which says nothing, if none applies.
-
-        With every mean positive and 0 < s < 1/max(m), P(X > x) is at
-        most exp(-s*x) * E[exp(s*X)] = sum_j w_j * exp(-s*x) * prod_g
-        (1 - s*m_jg)**-c_g.  s = 1/max(m) - K/x, with K = sum_g c_g, is
-        the optimum for a Gamma(K) law of the largest mean.
-        """
-        if x <= 0 or self.means.min() <= 0:
-            return 0.0
-        s = 1.0 / self.means.max() - self.counts.sum() / x
-        if s <= 0:
-            return 0.0
-        logs = np.log(self.weights) - s * x - np.log1p(-s * self.means) @ self.counts
-        top = logs.max()
-        return min(float(top + np.log(np.exp(logs - top).sum())), 0.0)
-
-
-def _factor_power(means, count: int, t) -> np.ndarray:
-    """(1 - i*t*m)**-count at every mean m (rows) and t (columns).
-
-    The base 1/(1 - i*a) = (1 + i*a)/(1 + a*a), a = t*m, has modulus
-    at most 1, so its powers by repeated squaring underflow to 0 at
-    large a and never overflow.  Near a = 0 the base rounds to within
-    1e-16 of 1, and each squaring doubles that error.  So the squarings
-    whose error the later ones would multiply more than
-    2**_PLAIN_SQUARINGS-fold carry d = base - 1 = (i*a - a*a)/(1 + a*a)
-    instead, squared as d*(2 + d), which keeps the low bits of a.
-    """
-    a = np.multiply.outer(means, t)
-    q = a * a
-    q += 1.0
-    d = np.empty(a.shape, dtype=np.complex128)
-    np.divide(a, q, out=d.imag)
-    np.negative(a, out=a)
-    np.multiply(a, d.imag, out=d.real)
-    squarings = count.bit_length() - 1
-    switch = max(squarings - _PLAIN_SQUARINGS, 0)
-    power = None
-    for k in range(squarings + 1):
-        if k == switch:
-            d += 1.0  # from here on d holds the base's power itself
-        if count >> k & 1:
-            factor = d if k >= switch else d + 1.0
-            power = factor if power is None else power * factor
-        if k < squarings:
-            d = d * d if k >= switch else d * (d + 2.0)
-    return power
-
-
-def _prod_charfn(t, mix: _ExpMixture):
-    """Evaluate the mixture's characteristic function at t.
-
-    Each factor is an integer power of a base of modulus at most 1 (see
-    ``_factor_power``), so no logarithm, phase or exponential is taken.
-    A column whose mean is the same at every node is a common factor of
-    the node average and is evaluated once per t, outside it; a
-    one-node mixture has no per-node work at all.  The average is the
-    real weights times the interleaved real and imaginary parts.  It
-    runs over blocks of t so that every (nodes, t) array stays in cache
-    and the allocator reuses its memory from block to block, however
-    many panels the quadrature sends.
-    """
-    t_arr = np.asarray(t, dtype=np.float64)
-    flat = t_arr.ravel()
-    out = np.empty(flat.shape, dtype=np.complex128)
-    shared = np.all(mix.means == mix.means[:1], axis=0)
-    for lo in range(0, len(flat), _T_BLOCK):
-        tb = flat[lo:lo + _T_BLOCK]
-        per_node = common = None
-        for m, c, one in zip(mix.means.T, mix.counts.tolist(), shared):
-            if one:
-                factor = _factor_power(m[:1], c, tb)[0]
-                common = factor if common is None else common * factor
-            else:
-                factor = _factor_power(m, c, tb)
-                per_node = factor if per_node is None else per_node * factor
-        if per_node is None:
-            out[lo:lo + _T_BLOCK] = mix.weights.sum() * common
-            continue
-        average = (mix.weights @ per_node.view(np.float64)).view(np.complex128)
-        out[lo:lo + _T_BLOCK] = average if common is None else average * common
-    return complex(out[0]) if np.isscalar(t) else out.reshape(t_arr.shape)
-
-
-def _h1_means(gamma_sq: float, v, sigma_h_sq, sigma_w_sq, n_b: int):
-    """Distinct bin means of the signal-bearing statistic and their counts.
-
-    The means have one row per gain in v and one column per distinct
-    value of ``sigma_h_sq``; a zero gain is a noise-only column.  An
-    array of noise energies ``sigma_w_sq`` puts its axes in front.
+    Every bin has the one gain ``sigma_h_sq``, a scalar; a zero gain
+    leaves noise only.  An array of noise energies ``sigma_w_sq`` puts
+    its axes in front of the node axis.
     """
     v = np.atleast_1d(np.asarray(v, dtype=np.float64))
     if np.any(v < 0) or gamma_sq < 0:
@@ -237,54 +85,9 @@ def _h1_means(gamma_sq: float, v, sigma_h_sq, sigma_w_sq, n_b: int):
         raise ValueError("sigma_w_sq must be > 0")
     if n_b < 1:
         raise ValueError("n_b must be >= 1")
-    sigma_h_sq = np.broadcast_to(np.asarray(sigma_h_sq, dtype=np.float64), (n_b,))
-    if np.any(sigma_h_sq < 0):
-        raise ValueError("sigma_h_sq must be >= 0")
-    gains, counts = np.unique(sigma_h_sq, return_counts=True)
-    return gamma_sq * (v * v)[:, None] * gains + sigma_w_sq[..., None, None], counts
-
-
-def auto_quadrature(mix: _ExpMixture, x: float, abs_tol: float) -> float:
-    """First T = 1e-3 * 2**k, k < 100, whose certified tail bound at x is below abs_tol/10."""
-    ts = 1e-3 * 2.0 ** np.arange(100)
-    below = np.flatnonzero(mix.tail_bound(ts, x) < abs_tol / 10.0)
-    if len(below) == 0:
-        raise QuadratureError("characteristic function decays too slowly to truncate",
-                              np.nan, np.inf)
-    return float(ts[below[0]])
-
-
-def _inversion_edges(truncation: float, x: float) -> np.ndarray:
-    """Initial panels: log-spaced near 0 plus half-period steps of the oscillation."""
-    parts = [np.array([0.0, truncation]),
-             np.geomspace(truncation * 1e-7, truncation, 64)]
-    if x != 0:
-        half_period = np.pi / abs(x)
-        if truncation / half_period > 2:
-            step = max(half_period, truncation / _INIT_PANEL_CAP)
-            parts.append(np.arange(step, truncation, step))
-    edges = np.unique(np.concatenate(parts))
-    return edges[(edges >= 0) & (edges <= truncation)]
-
-
-def gil_pelaez_cdf(mix: _ExpMixture, x: float, abs_tol: float = 1e-9) -> float:
-    """CDF of the mixture's law at x to abs_tol, clamped to [0, 1].
-
-    Where the Chernoff bound on the upper tail is below abs_tol the CDF
-    is 1 to tolerance, and no inversion runs.
-    """
-    if not np.isfinite(x):
-        raise ValueError(f"x must be finite, got {x}")
-    if mix.chernoff_log_tail(x) <= math.log(abs_tol):
-        return 1.0
-    truncation = auto_quadrature(mix, x, abs_tol)
-
-    def integrand(t: np.ndarray) -> np.ndarray:
-        return np.imag(_prod_charfn(t, mix) * np.exp(-1j * t * x)) / t
-
-    res = integrate_adaptive(integrand, _inversion_edges(truncation, x),
-                             _REL_TOL, abs_tol, _MAX_EVALS)
-    return float(np.clip(0.5 - res.value / np.pi, 0.0, 1.0))
+    if np.ndim(sigma_h_sq) != 0 or not sigma_h_sq >= 0:
+        raise ValueError(f"sigma_h_sq must be one bin gain >= 0, got {sigma_h_sq!r}")
+    return gamma_sq * (v * v) * float(sigma_h_sq) + sigma_w_sq[..., None]
 
 
 def _bin_count(n_b) -> int:
@@ -373,22 +176,17 @@ def _missed_detection(eta, v, weights, gamma_sq: float, sigma_h_sq, sigma_w_sq,
                       n_b: int):
     """F(eta) of the signal statistic averaged over gains v with weights.
 
-    When every bin shares one gain, the statistic at gain v_j is
-    Gamma(n_b) with the bin mean m_j as scale, so F(eta) is the Erlang
-    CDF at eta/m_j, averaged node by node, at every point of the
-    matching arrays ``eta`` and ``sigma_w_sq`` at once.  Unequal gains
-    take one inversion at one point.
+    The statistic at gain v_j is Gamma(n_b) with the bin mean m_j as
+    scale, so F(eta) is the Erlang CDF at eta/m_j, averaged node by
+    node, at every point of the matching arrays ``eta`` and
+    ``sigma_w_sq`` at once.
     """
     eta = np.asarray(eta, dtype=np.float64)
     if not np.all((eta >= 0) & (eta < math.inf)):
         raise ValueError(f"eta must be finite and >= 0, got {eta}")
-    means, counts = _h1_means(gamma_sq, v, sigma_h_sq, sigma_w_sq, n_b)
-    if len(counts) == 1:
-        log_tail = _erlang_log_tail(eta[..., None] / means[..., 0], n_b)[0]
-        return _node_average(weights, -np.expm1(log_tail))
-    if eta == 0:
-        return 0.0
-    return gil_pelaez_cdf(_ExpMixture(weights, means, counts), float(eta))
+    means = _h1_means(gamma_sq, v, sigma_h_sq, sigma_w_sq, n_b)
+    log_tail = _erlang_log_tail(eta[..., None] / means, n_b)[0]
+    return _node_average(weights, -np.expm1(log_tail))
 
 
 @functools.cache
@@ -417,13 +215,12 @@ def rayleigh_nodes(sigma_v: float):
     return v, weights / weights.sum()
 
 
-def pmd_marginal(eta: float, sigma_v: float, gamma_sq: float, sigma_h_sq,
+def pmd_marginal(eta: float, sigma_v: float, gamma_sq: float, sigma_h_sq: float,
                  sigma_w_sq: float, n_b: int) -> float:
     """Missed-detection probability averaged over the Rayleigh backward gain.
 
-    The exact Erlang law at every node when the bins share one gain;
-    bins with unequal ``sigma_h_sq`` give unequal means at every node,
-    and one inversion of the node-averaged characteristic function.
+    Every bin has the one gain ``sigma_h_sq``, and the exact Erlang law
+    is averaged node by node.
     """
     v_nodes, weights = rayleigh_nodes(sigma_v)
     return float(_missed_detection(eta, v_nodes, weights, gamma_sq, sigma_h_sq,
@@ -501,29 +298,23 @@ def _fsk_loss(signal, noise, n_b: int) -> np.ndarray:
 def _bit_error(v, weights, gamma_sq: float, sigma_h_sq, sigma_w_sq, n_b: int):
     """P(E0 - E1 < 0) with bit 0 sent, averaged over gains v with weights.
 
-    Bins of one gain give ``_fsk_loss`` at every node, at every point of
-    an array ``sigma_w_sq`` at once; unequal gains take one inversion at
-    0 of the node-averaged phi_D = phi_signal * conj(phi_noise) at one
-    point, the noise sum entering D as exponentials of negative mean.
+    ``_fsk_loss`` at every node, at every point of an array
+    ``sigma_w_sq`` at once.
     """
-    signal, counts = _h1_means(gamma_sq, v, sigma_h_sq, sigma_w_sq, n_b)
-    if len(counts) == 1:
-        noise = np.asarray(sigma_w_sq)[..., None]
-        return _node_average(weights, _fsk_loss(signal[..., 0], noise, n_b))
-    means = np.column_stack([signal, np.full(len(v), -float(sigma_w_sq))])
-    return gil_pelaez_cdf(_ExpMixture(weights, means, np.append(counts, n_b)), 0.0)
+    signal = _h1_means(gamma_sq, v, sigma_h_sq, sigma_w_sq, n_b)
+    noise = np.asarray(sigma_w_sq)[..., None]
+    return _node_average(weights, _fsk_loss(signal, noise, n_b))
 
 
-def fsk_error_prob(gamma_sq: float, sigma_v: float, sigma_h_sq,
+def fsk_error_prob(gamma_sq: float, sigma_v: float, sigma_h_sq: float,
                    sigma_w_sq: float, n_b: int) -> float:
     """Bit error probability of the two-set energy detector, Rayleigh-averaged.
 
     With bit 0 sent, set 0 carries signal plus noise and set 1 noise
     only; the bit is lost when D = E0 - E1 < 0, and bit 1 sent is the
-    mirror image, so the equiprobable average needs nothing more.  When
-    every bin shares one gain, E0 and E1 are independent Gamma(n_b)
-    energies at every node (``_fsk_loss``); unequal gains are inverted
-    (``_bit_error``).
+    mirror image, so the equiprobable average needs nothing more.  Every
+    bin has the one gain ``sigma_h_sq``, so E0 and E1 are independent
+    Gamma(n_b) energies at every node (``_fsk_loss``).
     """
     v_nodes, weights = rayleigh_nodes(sigma_v)
     return float(_bit_error(v_nodes, weights, gamma_sq, sigma_h_sq, sigma_w_sq, n_b))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import re
 import sys
 
@@ -97,10 +98,9 @@ def _print_curve(curve, label: str) -> None:
 
 
 def _suffixed(path: str, tag: str) -> str:
-    stem, dot, ext = path.rpartition(".")
-    if dot:
-        return f"{stem}_{tag}.{ext}"
-    return f"{path}_{tag}"
+    """The path with _tag before the file name's extension, if it has one."""
+    stem, ext = os.path.splitext(path)
+    return f"{stem}_{tag}{ext}"
 
 
 def _auto_eta_grid(cfg: SystemConfig) -> np.ndarray:

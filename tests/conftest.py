@@ -1,6 +1,6 @@
 """Shared test settings: the hypothesis profiles of every property test.
 
-Kernel and quadrature examples take uneven time, so no per-example
+Kernel and exact-law examples take uneven time, so no per-example
 deadline applies, and no example database is kept between runs.  The
 default profile, "srbc", derandomizes: each property test draws the same
 examples on every run, so two runs of one tree give one verdict.  The

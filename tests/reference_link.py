@@ -10,9 +10,7 @@ each detection set from complex-normal channel draws.  The simulator
 runs none of this; the tests hold its kernel to these samples.  The
 synthesis IDFT carries the 1/n factor and the analysis DFT is
 unnormalized, so a frequency-domain grid round-trips exactly through
-modulate/demodulate.  Last, the exponential mixtures that the inversion
-tests feed to the analysis: a noise-only sum of exponentials and the
-signal-bearing statistic at one backward gain.
+modulate/demodulate.
 """
 from __future__ import annotations
 
@@ -20,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from srbc.analysis import _ExpMixture, _h1_means, _prod_charfn
 from srbc.backscatter import tag_shift
 from srbc.channel import noise_bin_variance
 from srbc.waveform import ConfigurationError, SubcarrierPlan
@@ -311,21 +308,3 @@ def ook_test_statistic(grid: FreqGrid, plan: SubcarrierPlan):
 def fsk_metrics(grid: FreqGrid, plan: SubcarrierPlan):
     """Energies on the bit-0 and bit-1 hypothesis sets."""
     return set_energy(grid.values, plan.kb0), set_energy(grid.values, plan.kb1)
-
-
-def exp_mixture(rates):
-    """One-node mixture of independent exponentials of the given rates."""
-    means, counts = np.unique(1.0 / np.asarray(rates, dtype=np.float64),
-                              return_counts=True)
-    return _ExpMixture(np.ones(1), means[None, :], counts)
-
-
-def h1_mixture(gamma_sq, v, sigma_h_sq, sigma_w_sq, n_b):
-    """One-node mixture of the signal-bearing statistic given v."""
-    return _ExpMixture(np.ones(1), *_h1_means(gamma_sq, v, sigma_h_sq,
-                                              sigma_w_sq, n_b))
-
-
-def charfn_h0(t, rates):
-    """Characteristic function of independent exponentials of the given rates."""
-    return _prod_charfn(t, exp_mixture(rates))

@@ -1,4 +1,4 @@
-"""Tests for the characteristic-function error analysis."""
+"""Tests for the exact per-node error laws of the analysis layer."""
 
 import math
 import time
@@ -9,14 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, special, stats
+from scipy import special, stats
 
-from reference_link import charfn_h0, exp_mixture, h1_mixture
 from srbc import analysis
 from srbc.analysis import (
     TheoryParams,
     fsk_error_prob,
-    gil_pelaez_cdf,
     noise_bin_variance,
     optimal_threshold,
     pfa_of_threshold,
@@ -37,211 +35,6 @@ def test_noise_bin_variance_convention():
     assert noise_bin_variance(0.0) == pytest.approx(1.0)
     assert noise_bin_variance(10.0) == pytest.approx(0.1)
     assert noise_bin_variance(20.0) == pytest.approx(0.01)
-
-
-def test_charfn_reference_values():
-    rates = np.array([1.0])
-    assert charfn_h0(np.array([0.0]), rates)[0] == pytest.approx(1.0)
-    value = charfn_h0(np.array([1.0]), rates)[0]
-    assert abs(value - (0.5 + 0.5j)) < 1e-12
-    t = np.linspace(-30, 30, 101)
-    mags = np.abs(charfn_h0(t, np.array([2.0, 1.0, 0.5])))
-    assert (mags <= 1 + 1e-12).all()
-
-
-def test_charfn_matches_empirical_average():
-    rng = np.random.default_rng(127)
-    rates = np.full(4, 2.0)  # four components of mean 0.5
-    draws = rng.exponential(0.5, size=(1_000_000, 4)).sum(axis=1)
-    for t in (0.3, 1.0, 3.0):
-        emp = np.mean(np.exp(1j * t * draws))
-        num = charfn_h0(np.array([t]), rates)[0]
-        assert abs(num - emp) < 1e-2, t
-
-
-def test_charfn_h1_reduces_to_h0():
-    t = np.linspace(-5, 5, 41)
-    base = charfn_h0(t, np.full(8, 1 / 0.1))
-    for gamma_sq, v in ((0.25, 0.0), (0.0, 1.0)):
-        mix = h1_mixture(gamma_sq, v, 1.0, 0.1, 8)
-        assert np.allclose(analysis._prod_charfn(t, mix), base, atol=1e-12)
-
-
-def test_charfn_blocks_match_scalar_evaluation():
-    # a Rayleigh-averaged energy difference over three full t blocks and
-    # a ragged fourth, against one evaluation per point
-    v, weights = rayleigh_nodes(1.0)
-    signal, counts = analysis._h1_means(0.0625, v, 1.0, 0.1, 8)
-    mix = analysis._ExpMixture(weights,
-                               np.column_stack([signal, np.full(len(v), -0.1)]),
-                               np.append(counts, 8))
-    t = np.linspace(0.0, 100.0, 3 * analysis._T_BLOCK + 37)
-    got = analysis._prod_charfn(t, mix)
-    expected = np.array([analysis._prod_charfn(float(x), mix) for x in t])
-    assert np.all(np.abs(got - expected) <= 1e-14 * np.abs(expected))
-
-
-def log_form_charfn(t, mix):
-    """The mixture's characteristic function in log/arctan form, as an oracle.
-
-    Each factor is exp(-c*log(1 - i*t*m)).  The base has real part 1,
-    so the principal log is continuous in t, and at large t*m the
-    magnitude underflows to 0.
-    """
-    log_mag = phase = 0.0
-    for m, c in zip(mix.means.T, mix.counts):
-        a = np.multiply.outer(m, np.asarray(t, dtype=np.float64))
-        log_mag = log_mag - 0.5 * c * np.log1p(a * a)
-        phase = phase + c * np.arctan(a)
-    mag = np.exp(log_mag)
-    return (mix.weights @ (mag * np.cos(phase))
-            + 1j * (mix.weights @ (mag * np.sin(phase))))
-
-
-def signed_powers_of_ten(lo, hi):
-    """Either sign, with a log-uniform magnitude from 10**lo to 10**hi."""
-    return st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(lo, hi)).map(
-        lambda p: p[0] * 10.0 ** p[1])
-
-
-SIGNED_MEAN = signed_powers_of_ten(-6.0, 4.0)
-CHARFN_T = st.one_of(st.just(0.0), st.floats(-1e9, 1e9),
-                     signed_powers_of_ten(-16.0, 9.0))
-
-
-@st.composite
-def exp_mixtures(draw):
-    """One to four nodes, one to three columns, one column the same at every node."""
-    nodes, columns = draw(st.integers(1, 4)), draw(st.integers(1, 3))
-    row = st.lists(SIGNED_MEAN, min_size=columns, max_size=columns)
-    means = np.array(draw(st.lists(row, min_size=nodes, max_size=nodes)))
-    shared = draw(st.integers(0, columns - 1))
-    means[:, shared] = means[0, shared]
-    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=nodes,
-                                     max_size=nodes)))
-    counts = draw(st.lists(st.integers(1, 400), min_size=columns, max_size=columns))
-    return analysis._ExpMixture(weights / weights.sum(), means, np.array(counts))
-
-
-@settings(max_examples=300)
-@given(mix=exp_mixtures(), t=st.lists(CHARFN_T, min_size=1, max_size=300))
-def test_charfn_matches_the_log_form(mix, t):
-    # the integer powers agree with the log/arctan form to 2e-14 at
-    # every mean from 1e-6 to 1e4, count to 400 and t to 1e9 (squaring
-    # the rounded base itself all the way misses by up to 1e-13 at
-    # counts near 400); they stay finite and in the unit disc, and
-    # phi(-t) is conj(phi(t)) exactly
-    t = np.array([0.0] + t)
-    phi = analysis._prod_charfn(t, mix)
-    assert np.isfinite(phi).all()
-    assert np.abs(phi).max() <= 1 + 1e-12
-    assert np.abs(phi - log_form_charfn(t, mix)).max() <= 2e-14
-    assert phi[0] == pytest.approx(1.0, abs=1e-15)
-    assert np.array_equal(analysis._prod_charfn(-t, mix), np.conj(phi))
-
-
-def test_mixture_counts_must_be_positive_integers():
-    # the integer powers square a base count times; a fractional or
-    # missing count has no such power
-    means = np.ones((1, 1))
-    for counts in ([0], [-2], [1.5], [2.0], [True], []):
-        with pytest.raises(ValueError, match="positive integers"):
-            analysis._ExpMixture(np.ones(1), means, np.array(counts))
-    assert analysis._prod_charfn(1.0, analysis._ExpMixture(
-        np.ones(1), means, np.array([2]))) == pytest.approx(1 / (1 - 1j) ** 2)
-
-
-def test_charfn_h1_matches_signal_model():
-    # eight bins, each |gamma*v*H + W|^2 with H ~ CN(0,1), W ~ CN(0,0.1)
-    rng = np.random.default_rng(131)
-    n_b, gamma_sq, v, w_var = 8, 0.25, 1.0, 0.1
-    h = rng.normal(size=(1_000_000, n_b, 2)) @ np.array([1, 1j]) / np.sqrt(2)
-    w = rng.normal(size=(1_000_000, n_b, 2)) @ np.array([1, 1j]) * np.sqrt(w_var / 2)
-    stat = np.abs(math.sqrt(gamma_sq) * v * h + w).__pow__(2).sum(axis=1)
-    mean_expect = n_b * (gamma_sq * v ** 2 + w_var)
-    assert abs(stat.mean() - mean_expect) < 0.01 * mean_expect
-    mix = h1_mixture(gamma_sq, v, 1.0, w_var, n_b)
-    for t in (0.5, 1.5):
-        emp = np.mean(np.exp(1j * t * stat))
-        num = analysis._prod_charfn(t, mix)
-        assert abs(num - emp) < 1e-2, t
-
-
-def test_gil_pelaez_exponential_reference():
-    mix = exp_mixture(np.array([1.0]))
-    assert abs(gil_pelaez_cdf(mix, 1.0) - (1 - math.exp(-1))) < 1e-6
-    assert abs(gil_pelaez_cdf(mix, 1e-6)) < 1e-4
-
-
-def test_gil_pelaez_erlang_reference():
-    mix = exp_mixture(np.array([1.0, 1.0]))
-    expect = 1 - math.exp(-2) * 3  # Erlang-2 at x = 2
-    assert abs(gil_pelaez_cdf(mix, 2.0) - expect) < 1e-6
-
-
-def test_gil_pelaez_tracks_closed_form_over_range():
-    mean = 2.0
-    mix = exp_mixture(np.array([1 / mean] * 2))
-    xs = np.geomspace(0.01 * 2 * mean, 10 * 2 * mean, 40)
-    worst = max(abs(gil_pelaez_cdf(mix, float(x))
-                    - stats.gamma.cdf(x, a=2, scale=mean)) for x in xs)
-    assert worst < 1e-6, worst
-
-
-def test_tail_bound_certifies_the_dropped_tail():
-    # every truncation rests on tail_bound: over random mixtures, some
-    # with negative means, the integral of phi(t)*exp(-i*t*x)/t over
-    # [T, inf) that the inversion drops, integrated by quad with the
-    # Fourier weight at x > 0, lies within the bound plus quad's error
-    rng = np.random.default_rng(20261019)
-    for _ in range(60):
-        nodes, columns = (int(k) for k in rng.integers(1, 4, size=2))
-        weights = rng.dirichlet(np.ones(nodes))
-        means = (rng.choice([-1.0, 1.0], size=(nodes, columns))
-                 * 10.0 ** rng.uniform(-1.0, 1.0, size=(nodes, columns)))
-        counts = rng.integers(1, 4, size=columns)
-        x = 0.0 if rng.random() < 0.5 else 10.0 ** rng.uniform(-1.0, 1.0)
-        truncation = rng.uniform(0.5, 50.0)
-        bound = float(analysis._ExpMixture(weights, means, counts)
-                      .tail_bound(truncation, x))
-        rows, powers = means.tolist(), [-int(c) for c in counts]
-
-        def phi(t):
-            return sum(w * math.prod((1 - 1j * t * m) ** p
-                                     for m, p in zip(row, powers))
-                       for w, row in zip(weights, rows))
-
-        def re(t):
-            return phi(t).real / t
-
-        def im(t):
-            return phi(t).imag / t
-
-        tol = dict(epsabs=1e-6 * bound, epsrel=1e-10, limit=200)
-        if x == 0:
-            parts = [integrate.quad(f, truncation, np.inf, **tol) for f in (re, im)]
-            tail = complex(parts[0][0], parts[1][0])
-        else:
-            parts = [integrate.quad(f, truncation, np.inf, weight=kind, wvar=x, **tol)
-                     for f, kind in ((re, "cos"), (im, "sin"), (im, "cos"), (re, "sin"))]
-            tail = complex(parts[0][0] + parts[1][0], parts[2][0] - parts[3][0])
-        assert abs(tail) <= bound + sum(err for _, err in parts), (means, x, truncation)
-
-
-def test_far_upper_tail_is_one_without_inversion():
-    # eta sits about 8 800 statistic means out, where the inversion's
-    # panels each held thousands of oscillations and it raised
-    # QuadratureError after 3 M evaluations; the Chernoff bound on the
-    # upper tail is exp(-17 572), so the CDF is 1 to any tolerance
-    w = noise_bin_variance(25.2)
-    mix = h1_mixture(1.48 ** 2, 0.006, np.array([1.647, 1.406]), w, 2)
-    assert mix.chernoff_log_tail(55.4) == pytest.approx(-17572, abs=1.0)
-    assert pmd_given_v(55.4, 0.006, 1.48 ** 2, [1.647, 1.406], w, 2) == 1.0
-    # the bound holds at Gamma laws, and says nothing below the mean
-    for k, x in ((1, 5.0), (4, 12.0), (32, 80.0)):
-        mix = exp_mixture(np.full(k, 0.5))
-        assert mix.chernoff_log_tail(x) >= stats.gamma.logsf(x, a=k, scale=2.0)
-        assert mix.chernoff_log_tail(k * 2.0) == 0.0
 
 
 def test_pfa_limits_and_sampling():
@@ -377,8 +170,8 @@ def rayleigh_average(sigma_v, per_node):
 
 @pytest.mark.parametrize("gamma", [0.25, 1.0])
 def test_fsk1_theory_holds_at_high_snr(gamma):
-    # fsk1 collects one bin per hypothesis at every n, so the difference
-    # statistic's characteristic function decays only like 1/t**2
+    # fsk1 collects one bin per hypothesis at every n, so each energy is
+    # a single exponential and the loss is w/(m + w) at every node
     snr = np.arange(30.0, 51.0, 5.0)
     curve = theory_sweep("FSK_BER", snr, TheoryParams("fsk1", 64, gamma))
     for s, value in zip(snr, curve.values):
@@ -426,34 +219,6 @@ def test_pmd_marginal_matches_closed_form(n_b, snr_db, gamma, sigma_v, pfa):
     assert abs(value - ref) <= 1e-8 + 1e-6 * ref
 
 
-@pytest.mark.parametrize("v, snr_db", [(0.3, 0.0), (1.0, 10.0), (2.0, 20.0)])
-def test_pmd_given_v_with_two_bin_gains(v, snr_db):
-    # three bins of gain 0.5 and two of gain 2: the statistic is the sum
-    # of two independent Gamma variables, whose CDF is a convolution
-    gamma_sq, w = 0.25, noise_bin_variance(snr_db)
-    gains = np.array([0.5, 2.0, 0.5, 2.0, 0.5])
-    m_lo, m_hi = gamma_sq * v * v * 0.5 + w, gamma_sq * v * v * 2.0 + w
-    eta = 5 * (m_lo + m_hi) / 2
-    ref, _ = integrate.quad(
-        lambda s: (stats.gamma.pdf(s, 3, scale=m_lo)
-                   * stats.gamma.cdf(eta - s, 2, scale=m_hi)),
-        0.0, eta, epsabs=1e-12, epsrel=1e-10)
-    assert pmd_given_v(eta, v, gamma_sq, gains, w, 5) == pytest.approx(ref, abs=1e-8)
-
-
-@pytest.mark.parametrize("v, snr_db", [(0.3, 0.0), (1.0, 10.0), (2.0, 20.0)])
-def test_pmd_given_v_with_a_zero_bin_gain(v, snr_db):
-    # a zero gain is a noise-only bin: with gains [1, 0] the statistic is
-    # one signal exponential of mean m1 plus one noise exponential of
-    # mean w, whose CDF is the hypoexponential one
-    gamma_sq, w = 0.25, noise_bin_variance(snr_db)
-    m1 = gamma_sq * v * v + w
-    eta = m1 + w
-    ref = 1 - (m1 * math.exp(-eta / m1) - w * math.exp(-eta / w)) / (m1 - w)
-    value = pmd_given_v(eta, v, gamma_sq, np.array([1.0, 0.0]), w, 2)
-    assert value == pytest.approx(ref, abs=1e-8)
-
-
 @pytest.mark.parametrize("n_b", [1, 8, 32])
 def test_zero_bin_gains_leave_only_noise(n_b):
     # with every gain zero the statistic is Erlang(n_b, w) whatever the
@@ -466,88 +231,15 @@ def test_zero_bin_gains_leave_only_noise(n_b):
     assert fsk_error_prob(0.25, 1.0, 0.0, w, n_b) == 0.5
 
 
-@settings(max_examples=25)
-@given(sigma_h_sq=st.lists(st.floats(0.2, 3.0), min_size=2, max_size=6),
-       snr_db=SNR_DB, gamma=GAMMA, sigma_v=SIGMA_V, pfa=st.floats(1e-4, 0.1))
-def test_pmd_marginal_with_unequal_bin_variances(sigma_h_sq, snr_db, gamma,
-                                                 sigma_v, pfa):
-    # unequal bin gains give unequal means at every node; the one
-    # inversion of the averaged characteristic function must equal the
-    # production rule's average of the exact per-node laws.  At gain v the
-    # statistic is a sum of exponentials of rates r_b; by uniformization
-    # at the top rate L its survival function is a Poisson(L*eta) mixture
-    # of the chance that a chain moving on from bin b with probability
-    # r_b/L per step has not yet left the last bin, a sum of positive terms
-    n_b, w = len(sigma_h_sq), noise_bin_variance(snr_db)
-    gains = np.array(sigma_h_sq)
-    eta = w * special.gammainccinv(n_b, pfa)
-    value = pmd_marginal(eta, sigma_v, gamma ** 2, gains, w, n_b)
-    nodes, weights = rayleigh_nodes(sigma_v)
-    rates = 1.0 / (gamma ** 2 * np.square(nodes)[:, None] * gains + w)
-    top = rates.max(axis=1)
-    load = top * eta
-    state = np.zeros_like(rates)
-    state[:, 0] = 1.0
-    survival = np.zeros(len(nodes))
-    for k in range(int(load.max() + 12 * math.sqrt(load.max()) + 40)):
-        survival += stats.poisson.pmf(k, load) * state.sum(axis=1)
-        moved = state * (rates / top[:, None])
-        state -= moved
-        state[:, 1:] += moved[:, :-1]
-    ref = float(weights @ (1.0 - survival))
-    assert abs(value - ref) <= 1e-8
-
-
-def one_gain_mixture(gamma, sigma_v, w, n_b, fsk=False):
-    """The node-averaged mixture of n_b signal bins of unit gain, for gil_pelaez_cdf.
-
-    With ``fsk`` the n_b noise bins of the other set are subtracted.
-    """
-    nodes, weights = rayleigh_nodes(sigma_v)
-    means, counts = analysis._h1_means(gamma ** 2, nodes, 1.0, w, n_b)
-    if fsk:
-        means = np.column_stack([means, np.full(len(nodes), -w)])
-        counts = np.append(counts, n_b)
-    return analysis._ExpMixture(weights, means, counts)
-
-
-@settings(max_examples=40)
-@given(n_b=OOK_SET_SIZES, snr_db=SNR_DB, gamma=GAMMA, sigma_v=SIGMA_V,
-       pfa=st.floats(1e-4, 0.1))
-def test_pmd_closed_form_matches_one_inversion(n_b, snr_db, gamma, sigma_v, pfa):
-    # the exact Erlang law at every node, which the production curves
-    # use, against one inversion of the same node-averaged mixture,
-    # which unequal bin gains still take
-    w = noise_bin_variance(snr_db)
-    eta = w * optimal_threshold(pfa, n_b)
-    mix = one_gain_mixture(gamma, sigma_v, w, n_b)
-    value = pmd_marginal(eta, sigma_v, gamma ** 2, 1.0, w, n_b)
-    assert abs(value - gil_pelaez_cdf(mix, eta)) <= 1e-9
-
-
-@settings(max_examples=40)
-@given(n_b=FSK_SET_SIZES, snr_db=SNR_DB, gamma=GAMMA, sigma_v=SIGMA_V)
-def test_fsk_closed_form_matches_one_inversion(n_b, snr_db, gamma, sigma_v):
-    # the binomial tail of two Gamma(n_b) energies at every node against
-    # one inversion at 0 of the node-averaged energy difference
-    w = noise_bin_variance(snr_db)
-    mix = one_gain_mixture(gamma, sigma_v, w, n_b, fsk=True)
-    value = fsk_error_prob(gamma ** 2, sigma_v, 1.0, w, n_b)
-    assert abs(value - gil_pelaez_cdf(mix, 0.0)) <= 1e-9
-
-
-@pytest.mark.parametrize("scheme", ["ook", "fsk1", "fsk2"])
-def test_theory_curves_take_no_inversion(scheme, monkeypatch):
-    # every bin of a theory curve shares one gain, so its laws are exact
-    # at every node; the inversion is left for unequal gains
-    def refuse(*args, **kwargs):
-        raise AssertionError("a theory curve inverted a characteristic function")
-
-    monkeypatch.setattr(analysis, "gil_pelaez_cdf", refuse)
-    kind = "OOK_PMD" if scheme == "ook" else "FSK_BER"
-    curve = theory_sweep(kind, np.linspace(-10.0, 50.0, 13),
-                         TheoryParams(scheme, 64, 0.25))
-    assert np.isfinite(curve.values).all()
+def test_bin_gain_must_be_one_scalar():
+    # every law takes one gain shared by all bins; a sequence of gains
+    # would broadcast against the nodes into wrong values, so it is refused
+    w = noise_bin_variance(10.0)
+    for gains in ([1.0, 2.0], np.ones(8), np.ones(64), [1.0], -0.5, math.nan):
+        with pytest.raises(ValueError, match="one bin gain"):
+            pmd_marginal(w, 1.0, 0.25, gains, w, 8)
+        with pytest.raises(ValueError, match="one bin gain"):
+            fsk_error_prob(0.25, 1.0, gains, w, 8)
 
 
 def log_erlang_tail(n_b, x):

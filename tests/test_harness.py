@@ -522,6 +522,18 @@ def test_cli_simulation_commands(tmp_path):
     assert parse_csv(tmp_path / "cfo_eps0.05.csv").meta["cfo"] == "0.05"
 
 
+def test_cli_suffix_goes_before_the_file_names_extension(tmp_path):
+    # a dot in a directory name is not the file's extension
+    assert cli._suffixed("out.csv", "theory") == "out_theory.csv"
+    assert cli._suffixed("results.d/curve", "theory") == "results.d/curve_theory"
+    assert cli._suffixed("res.d/curve.csv", "eps0.1") == "res.d/curve_eps0.1.csv"
+    out = tmp_path / "results.d" / "curve"
+    out.parent.mkdir()
+    assert cli.main(["cfo", "--scheme", "fsk2", "--snr", "10", "--trials", "64",
+                     "--eps-grid", "0.05", "--out", str(out)]) == 0
+    assert [p.name for p in out.parent.iterdir()] == ["curve_eps0.05"]
+
+
 def test_cli_cfo_rejects_offsets_that_share_a_file(tmp_path, capsys):
     # each offset's curve is written to a file named by its offset at 6
     # significant digits, so two that agree there would overwrite one
