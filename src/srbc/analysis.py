@@ -83,8 +83,7 @@ def _h1_means(gamma_sq: float, v, sigma_h_sq: float, sigma_w_sq, n_b: int):
     sigma_w_sq = np.asarray(sigma_w_sq, dtype=np.float64)
     if not np.all(sigma_w_sq > 0):
         raise ValueError("sigma_w_sq must be > 0")
-    if n_b < 1:
-        raise ValueError("n_b must be >= 1")
+    _bin_count(n_b)
     if np.ndim(sigma_h_sq) != 0 or not sigma_h_sq >= 0:
         raise ValueError(f"sigma_h_sq must be one bin gain >= 0, got {sigma_h_sq!r}")
     return gamma_sq * (v * v) * float(sigma_h_sq) + sigma_w_sq[..., None]

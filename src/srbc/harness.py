@@ -13,13 +13,12 @@ losslessly.
 Every simulation runs one frequency-domain kernel that draws only what
 the receiver reads: for the tag bit the energy of each detection set,
 whose law given a row's channel draws is exact (``_set_energies``), for
-primary detection the data bins.  The two channel modes differ in the
-tag's gain per bin: "tdl" evaluates the response of tapped-delay-line
-fading, while "iid" gives every subcarrier an independent complex-normal
-gain — the analytical model's own assumptions — and exists to validate
-the analysis module; it draws each set's energy as one gamma variate.
-Without an offset tdl draws the tag's landing energy from its exact law,
-one exponential per eigenvalue of the landing Gram and one for hb.
+primary detection the data bins.  Without an offset a set's energy is
+a sum of exponentials whose means are its covariance's eigenvalues:
+one law, and the channel modes differ only in the landing spectrum.
+"tdl" has the Gram eigenvalues of tapped-delay-line fading; "iid" has
+unit gains on independent subcarriers, the analytical model's own
+assumptions, and exists to validate the analysis module.
 A carrier offset (tdl only) enters the kernel as one exact matrix per
 link from the data bins to the bins it reads: the detection bins for the
 tag bit, the data bins themselves for primary detection.  Without an
@@ -134,16 +133,16 @@ class SystemConfig:
         if not 0.0 < self.pfa_target < 1.0:
             raise ConfigurationError(
                 f"pfa_target must lie in (0, 1), got {self.pfa_target}")
-        if self.trials < 1:
-            raise ConfigurationError(f"trials must be >= 1, got {self.trials}")
         if self.channel_mode not in CHANNEL_MODES:
             raise ConfigurationError(
                 f"channel_mode must be one of {CHANNEL_MODES}, got {self.channel_mode!r}")
         if not 0 <= self.crc_preset < 32:
             raise ConfigurationError(
                 f"crc_preset must be a 5-bit value, got {self.crc_preset}")
-        if self.threads < 1:
-            raise ConfigurationError(f"threads must be >= 1, got {self.threads}")
+        for name, low in (("trials", 1), ("seed", 0), ("threads", 1)):
+            if getattr(self, name) < low:
+                raise ConfigurationError(
+                    f"{name} must be >= {low}, got {getattr(self, name)}")
 
     @property
     def cp_len(self) -> int:
@@ -303,25 +302,30 @@ class _TagLink:
     The link reads its bins as columns, in blocks of ``sizes`` bins: for
     the tag bit the detection sets side by side, kb0 then kb1 (kb0 alone
     for ook, whose sets coincide), for primary detection the data bins
-    as one block.  At zero offset a tag-bit link has ``landings``: per
-    bit None, when the bit does not reflect, or the column its tone
-    lands on and the eigenvalues over l_forward (clipped at 0; None in
-    iid mode) of the Gram G = R R^H of the matrix R that maps forward
-    taps to Hf at the set's source bins.  Every plan builds its landing
-    sets as shifted data bins, so every bin has a source.
-    At a nonzero offset, and always for primary detection, ``spectra``
-    is the block-diagonal matrix that maps [direct taps, forward taps]
-    to [Hd, Hf] on the data bins, and ``leakage`` holds per bit the
-    matrix that maps the data-bin terms [X*Hd, gamma*hb*X*Hf] onto every
-    column: M_d stacked on the bit's M_s, or M_d alone when the bit does
-    not reflect.  ``unit_eta`` is the OOK CFAR threshold at unit bin
-    noise that ``decide`` scales, None for fsk and for primary detection.
+    as one block.  At zero offset a tag-bit link has its landing
+    spectrum: ``rank`` r, and per bit in ``landings`` None, when the bit
+    does not reflect, or (col, weights, bulk), the column its tone lands
+    on and the signal weight on each of r directions and on each of the
+    other n_b - r.  In tdl mode r = min(l_forward, n_b), the weights are
+    the r largest eigenvalues over l_forward (clipped at 0, ascending) of
+    the Gram G = R R^H of the matrix R that maps forward taps to Hf at
+    the set's source bins (landing sets are shifted data bins, so every
+    bin has a source), and bulk is 0; in iid mode, whose bins have
+    independent unit gains, r = 0 and bulk is 1.  At a nonzero offset,
+    and always for primary detection, ``spectra`` is the block-diagonal
+    matrix that maps [direct taps, forward taps] to [Hd, Hf] on the data
+    bins, and ``leakage`` holds per bit the matrix that maps the data-bin
+    terms [X*Hd, gamma*hb*X*Hf] onto every column: M_d stacked on the
+    bit's M_s, or M_d alone when the bit does not reflect.  ``unit_eta``
+    is the OOK CFAR threshold at unit bin noise that ``decide`` scales,
+    None for fsk and for primary detection.
     """
 
     cfg: SystemConfig
     sizes: np.ndarray
     unit_eta: float | None
     landings: tuple = ()
+    rank: int = 0
     spectra: np.ndarray | None = None
     leakage: tuple = ()
 
@@ -369,17 +373,18 @@ def _tag_link(cfg: SystemConfig, target: str = "bd") -> _TagLink:
         spectra[cfg.l_direct:, plan.n_data:] = _tap_response(
             cfg.l_forward, plan.data_idx, plan.n)
         return _TagLink(cfg, sizes, unit_eta, spectra=spectra, leakage=leakage)
+    rank = min(cfg.l_forward, int(sizes[0])) if cfg.channel_mode == "tdl" else 0
     landings = []
     for bit, (s, kb) in enumerate(zip(shifts, (plan.kb0, plan.kb1))):
-        if s is None:
-            landings.append(None)
-            continue
-        # iid mode reads only the column; a first LAPACK call adds 1 MB to peak RSS
-        response = _tap_response(cfg.l_forward, (kb - s) % plan.n, plan.n)
-        weights = (None if cfg.channel_mode == "iid" else np.maximum(
-            np.linalg.eigvalsh(response @ response.conj().T), 0.0) / cfg.l_forward)
-        landings.append((0 if plan.scheme == "ook" else bit, weights))
-    return _TagLink(cfg, sizes, unit_eta, landings=tuple(landings))
+        weights = np.zeros(0)
+        # iid mode makes no LAPACK call: a first one adds 1 MB to peak RSS
+        if s is not None and rank:
+            response = _tap_response(cfg.l_forward, (kb - s) % plan.n, plan.n)
+            weights = np.maximum(np.linalg.eigvalsh(
+                response @ response.conj().T)[-rank:], 0.0) / cfg.l_forward
+        landings.append(None if s is None else
+                        (0 if plan.scheme == "ook" else bit, weights, float(not rank)))
+    return _TagLink(cfg, sizes, unit_eta, landings=tuple(landings), rank=rank)
 
 
 def _normal_pairs(rng, shape) -> np.ndarray:
@@ -429,16 +434,16 @@ def _signal_power(link: _TagLink, bits, hb, taps, direct, signs) -> np.ndarray:
     return power
 
 
-def _landing_power(link: _TagLink, bits, gain, fades=None) -> np.ndarray:
-    """(size, sets) ``gain`` (times fades @ weights) on each sent bit's landing set."""
+def _landing_power(link: _TagLink, bits, gain, spread, rest) -> np.ndarray:
+    """(size, sets) ``gain`` times the landing spectrum on ``spread`` and ``rest``."""
     power = np.zeros((len(bits), len(link.sizes)))
     for bit, landing in enumerate(link.landings):
         if landing is not None:
-            col, weights = landing
+            col, weights, bulk = landing
             # whole columns times the 0/1 mask: a boolean gather and
             # scatter of the rows would cost several times more
-            power[:, col] += (bits == bit) * (gain if fades is None
-                                              else gain * (fades @ weights))
+            power[:, col] += (bits == bit) * (
+                gain * (weights @ spread[..., col] + bulk * rest[:, col]))
     return power
 
 
@@ -460,53 +465,49 @@ def _set_energies(rng, size, link: _TagLink, bits):
     off the data bins), s the sent bit's tone shift and W white with
     per-bin variance sigma^2 = ``noise``; an offset eps multiplies the
     body by exp(2j*pi*eps*t/n), which keeps W white and maps the rest
-    through the link's leakage matrices.  Given a row's
-    channel draws, a set of n_b bins thus holds s + W with s fixed, and
-    by the rotation invariance of W its energy ||s + W||^2 has exactly
-    the law of sigma^2*Gamma(n_b - 1) + |(||s||) + w|^2, w ~ CN(0,
-    sigma^2).  So each set costs one gamma and one complex normal draw,
-    whatever n_b is.  Without an offset ||s||^2 = gamma^2*|hb|^2 *
-    taps^H G taps on the landing set, zero elsewhere, has exactly the
-    law of gamma^2*sigma_v^2*E_0 * sum_i lambda_i*E_i/l_forward, the
-    lambda_i the eigenvalues of G and the E_i unit exponentials (Imhof
-    1961).  In iid mode each landing bin's gain is an
-    independent unit complex normal, so given hb a set's bins are CN(0,
-    gamma^2*|hb|^2 + sigma^2) where the sent bit lands and CN(0, sigma^2)
-    elsewhere: its energy is that variance times one Gamma(n_b) draw
-    (Urkowitz 1967), and |hb|^2 is sigma_v^2 times one exponential.
+    through the link's leakage matrices.
 
-    The draws come in a fixed order.  In iid mode: the unit Gamma(n_b)
-    of every set, then the exponential of every row.  In tdl mode: the
-    noise at unit scale (the gamma, then w, of every set), then without
-    an offset every row's E_0, E_1, ..., and with one hb, the forward
-    taps, the data signs and the direct taps: an offset run shares only
-    the noise with the zero-offset run on its stream.  Every draw is made for
-    the whole batch before ``_signal_power`` walks its row blocks, so
-    the block size leaves the streams alone.  All of it, and the
-    amplitudes ||s||, are computed once per batch; ``energies`` scales
-    the unit noise to the point's and adds it, so every point of a curve
-    reads the same draws.
+    Without an offset, given hb, a set's energy is a sum of independent
+    exponentials whose means are the eigenvalues of its covariance
+    (Imhof 1961): sigma^2 plus, on the sent bit's set, gamma^2*|hb|^2
+    times the link's landing spectrum, a weight on each of r directions
+    and bulk on each of the other n_b - r, whose exponentials sum to one
+    Gamma(n_b - r) draw; |hb|^2 is sigma_v^2 times one exponential E_0.
+    For iid mode (r = 0, bulk 1) that is (gamma^2*|hb|^2 + sigma^2)
+    times one Gamma(n_b) draw (Urkowitz 1967).  The draws come in a
+    fixed order: every set's gamma, its r exponentials, every row's E_0.
+
+    With an offset, given a row's channel draws, a set holds s + W with
+    s fixed, and by the rotation invariance of W its energy has exactly
+    the law of sigma^2*Gamma(n_b - 1) + |(||s||) + w|^2, w ~ CN(0,
+    sigma^2): one gamma and one complex normal draw per set, drawn
+    first, then hb, the forward taps, the data signs and the direct
+    taps, all for the whole batch before ``_signal_power`` walks its row
+    blocks, so the block size leaves the streams alone.  An offset run
+    shares only its bits with the zero-offset run.
+
+    The noise-free part is computed once per batch; ``energies`` scales
+    the unit noise to the point's, so every point reads the same draws.
     """
     cfg = link.cfg
     bits = np.asarray(bits)
     sets = len(link.sizes)
-    gain = cfg.gamma_mag ** 2 * cfg.sigma_v ** 2
-    if cfg.channel_mode == "iid":
-        unit = rng.standard_gamma(link.sizes, size=(size, sets))
-        power = _landing_power(link, bits, gain * rng.standard_exponential(size))
-        return lambda noise: (power + noise) * unit
+    if not link.leakage:
+        # the sets share n_b, and a scalar shape draws faster than an array
+        rest = rng.standard_gamma(float(link.sizes[0] - link.rank), size=(size, sets))
+        # direction first: a sum over a short trailing axis is slow
+        spread = rng.standard_exponential((link.rank, size, sets))
+        gain = cfg.gamma_mag ** 2 * cfg.sigma_v ** 2 * rng.standard_exponential(size)
+        power = _landing_power(link, bits, gain, spread, rest)
+        total = rest + spread.sum(axis=0)
+        return lambda noise: power + noise * total
     rest = rng.standard_gamma(link.sizes - 1.0, size=(size, sets))
     pairs = _normal_pairs(rng, (size, sets))
-    if link.leakage:
-        hb = _complex_normal_draw(rng, (size,), cfg.sigma_v ** 2)
-        taps = _complex_normal_draw(rng, (size, cfg.l_forward), 1.0 / cfg.l_forward)
-        signs = _data_signs(rng, (size, link.spectra.shape[1] // 2))
-        direct = _complex_normal_draw(rng, (size, cfg.l_direct), 1.0 / cfg.l_direct)
-        power = _signal_power(link, bits, hb, taps, direct, signs)
-    else:
-        fades = rng.standard_exponential((size, 1 + cfg.l_forward))
-        power = _landing_power(link, bits, gain * fades[:, 0], fades[:, 1:])
-    amplitude = np.sqrt(power)
+    hb = _complex_normal_draw(rng, (size,), cfg.sigma_v ** 2)
+    taps = _complex_normal_draw(rng, (size, cfg.l_forward), 1.0 / cfg.l_forward)
+    signs = _data_signs(rng, (size, link.spectra.shape[1] // 2))
+    direct = _complex_normal_draw(rng, (size, cfg.l_direct), 1.0 / cfg.l_direct)
+    amplitude = np.sqrt(_signal_power(link, bits, hb, taps, direct, signs))
 
     def energies(noise: float) -> np.ndarray:
         w = pairs * math.sqrt(noise / 2.0)
@@ -659,9 +660,9 @@ def run_cfo_study(cfg: SystemConfig, eps_grid,
 
     Every curve runs the frequency-domain kernel on the same (seed,
     batch) streams, shared by all its points, and the zero-offset curve
-    is the plain sweep.  An offset curve shares the bits and unit noise
-    of the zero-offset one, not its channel, which the zero-offset
-    kernel draws from the landing energy's exact law.
+    is the plain sweep.  An offset curve shares only the bits of the
+    zero-offset one, whose kernel draws each set's energy from its
+    exact law.
     """
     eps = np.atleast_1d(np.asarray(eps_grid, dtype=np.float64))
     if len(eps) == 0 or not np.isfinite(eps).all():

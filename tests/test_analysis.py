@@ -90,11 +90,18 @@ def test_threshold_at_one_and_two_bins():
 
 
 def test_threshold_needs_a_positive_integer_bin_count():
+    # the marginal laws too: a fractional or boolean count is not read
+    # as a count between its neighbours or as 1
+    w = noise_bin_variance(10.0)
     for n_b in (0, -3, 2.0, 2.5, True, "8", np.ones(2)):
         with pytest.raises(ValueError, match="positive integer"):
             optimal_threshold(1e-3, n_b)
         with pytest.raises(ValueError, match="positive integer"):
             pfa_of_threshold(1.0, n_b)
+        with pytest.raises(ValueError, match="positive integer"):
+            pmd_marginal(5 * w, 1.0, 0.25, 1.0, w, n_b)
+        with pytest.raises(ValueError, match="positive integer"):
+            fsk_error_prob(0.25, 1.0, 1.0, w, n_b)
     # the plan's set sizes are numpy integers
     assert optimal_threshold(1e-3, np.int64(8)) == optimal_threshold(1e-3, 8)
 

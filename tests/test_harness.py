@@ -93,6 +93,10 @@ def test_config_validation():
         SystemConfig(trials=0)
     with pytest.raises(ConfigurationError):
         SystemConfig(pfa_target=0.0)
+    # a negative seed is refused before any stream is seeded from it
+    with pytest.raises(ConfigurationError, match="seed must be >= 0"):
+        SystemConfig(seed=-1)
+    assert SystemConfig(seed=0).seed == 0
     # integer fields take integral values only: none is truncated
     fractional = {"n": 64.7, "zeta": 2.5, "l_direct": 2.5, "l_forward": 2.5,
                   "trials": 1000.5, "seed": 7.5, "crc_preset": 9.5,
@@ -397,28 +401,6 @@ def test_cfo_study_zero_offset_matches_plain_sweep():
     assert shifted.values[0] > zero.values[0]
 
 
-def test_offset_kernel_shares_the_zero_offset_draws():
-    # on one stream the offset and zero-offset kernels draw the same
-    # unit noise first, and only then their own channel terms, so
-    # without a tag a vanishing offset's set energies are the
-    # zero-offset ones, up to the direct link's 1e-9 leakage
-    cfg = SystemConfig(scheme="fsk2", n=64, gamma_mag=0.0, snr_db=(10.0,))
-    noise = analysis.noise_bin_variance(10.0)
-    bits = np.random.default_rng(5).integers(0, 2, size=512).astype(np.int8)
-
-    def energies(c):
-        return _set_energies(np.random.default_rng(7), 512, _tag_link(c),
-                             bits)(noise)
-
-    zero = energies(cfg)
-    tiny = energies(cfg.replace(cfo_eps=1e-9))
-    assert np.abs(tiny - zero).max() <= 1e-6 * zero.max()
-    # and a run draws its bits before either kernel's draws
-    clean, offset = run_cfo_study(cfg.replace(trials=10_000, seed=199),
-                                  (0.0, 1e-9), target_events=None)
-    assert np.array_equal(offset.values, clean.values)
-
-
 def test_compare_smoke():
     cfg = SystemConfig(scheme="fsk2", n=64, gamma_mag=0.5,
                        snr_db=(5.0, 15.0), trials=50_000,
@@ -631,6 +613,13 @@ def test_cli_rejects_bad_input(tmp_path, capsys):
         capsys.readouterr()
         assert cli.main(argv) == 2, argv
         assert capsys.readouterr().err.startswith("error: bad number list"), argv
+    # a negative seed is named, and compare refuses it before its theory curve
+    for argv in (["ber", "--scheme", "fsk2", "--seed", "-1"],
+                 ["compare", "--scheme", "fsk2", "--seed", "-1"]):
+        with mock.patch.object(analysis, "theory_sweep") as theory:
+            assert cli.main(argv + ["--out", str(out)]) == 2, argv
+        assert "error: seed must be >= 0" in capsys.readouterr().err, argv
+        assert not theory.called
 
 
 def _landing_weight_error(cfg, seed):
@@ -638,19 +627,23 @@ def _landing_weight_error(cfg, seed):
     # the data sign on each source bin times a fixed linear map M of the
     # forward taps; fit M by least squares from noise-free time-domain
     # rows, check that it reproduces them, and return the largest gap
-    # between the eigenvalues of its Gram G = M M^H over l_forward and
-    # the link's landing weights, relative to the largest weight
+    # between the top rank eigenvalues of its Gram G = M M^H over
+    # l_forward and the link's landing weights, relative to the largest
+    # weight; the Gram's other eigenvalues must vanish
     plan = cfg.plan()
     sets = (plan.kb0,) if cfg.scheme == "ook" else (plan.kb0, plan.kb1)
     rows = cfg.l_forward + 8
     rng = np.random.default_rng(seed)
+    link = _tag_link(cfg)
+    assert link.rank == min(cfg.l_forward, len(sets[0]))
     error = 0.0
-    for bit, landing in enumerate(_tag_link(cfg).landings):
+    for bit, landing in enumerate(link.landings):
         shift = tag_shift(cfg.scheme, bit, plan.zeta)
         assert (landing is None) == (shift is None)
         if landing is None:
             continue
-        col, weights = landing
+        col, weights, bulk = landing
+        assert bulk == 0.0
         grid, ch, data_bits = tdl_grid(rng, rows, cfg, np.full(rows, bit),
                                        NoiseSpec(0.0))
         signs = np.zeros((rows, plan.n))
@@ -661,8 +654,10 @@ def _landing_weight_error(cfg, seed):
         m = np.linalg.lstsq(ch.taps_forward, z, rcond=None)[0]
         assert np.abs(ch.taps_forward @ m - z).max() <= 1e-10 * np.abs(z).max()
         fitted = np.linalg.eigvalsh(m @ m.conj().T) / cfg.l_forward
-        assert weights.shape == fitted.shape and weights.min() >= 0
-        error = max(error, np.abs(fitted - weights).max() / weights.max())
+        top, others = fitted[-link.rank:], fitted[:-link.rank]
+        assert weights.shape == top.shape and weights.min() >= 0
+        assert np.abs(others).max(initial=0.0) <= 1e-10 * top.max()
+        error = max(error, np.abs(top - weights).max() / weights.max())
     return error
 
 
@@ -833,13 +828,14 @@ def _tag_error_rate(cfg, energies_of, trials, seed):
     return p, float(_ci95(p, used))
 
 
-@pytest.mark.parametrize("scheme, eps", (("ook", 0.0), ("fsk2", 0.0),
+@pytest.mark.parametrize("scheme, eps", (("ook", 0.0), ("fsk1", 0.0), ("fsk2", 0.0),
                                          ("fsk2", 0.1)),
-                         ids=("ook", "fsk2", "fsk2-cfo0.1"))
+                         ids=("ook", "fsk1", "fsk2", "fsk2-cfo0.1"))
 def test_frequency_kernel_matches_time_domain_statistically(scheme, eps):
-    # ook missed detection and fsk2 bit errors at 20 dB, with and
-    # without a carrier offset, 200k symbols each way: the two paths
-    # agree within their combined intervals
+    # ook missed detection and fsk bit errors at 20 dB, with and without
+    # a carrier offset, 200k symbols each way: the two paths agree
+    # within their combined intervals; fsk1's one bin per set is fewer
+    # than the forward taps, so its landing spectrum has rank n_b
     cfg = SystemConfig(scheme=scheme, n=64, gamma_mag=0.25,
                        snr_db=(20.0,), pfa_target=1e-3, cfo_eps=eps)
     p_fd, ci_fd = _tag_error_rate(cfg, _kernel_energies(cfg), 200_000, 233)

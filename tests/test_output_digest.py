@@ -94,3 +94,19 @@ def test_theory_check_reads_only_theory_files(tmp_path):
     text.write_text("exit 0\n--- stderr\n")
     assert output_digest._theory_values(sim) is None
     assert output_digest._theory_values(text) is None
+
+
+def test_band_check_holds_a_roc_abscissa_to_its_band(tmp_path):
+    # a roc curve's abscissa is a simulated false-alarm rate: it may move
+    # within the band of its interval from the trial count, not beyond
+    ref = _curve_file(tmp_path / "roc_ref.csv", [(0.1, 0.4, 0.02)])
+    near = _curve_file(tmp_path / "roc_near.csv", [(0.105, 0.4, 0.02)])
+    ok, account = output_digest.band_check(ref, near)
+    assert ok, account
+    # 3*hypot of two Wald halfwidths at 4096 trials is about 0.04
+    far = _curve_file(tmp_path / "roc_far.csv", [(0.16, 0.4, 0.02)])
+    ok, account = output_digest.band_check(ref, far)
+    assert not ok and account.startswith("point 0"), account
+    # any other curve's abscissa is its configuration and must not move
+    other = _curve_file(tmp_path / "ber_ref.csv", [(0.1, 0.4, 0.02)])
+    assert not output_digest.band_check(other, near)[0]

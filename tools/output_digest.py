@@ -21,10 +21,12 @@ exits 0 when they match and 1, listing the files that differ, when not.
 With ``--band``, a change of random streams can pass: a simulated CSV
 (one whose trials column is not 0) that differs passes when it has REV's
 abscissas and metadata and every value lies within max(0.1*ref,
-3*hypot(ci, ci_ref)) of REV's value ref, the benchmark gate's band; a
-command's text file passes when its exit code and stderr are REV's, as
-its stdout prints the points the CSVs hold.  Theory outputs must still
-match byte for byte.  Each differing file is listed with its worst gap
+3*hypot(ci, ci_ref)) of REV's value ref, the benchmark gate's band.  A
+roc curve's abscissa is a simulated false-alarm rate, so, as in the
+gate, it is held to the same band instead, its interval taken from the
+trials column.  A command's text file passes when its exit code and
+stderr are REV's, as its stdout prints the points the CSVs hold.
+Theory outputs must still match byte for byte.  Each differing file is listed with its worst gap
 as a share of its band, and the tool exits 1 when any file fails.
 
 With ``--theory-rtol R`` (default 0, byte for byte), a change of theory
@@ -73,6 +75,11 @@ def _read_rows(path: Path) -> list:
         return list(csv.reader(f))
 
 
+def _wald(p: float, trials: int) -> float:
+    """The 95% halfwidth of a rate p from ``trials`` trials, as the gate takes it."""
+    return 1.96 * math.sqrt(max(p * (1.0 - p), 0.0) / max(trials, 1))
+
+
 def band_check(ref: Path, new: Path) -> tuple:
     """Whether a differing file passes the band check, and a one-line account."""
     if ref.suffix == ".txt" and ref.read_text().startswith("exit "):
@@ -89,17 +96,25 @@ def band_check(ref: Path, new: Path) -> tuple:
     trials = old[0].index("trials")
     if old[1][trials] == "0":
         return False, "theory curve"
+    # a roc curve's abscissa is a simulated false-alarm rate
+    roc = ref.name.startswith("roc_")
     worst = 0.0
     for k, (a, b) in enumerate(zip(old[1:], now[1:])):
-        if a[0] != b[0] or a[3:] != b[3:]:
+        if (a[0] != b[0] and not roc) or a[3:] != b[3:]:
             return False, f"point {k}: abscissa or metadata differ"
-        (v_ref, ci_ref), (v, ci) = map(float, a[1:3]), map(float, b[1:3])
-        band = max(0.1 * v_ref, 3.0 * math.hypot(ci, ci_ref))
-        gap = abs(v - v_ref)
-        share = gap / band if band > 0 else (0.0 if gap == 0 else math.inf)
-        if share > 1.0:
-            return False, f"point {k}: {v!r} against {v_ref!r}, outside the band {band:.3g}"
-        worst = max(worst, share)
+        pairs = [(*map(float, a[1:3]), *map(float, b[1:3]))]
+        if roc:
+            cap = int(a[trials])
+            pairs.append((float(a[0]), _wald(float(a[0]), cap),
+                          float(b[0]), _wald(float(b[0]), cap)))
+        for v_ref, ci_ref, v, ci in pairs:
+            band = max(0.1 * v_ref, 3.0 * math.hypot(ci, ci_ref))
+            gap = abs(v - v_ref)
+            share = gap / band if band > 0 else (0.0 if gap == 0 else math.inf)
+            if share > 1.0:
+                return False, (f"point {k}: {v!r} against {v_ref!r}, "
+                               f"outside the band {band:.3g}")
+            worst = max(worst, share)
     first = "the same" if old[1] == now[1] else "moved"
     return True, (f"{len(old) - 1} points, worst gap {worst:.2f} of the band, "
                   f"first point {first}")
