@@ -5,7 +5,7 @@ each hypothesis-set bin contributes |bin|**2 with mean equal to its
 total complex variance.  All variances are per-bin energies after the
 receiver DFT, so with unit-power symbols and unit-gain links the
 per-bin noise energy at snr_db is 10**(-snr_db/10) and a landing bin
-conditioned on backward gain v adds gamma_sq * v**2 * sigma_h_sq.
+conditioned on backward gain v adds gamma_sq * v**2.
 
 The noise-only OOK statistic of n_b bins at bin energy w is w times a
 Gamma(n_b, 1) (Erlang) variable, so its false-alarm probability is the
@@ -27,66 +27,30 @@ fall, and a curve evaluates them on one (points, nodes) array.
 The backward link magnitude is Rayleigh, averaged with a 64-node rule
 on [0, 6*sigma_v] whose weights are normalized to unit mass over the
 truncated support, and each exact law is averaged node by node.
+``theory_sweep`` is the one curve entry: the plan's scheme picks the
+law and its set size n_b.
 """
 from __future__ import annotations
 
+import collections
 import functools
 import math
-from dataclasses import dataclass
+import types
 
 import numpy as np
 
 from .channel import noise_bin_variance
-from .waveform import build_subcarrier_plan
+from .waveform import SubcarrierPlan, build_subcarrier_plan
 
 __all__ = [
-    "TheoryCurve", "TheoryParams", "pfa_of_threshold", "pmd_marginal",
-    "optimal_threshold", "fsk_error_prob", "theory_sweep", "noise_bin_variance",
+    "pfa_of_threshold", "optimal_threshold", "rayleigh_nodes", "theory_sweep",
+    "noise_bin_variance",
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _NEWTON_REL_TOL = 1e-15
 _N_NODES = 64  # Gauss-Legendre nodes of the backward-gain average
 _POINT_BLOCK = 16  # SNR points per array pass: (16 * 64, terms) arrays of a few MB
-
-
-@dataclass
-class TheoryCurve:
-    """Analytical values on an SNR grid."""
-
-    abscissa: np.ndarray
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
-class TheoryParams:
-    """System-level knobs the analytical sweeps need; zeta None is the plan's."""
-
-    scheme: str
-    n: int
-    gamma_mag: float
-    zeta: int | None = None
-    sigma_v: float = 1.0
-    pfa_target: float = 1e-3
-
-
-def _h1_means(gamma_sq: float, v, sigma_h_sq: float, sigma_w_sq, n_b: int):
-    """Bin mean of the signal-bearing statistic at each gain in v.
-
-    Every bin has the one gain ``sigma_h_sq``, a scalar; a zero gain
-    leaves noise only.  An array of noise energies ``sigma_w_sq`` puts
-    its axes in front of the node axis.
-    """
-    v = np.atleast_1d(np.asarray(v, dtype=np.float64))
-    if np.any(v < 0) or gamma_sq < 0:
-        raise ValueError("v and gamma_sq must be >= 0")
-    sigma_w_sq = np.asarray(sigma_w_sq, dtype=np.float64)
-    if not np.all(sigma_w_sq > 0):
-        raise ValueError("sigma_w_sq must be > 0")
-    _bin_count(n_b)
-    if np.ndim(sigma_h_sq) != 0 or not sigma_h_sq >= 0:
-        raise ValueError(f"sigma_h_sq must be one bin gain >= 0, got {sigma_h_sq!r}")
-    return gamma_sq * (v * v) * float(sigma_h_sq) + sigma_w_sq[..., None]
 
 
 def _bin_count(n_b) -> int:
@@ -171,19 +135,19 @@ def _node_average(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.sum(weights * values, axis=-1) / np.sum(weights)
 
 
-def _missed_detection(eta, v, weights, gamma_sq: float, sigma_h_sq, sigma_w_sq,
-                      n_b: int):
+def _missed_detection(eta, v, weights, gamma_sq: float, sigma_w_sq, n_b: int):
     """F(eta) of the signal statistic averaged over gains v with weights.
 
-    The statistic at gain v_j is Gamma(n_b) with the bin mean m_j as
-    scale, so F(eta) is the Erlang CDF at eta/m_j, averaged node by
-    node, at every point of the matching arrays ``eta`` and
-    ``sigma_w_sq`` at once.
+    The statistic at gain v_j is Gamma(n_b) with the bin mean m_j =
+    gamma_sq*v_j**2 + sigma_w_sq as scale, so F(eta) is the Erlang CDF
+    at eta/m_j, averaged node by node, at every point of the matching
+    arrays ``eta`` and ``sigma_w_sq`` at once; their axes go in front of
+    the node axis.
     """
     eta = np.asarray(eta, dtype=np.float64)
     if not np.all((eta >= 0) & (eta < math.inf)):
         raise ValueError(f"eta must be finite and >= 0, got {eta}")
-    means = _h1_means(gamma_sq, v, sigma_h_sq, sigma_w_sq, n_b)
+    means = gamma_sq * (v * v) + np.asarray(sigma_w_sq)[..., None]
     log_tail = _erlang_log_tail(eta[..., None] / means, n_b)[0]
     return _node_average(weights, -np.expm1(log_tail))
 
@@ -212,18 +176,6 @@ def rayleigh_nodes(sigma_v: float):
     density = (v / sigma_v ** 2) * np.exp(-(v / sigma_v) ** 2)
     weights = w * density
     return v, weights / weights.sum()
-
-
-def pmd_marginal(eta: float, sigma_v: float, gamma_sq: float, sigma_h_sq: float,
-                 sigma_w_sq: float, n_b: int) -> float:
-    """Missed-detection probability averaged over the Rayleigh backward gain.
-
-    Every bin has the one gain ``sigma_h_sq``, and the exact Erlang law
-    is averaged node by node.
-    """
-    v_nodes, weights = rayleigh_nodes(sigma_v)
-    return float(_missed_detection(eta, v_nodes, weights, gamma_sq, sigma_h_sq,
-                                   sigma_w_sq, n_b))
 
 
 def optimal_threshold(pfa_target, n_b: int):
@@ -294,61 +246,69 @@ def _fsk_loss(signal, noise, n_b: int) -> np.ndarray:
     return np.where(signal == noise, 0.5, np.exp(log_first) * (1.0 + later))
 
 
-def _bit_error(v, weights, gamma_sq: float, sigma_h_sq, sigma_w_sq, n_b: int):
+def _bit_error(v, weights, gamma_sq: float, sigma_w_sq, n_b: int):
     """P(E0 - E1 < 0) with bit 0 sent, averaged over gains v with weights.
 
     ``_fsk_loss`` at every node, at every point of an array
     ``sigma_w_sq`` at once.
     """
-    signal = _h1_means(gamma_sq, v, sigma_h_sq, sigma_w_sq, n_b)
     noise = np.asarray(sigma_w_sq)[..., None]
+    signal = gamma_sq * (v * v) + noise
     return _node_average(weights, _fsk_loss(signal, noise, n_b))
 
 
-def fsk_error_prob(gamma_sq: float, sigma_v: float, sigma_h_sq: float,
-                   sigma_w_sq: float, n_b: int) -> float:
-    """Bit error probability of the two-set energy detector, Rayleigh-averaged.
+def theory_sweep(plan: SubcarrierPlan, gamma_mag: float, sigma_v: float,
+                 pfa_target: float, snr_grid) -> np.ndarray:
+    """The plan's error probability at each SNR of ``snr_grid``.
 
-    With bit 0 sent, set 0 carries signal plus noise and set 1 noise
-    only; the bit is lost when D = E0 - E1 < 0, and bit 1 sent is the
-    mirror image, so the equiprobable average needs nothing more.  Every
-    bin has the one gain ``sigma_h_sq``, so E0 and E1 are independent
-    Gamma(n_b) energies at every node (``_fsk_loss``).
-    """
-    v_nodes, weights = rayleigh_nodes(sigma_v)
-    return float(_bit_error(v_nodes, weights, gamma_sq, sigma_h_sq, sigma_w_sq, n_b))
-
-
-def theory_sweep(kind: str, snr_grid, params: TheoryParams) -> TheoryCurve:
-    """Evaluate OOK_PMD or FSK_BER across an SNR grid.
-
-    The exact laws run on (points, nodes) arrays, in one pass for up to
-    ``_POINT_BLOCK`` points, through the same code as the scalar entries.
+    An ook plan gives the missed-detection probability at the CFAR
+    threshold for ``pfa_target``.  An fsk plan gives the bit error
+    probability, which does not read ``pfa_target``: with bit 0 sent,
+    set 0 carries signal plus noise and set 1 noise only, and bit 1 sent
+    is the mirror image.  The exact laws run on (points, nodes) arrays,
+    in one pass for up to ``_POINT_BLOCK`` points.
     """
     snr_grid = np.asarray(snr_grid, dtype=np.float64)
     if snr_grid.ndim != 1 or len(snr_grid) == 0 or np.any(np.diff(snr_grid) <= 0):
         raise ValueError("snr_grid must be a nonempty strictly increasing vector")
-    if kind not in ("OOK_PMD", "FSK_BER"):
-        raise ValueError(f"kind must be OOK_PMD or FSK_BER, got {kind!r}")
-    plan = build_subcarrier_plan(params.scheme, params.n, params.zeta)
-    if kind == "OOK_PMD" and params.scheme != "ook":
-        raise ValueError("OOK_PMD needs an ook plan")
-    if kind == "FSK_BER" and params.scheme not in ("fsk1", "fsk2"):
-        raise ValueError("FSK_BER needs an fsk plan")
-    n_b = len(plan.kb0)
-    gamma_sq = params.gamma_mag ** 2
-    v_nodes, weights = rayleigh_nodes(params.sigma_v)
-    # point by point, as the scalar entries take it: numpy's array power
-    # differs from the scalar one in the last bit of a few percent of SNRs
+    # point by point: numpy's array power differs from the scalar one in
+    # the last bit of a few percent of SNRs
     w_bins = np.array([noise_bin_variance(s) for s in snr_grid])
-    values = np.empty(len(snr_grid))
+    if not np.all(w_bins > 0):
+        raise ValueError("sigma_w_sq must be > 0 at every SNR")
+    n_b = len(plan.kb0)
+    gamma_sq = gamma_mag ** 2
+    v_nodes, weights = rayleigh_nodes(sigma_v)
     # the noise statistic at bin energy w is w times the unit one
-    unit_eta = (optimal_threshold(params.pfa_target, n_b)
-                if kind == "OOK_PMD" else None)
+    unit_eta = optimal_threshold(pfa_target, n_b) if plan.scheme == "ook" else None
+    values = np.empty(len(snr_grid))
     for lo in range(0, len(w_bins), _POINT_BLOCK):
         w = w_bins[lo:lo + _POINT_BLOCK]
         values[lo:lo + _POINT_BLOCK] = (
-            _missed_detection(unit_eta * w, v_nodes, weights, gamma_sq, 1.0, w, n_b)
-            if kind == "OOK_PMD"
-            else _bit_error(v_nodes, weights, gamma_sq, 1.0, w, n_b))
-    return TheoryCurve(snr_grid, values)
+            _bit_error(v_nodes, weights, gamma_sq, w, n_b) if unit_eta is None
+            else _missed_detection(unit_eta * w, v_nodes, weights, gamma_sq, w, n_b))
+    return values
+
+
+# The benchmark's oracle test still makes the call theory_sweep(kind,
+# snr_grid, TheoryParams(scheme, n, gamma_mag, zeta)) and reads .abscissa
+# and .values.  The benchmark's files change only with the benchmark,
+# whose next change drops this (ROADMAP item 3).
+TheoryParams = collections.namedtuple(
+    "TheoryParams", "scheme n gamma_mag zeta sigma_v pfa_target",
+    defaults=(None, 1.0, 1e-3))
+
+
+def _take_the_benchmark_call(sweep):
+    @functools.wraps(sweep)
+    def entry(*args, **kwargs):
+        if len(args) != 3 or not isinstance(args[0], str):
+            return sweep(*args, **kwargs)
+        _, snr, p = args
+        values = sweep(build_subcarrier_plan(p.scheme, p.n, p.zeta), p.gamma_mag,
+                       p.sigma_v, p.pfa_target, snr)
+        return types.SimpleNamespace(abscissa=np.asarray(snr, float), values=values)
+    return entry
+
+
+theory_sweep = _take_the_benchmark_call(theory_sweep)

@@ -67,6 +67,9 @@ _MIN_PROB = 1e-3  # smallest analytical value compare_theory_sim checks
 # 10**(-snr_db/10) within [1e-300, 1e300] leaves the analysis room to
 # scale it by thresholds and gains without overflow
 _MAX_ABS_SNR_DB = 3000.0
+# the backward gain within 60 dB of unit gain leaves the same room for
+# its square and its Rayleigh density
+_SIGMA_V_RANGE = (1e-3, 1e3)
 
 
 @dataclass(frozen=True)
@@ -128,8 +131,10 @@ class SystemConfig:
         if max(self.l_direct, self.l_forward) - 1 > self.cp_len:
             raise ConfigurationError(
                 f"channel memory exceeds the cyclic prefix ({self.cp_len})")
-        if self.sigma_v <= 0:
-            raise ConfigurationError(f"sigma_v must be > 0, got {self.sigma_v}")
+        lo, hi = _SIGMA_V_RANGE
+        if not lo <= self.sigma_v <= hi:
+            raise ConfigurationError(
+                f"sigma_v must lie in [{lo:g}, {hi:g}], got {self.sigma_v}")
         if not 0.0 < self.pfa_target < 1.0:
             raise ConfigurationError(
                 f"pfa_target must lie in (0, 1), got {self.pfa_target}")
@@ -501,7 +506,7 @@ def _set_energies(rng, size, link: _TagLink, bits):
         power = _landing_power(link, bits, gain, spread, rest)
         total = rest + spread.sum(axis=0)
         return lambda noise: power + noise * total
-    rest = rng.standard_gamma(link.sizes - 1.0, size=(size, sets))
+    rest = rng.standard_gamma(float(link.sizes[0] - 1), size=(size, sets))
     pairs = _normal_pairs(rng, (size, sets))
     hb = _complex_normal_draw(rng, (size,), cfg.sigma_v ** 2)
     taps = _complex_normal_draw(rng, (size, cfg.l_forward), 1.0 / cfg.l_forward)
@@ -746,11 +751,9 @@ def _theory_curve(cfg: SystemConfig):
     trials as 0: the analysis has none of them.
     """
     kind = "OOK_PMD" if cfg.scheme == "ook" else "FSK_BER"
-    params = analysis.TheoryParams(cfg.scheme, cfg.n, cfg.gamma_mag, cfg.zeta,
-                                   cfg.sigma_v, cfg.pfa_target)
-    theory = analysis.theory_sweep(kind, np.asarray(cfg.snr_db), params)
-    return kind, SimCurve(theory.abscissa, theory.values,
-                          np.zeros(len(theory.values)),
+    values = analysis.theory_sweep(cfg.plan(), cfg.gamma_mag, cfg.sigma_v,
+                                   cfg.pfa_target, cfg.snr_db)
+    return kind, SimCurve(cfg.snr_db, values, np.zeros(len(values)),
                           dict(_config_meta(cfg), cfo="0.0", seed="0", trials="0"))
 
 

@@ -21,7 +21,6 @@ from reference_link import (
     ofdm_modulate,
 )
 from srbc.analysis import (
-    fsk_error_prob,
     noise_bin_variance,
     optimal_threshold,
     pfa_of_threshold,
@@ -30,6 +29,7 @@ from srbc.backscatter import tag_shift
 from srbc.crc import crc5_check_many, crc5_encode_many
 from srbc.harness import (
     SystemConfig,
+    _theory_curve,
     emit_csv,
     run_cfo_study,
     run_compare,
@@ -206,13 +206,17 @@ def test_criterion_05_detection_gain_with_reflection():
     assert ok, line
 
 
+def fsk2_ber(n, gamma, snr_db):
+    """The analytical FSK-2 bit error rate, as ``srbc theory`` computes it."""
+    cfg = SystemConfig(scheme="fsk2", n=n, gamma_mag=gamma, snr_db=snr_db)
+    return float(_theory_curve(cfg)[1].values[0])
+
+
 def test_criterion_06_fsk2_error_rate_levels():
     # analytical FSK-2 error rate at 30 dB, N=64: order 1e-3 at
     # gamma 0.25 and order 1e-4 at gamma 1, within a factor of three
     start = time.perf_counter()
-    w = noise_bin_variance(30.0)
-    low = fsk_error_prob(0.25 ** 2, 1.0, 1.0, w, 21)
-    high = fsk_error_prob(1.0, 1.0, 1.0, w, 21)
+    low, high = (fsk2_ber(64, gamma, 30.0) for gamma in (0.25, 1.0))
     elapsed = time.perf_counter() - start
     ok = (1e-3 / 3 <= low <= 3e-3 and 1e-4 / 3 <= high <= 3e-4
           and elapsed < 600.0)
@@ -226,9 +230,7 @@ def test_criterion_06_fsk2_error_rate_levels():
 def test_criterion_07_error_rate_vs_dft_size():
     # growing the grid from 64 to 512 bins at 20 dB, gamma 0.25 is
     # expected to improve the FSK-2 error rate by 5x to 20x
-    w = noise_bin_variance(20.0)
-    small = fsk_error_prob(0.0625, 1.0, 1.0, w, 21)
-    large = fsk_error_prob(0.0625, 1.0, 1.0, w, 170)
+    small, large = (fsk2_ber(n, 0.25, 20.0) for n in (64, 512))
     ratio = small / large
     ok = 5.0 <= ratio <= 20.0
     line = verdict(7, "error-rate-vs-dft-size", ok,

@@ -13,22 +13,32 @@ from scipy import special, stats
 
 from srbc import analysis
 from srbc.analysis import (
-    TheoryParams,
-    fsk_error_prob,
     noise_bin_variance,
     optimal_threshold,
     pfa_of_threshold,
-    pmd_marginal,
     rayleigh_nodes,
     theory_sweep,
 )
 from srbc.waveform import build_subcarrier_plan
 
 
-def pmd_given_v(eta, v, gamma_sq, sigma_h_sq, sigma_w_sq, n_b):
+def pmd_given_v(eta, v, gamma_sq, sigma_w_sq, n_b):
     """Missed-detection probability F(eta) of the signal statistic at fixed v."""
-    return analysis._missed_detection(eta, v, np.ones(1), gamma_sq, sigma_h_sq,
+    return analysis._missed_detection(eta, np.array([v]), np.ones(1), gamma_sq,
                                       sigma_w_sq, n_b)
+
+
+def pmd_law(eta, sigma_v, gamma_sq, sigma_w_sq, n_b):
+    """F(eta) averaged over the Rayleigh rule, at any set size n_b."""
+    nodes, weights = rayleigh_nodes(sigma_v)
+    return float(analysis._missed_detection(eta, nodes, weights, gamma_sq,
+                                            sigma_w_sq, n_b))
+
+
+def ber_law(gamma_sq, sigma_v, sigma_w_sq, n_b):
+    """The fsk bit error averaged over the Rayleigh rule, at any set size n_b."""
+    nodes, weights = rayleigh_nodes(sigma_v)
+    return float(analysis._bit_error(nodes, weights, gamma_sq, sigma_w_sq, n_b))
 
 
 def test_noise_bin_variance_convention():
@@ -54,8 +64,8 @@ def test_pmd_given_v_closed_form():
     eta, gamma_sq, v, w_var = 0.5, 0.25, 1.2, 0.1
     m1 = gamma_sq * v ** 2 + w_var
     expect = stats.gamma.cdf(eta, a=2, scale=m1)
-    assert abs(pmd_given_v(eta, v, gamma_sq, 1.0, w_var, 2) - expect) < 1e-8
-    assert pmd_given_v(0.0, v, gamma_sq, 1.0, w_var, 2) == 0.0
+    assert abs(pmd_given_v(eta, v, gamma_sq, w_var, 2) - expect) < 1e-8
+    assert pmd_given_v(0.0, v, gamma_sq, w_var, 2) == 0.0
 
 
 def test_threshold_hits_requested_false_alarm():
@@ -90,18 +100,13 @@ def test_threshold_at_one_and_two_bins():
 
 
 def test_threshold_needs_a_positive_integer_bin_count():
-    # the marginal laws too: a fractional or boolean count is not read
-    # as a count between its neighbours or as 1
-    w = noise_bin_variance(10.0)
+    # a fractional or boolean count is not read as a count between its
+    # neighbours or as 1
     for n_b in (0, -3, 2.0, 2.5, True, "8", np.ones(2)):
         with pytest.raises(ValueError, match="positive integer"):
             optimal_threshold(1e-3, n_b)
         with pytest.raises(ValueError, match="positive integer"):
             pfa_of_threshold(1.0, n_b)
-        with pytest.raises(ValueError, match="positive integer"):
-            pmd_marginal(5 * w, 1.0, 0.25, 1.0, w, n_b)
-        with pytest.raises(ValueError, match="positive integer"):
-            fsk_error_prob(0.25, 1.0, 1.0, w, n_b)
     # the plan's set sizes are numpy integers
     assert optimal_threshold(1e-3, np.int64(8)) == optimal_threshold(1e-3, 8)
 
@@ -121,9 +126,9 @@ def test_pmd_marginal_is_the_node_average():
     w = noise_bin_variance(10.0)
     eta = w * optimal_threshold(1e-2, 8)
     nodes, weights = rayleigh_nodes(1.0)
-    direct = sum(wt * pmd_given_v(eta, float(v), 0.0625, 1.0, w, 8)
+    direct = sum(wt * pmd_given_v(eta, float(v), 0.0625, w, 8)
                  for v, wt in zip(nodes, weights))
-    assert pmd_marginal(eta, 1.0, 0.0625, 1.0, w, 8) == pytest.approx(
+    assert pmd_law(eta, 1.0, 0.0625, w, 8) == pytest.approx(
         direct, abs=1e-6)
 
 
@@ -132,15 +137,15 @@ def test_pmd_marginal_degenerate_tag_amplitude():
     # detection rate collapses to one minus the false alarm rate
     w = noise_bin_variance(10.0)
     eta = w * optimal_threshold(1e-2, 8)
-    value = pmd_marginal(eta, 1e-6, 0.0625, 1.0, w, 8)
+    value = pmd_law(eta, 1e-6, 0.0625, w, 8)
     assert value == pytest.approx(1 - 1e-2, abs=1e-5)
 
 
 def test_fsk_error_reference_behavior():
     w = noise_bin_variance(20.0)
-    silent = fsk_error_prob(0.0, 1.0, 1.0, w, 21)
+    silent = ber_law(0.0, 1.0, w, 21)
     assert abs(silent - 0.5) < 1e-3
-    values = [fsk_error_prob(1.0, 1.0, 1.0, noise_bin_variance(s), 21)
+    values = [ber_law(1.0, 1.0, noise_bin_variance(s), 21)
               for s in (0.0, 10.0, 20.0, 30.0)]
     assert all(0.0 <= p <= 0.5 for p in values)
     assert all(a >= b - 1e-9 for a, b in zip(values, values[1:]))
@@ -149,25 +154,23 @@ def test_fsk_error_reference_behavior():
 
 def test_theory_sweep_curves():
     snr = (0.0, 10.0, 20.0)
-    ook = theory_sweep("OOK_PMD", snr,
-                       TheoryParams("ook", 64, 0.5, pfa_target=1e-3))
-    fsk = theory_sweep("FSK_BER", snr, TheoryParams("fsk2", 64, 0.5, zeta=2))
-    for curve in (ook, fsk):
-        assert np.array_equal(curve.abscissa, np.array(snr))
-        vals = curve.values
+    for plan in (build_subcarrier_plan("ook", 64), build_subcarrier_plan("fsk2", 64, 2)):
+        vals = theory_sweep(plan, 0.5, 1.0, 1e-3, snr)
+        assert vals.shape == (len(snr),)
         assert ((vals >= 0) & (vals <= 1)).all()
         assert (np.diff(vals) <= 1e-9).all(), vals
-    with pytest.raises(ValueError):
-        theory_sweep("BLER", snr, TheoryParams("ook", 64, 0.5))
+    with pytest.raises(ValueError, match="snr_grid"):
+        theory_sweep(build_subcarrier_plan("ook", 64), 0.5, 1.0, 1e-3, (10.0, 0.0))
+    with pytest.raises(ValueError, match="sigma_w_sq"):
+        theory_sweep(build_subcarrier_plan("fsk2", 64), 0.5, 1.0, 1e-3, (math.nan,))
 
 
 def test_theory_sweep_matches_direct_evaluation():
-    params = TheoryParams("ook", 64, 0.25, pfa_target=1e-3)
-    curve = theory_sweep("OOK_PMD", (15.0,), params)
+    values = theory_sweep(build_subcarrier_plan("ook", 64), 0.25, 1.0, 1e-3, (15.0,))
     w = noise_bin_variance(15.0)
     eta = w * optimal_threshold(1e-3, 32)
-    direct = pmd_marginal(eta, 1.0, 0.0625, 1.0, w, 32)
-    assert curve.values[0] == pytest.approx(direct, rel=1e-9)
+    direct = pmd_law(eta, 1.0, 0.0625, w, 32)
+    assert values[0] == pytest.approx(direct, rel=1e-9)
 
 
 def rayleigh_average(sigma_v, per_node):
@@ -180,8 +183,8 @@ def test_fsk1_theory_holds_at_high_snr(gamma):
     # fsk1 collects one bin per hypothesis at every n, so each energy is
     # a single exponential and the loss is w/(m + w) at every node
     snr = np.arange(30.0, 51.0, 5.0)
-    curve = theory_sweep("FSK_BER", snr, TheoryParams("fsk1", 64, gamma))
-    for s, value in zip(snr, curve.values):
+    values = theory_sweep(build_subcarrier_plan("fsk1", 64), gamma, 1.0, 1e-3, snr)
+    for s, value in zip(snr, values):
         w = noise_bin_variance(s)
         ref = rayleigh_average(1.0, lambda v: special.betainc(
             1, 1, w / (gamma ** 2 * v * v + 2 * w)))
@@ -207,7 +210,7 @@ def test_fsk_error_matches_closed_form(n_b, snr_db, gamma, sigma_v):
     # two independent Gamma(n_b) energies: P(signal set loses) is a
     # regularized incomplete beta function at every backward gain
     w = noise_bin_variance(snr_db)
-    value = fsk_error_prob(gamma ** 2, sigma_v, 1.0, w, n_b)
+    value = ber_law(gamma ** 2, sigma_v, w, n_b)
     ref = rayleigh_average(sigma_v, lambda v: special.betainc(
         n_b, n_b, w / (gamma ** 2 * v * v + 2 * w)))
     assert abs(value - ref) <= 1e-8 + 1e-6 * ref
@@ -220,7 +223,7 @@ def test_pmd_marginal_matches_closed_form(n_b, snr_db, gamma, sigma_v, pfa):
     # the statistic is Gamma(n_b) with the bin mean as scale at every gain
     w = noise_bin_variance(snr_db)
     eta = w * special.gammainccinv(n_b, pfa)
-    value = pmd_marginal(eta, sigma_v, gamma ** 2, 1.0, w, n_b)
+    value = pmd_law(eta, sigma_v, gamma ** 2, w, n_b)
     ref = rayleigh_average(sigma_v, lambda v: special.gammainc(
         n_b, eta / (gamma ** 2 * v * v + w)))
     assert abs(value - ref) <= 1e-8 + 1e-6 * ref
@@ -228,25 +231,14 @@ def test_pmd_marginal_matches_closed_form(n_b, snr_db, gamma, sigma_v, pfa):
 
 @pytest.mark.parametrize("n_b", [1, 8, 32])
 def test_zero_bin_gains_leave_only_noise(n_b):
-    # with every gain zero the statistic is Erlang(n_b, w) whatever the
-    # backward gain, and the two fsk sets tie: half the bits are lost
+    # a silent tag (gamma 0) leaves the statistic Erlang(n_b, w) whatever
+    # the backward gain, and the two fsk sets tie: half the bits are lost
     w = noise_bin_variance(10.0)
     eta = 1.5 * n_b * w
     ref = special.gammainc(n_b, eta / w)
-    assert pmd_given_v(eta, 1.0, 0.25, 0.0, w, n_b) == pytest.approx(ref, abs=1e-8)
-    assert pmd_marginal(eta, 1.0, 0.25, 0.0, w, n_b) == pytest.approx(ref, abs=1e-8)
-    assert fsk_error_prob(0.25, 1.0, 0.0, w, n_b) == 0.5
-
-
-def test_bin_gain_must_be_one_scalar():
-    # every law takes one gain shared by all bins; a sequence of gains
-    # would broadcast against the nodes into wrong values, so it is refused
-    w = noise_bin_variance(10.0)
-    for gains in ([1.0, 2.0], np.ones(8), np.ones(64), [1.0], -0.5, math.nan):
-        with pytest.raises(ValueError, match="one bin gain"):
-            pmd_marginal(w, 1.0, 0.25, gains, w, 8)
-        with pytest.raises(ValueError, match="one bin gain"):
-            fsk_error_prob(0.25, 1.0, gains, w, 8)
+    assert pmd_given_v(eta, 1.0, 0.0, w, n_b) == pytest.approx(ref, abs=1e-8)
+    assert pmd_law(eta, 1.0, 0.0, w, n_b) == pytest.approx(ref, abs=1e-8)
+    assert ber_law(0.0, 1.0, w, n_b) == 0.5
 
 
 def log_erlang_tail(n_b, x):
@@ -336,20 +328,13 @@ def test_fsk_loss_matches_the_regularized_beta(n_b, log10_ratio, noise):
        sigma_v=st.floats(0.01, 100.0), pfa=st.floats(1e-12, 0.99),
        snr=st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=40, unique=True))
 def test_theory_sweep_is_the_pointwise_law(scheme, n, gamma, sigma_v, pfa, snr):
-    # the curve's array pass, in blocks of points, gives what the scalar
-    # entries give one point at a time
+    # the curve's array pass, in blocks of points, gives what a one-point
+    # curve gives at each point
     snr = np.sort(snr)
-    params = TheoryParams(scheme, n, gamma, sigma_v=sigma_v, pfa_target=pfa)
-    kind = "OOK_PMD" if scheme == "ook" else "FSK_BER"
-    curve = theory_sweep(kind, snr, params)
-    n_b = len(build_subcarrier_plan(scheme, n).kb0)
-    for s, value in zip(snr, curve.values):
-        w = noise_bin_variance(s)
-        if kind == "OOK_PMD":
-            ref = pmd_marginal(w * optimal_threshold(pfa, n_b), sigma_v, gamma ** 2,
-                               1.0, w, n_b)
-        else:
-            ref = fsk_error_prob(gamma ** 2, sigma_v, 1.0, w, n_b)
+    plan = build_subcarrier_plan(scheme, n)
+    values = theory_sweep(plan, gamma, sigma_v, pfa, snr)
+    for s, value in zip(snr, values):
+        ref = theory_sweep(plan, gamma, sigma_v, pfa, [s])[0]
         assert value == pytest.approx(ref, rel=1e-13, abs=0.0), s
 
 

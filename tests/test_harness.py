@@ -140,9 +140,9 @@ def test_the_plan_owns_the_spacing():
     for scheme in SCHEMES:
         assert SystemConfig(scheme=scheme).zeta == build_subcarrier_plan(scheme, 64).zeta
     snr = (0.0, 20.0)
-    natural = analysis.theory_sweep("FSK_BER", snr, analysis.TheoryParams("fsk2", 64, 0.5))
-    explicit = analysis.theory_sweep("FSK_BER", snr,
-                                     analysis.TheoryParams("fsk2", 64, 0.5, zeta=2))
+    natural = _theory_curve(SystemConfig(scheme="fsk2", gamma_mag=0.5, snr_db=snr))[1]
+    explicit = _theory_curve(SystemConfig(scheme="fsk2", gamma_mag=0.5, snr_db=snr,
+                                          zeta=2))[1]
     assert natural.values.tobytes() == explicit.values.tobytes()
 
 
@@ -456,20 +456,42 @@ def test_cli_theory_and_config_precedence(tmp_path):
 
 @settings(max_examples=200)
 @given(scheme=st.sampled_from(SCHEMES), n=st.sampled_from(DFT_SIZES),
-       gamma=st.floats(0.0, 1.0), sigma_v=st.floats(0.01, 100.0),
+       gamma=st.floats(0.0, 1.0), log10_sigma_v=st.floats(-3.0, 3.0),
        pfa=st.floats(1e-12, 0.99), snr_db=st.floats(-3000.0, 3000.0))
-def test_theory_curve_is_a_probability_everywhere(scheme, n, gamma, sigma_v,
+def test_theory_curve_is_a_probability_everywhere(scheme, n, gamma, log10_sigma_v,
                                                   pfa, snr_db):
     # every theory point is an exact law, so over every configuration
     # SystemConfig accepts it is a probability, reached without overflow,
-    # division by zero or any other floating-point warning
-    cfg = SystemConfig(scheme=scheme, n=n, gamma_mag=gamma, sigma_v=sigma_v,
+    # division by zero or any other floating-point warning; the backward
+    # gain is drawn log-uniformly over its whole range, 1e-3 to 1e3
+    cfg = SystemConfig(scheme=scheme, n=n, gamma_mag=gamma,
+                       sigma_v=10.0 ** log10_sigma_v,
                        pfa_target=pfa, snr_db=snr_db)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _, curve = _theory_curve(cfg)
     assert np.isfinite(curve.values).all()
     assert ((curve.values >= 0) & (curve.values <= 1)).all()
+
+
+@pytest.mark.parametrize("argv", (
+    ["theory", "--sigma-v", "1e160"],
+    ["ber", "--scheme", "fsk2", "--sigma-v", "1e160", "--trials", "100"],
+    ["theory", "--scheme", "ook", "--sigma-v", "1e-300"],
+))
+def test_cli_refuses_a_backward_gain_out_of_range(argv, capsys):
+    # sigma_v ** 2 used to overflow (an OverflowError traceback and exit 1)
+    # or its density to underflow (warnings, then a value error); now the
+    # config names the field, with no warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == 2
+    assert "error: sigma_v must lie in [0.001, 1000]" in capsys.readouterr().err
+    for sigma_v in (1e-3, 1e3):
+        assert SystemConfig(sigma_v=sigma_v).sigma_v == sigma_v
+    for sigma_v in (0.0, 0.999e-3, 1.001e3):
+        with pytest.raises(ConfigurationError, match="sigma_v"):
+            SystemConfig(sigma_v=sigma_v)
 
 
 @pytest.mark.parametrize("scheme", ["ook", "fsk2"])

@@ -10,9 +10,10 @@ writes into a directory of its own:
 - for every command of both workloads of ``srbcbench/workloads.py``, at
   pass 0 of the benchmark seeds 11, 12 and 13, every CSV it writes and
   a text file with its exit code, stdout and stderr;
-- ``theory.txt``: 612 ``theory_sweep`` values as ``float.hex``, for
-  ook, fsk1 and fsk2 (with zeta 2) × n 64, 128, 256 and 512 × gamma
-  0.25, 0.5 and 1 × 17 SNRs on linspace(-10, 40) dB.
+- ``theory.txt``: 1 224 theory values as ``float.hex``, through
+  ``harness._theory_curve``, for ook, fsk1 and fsk2 × n 64, 128, 256
+  and 512 × gamma 0.25, 0.5 and 1 × (sigma_v, pfa_target) (1, 1e-3)
+  and (0.5, 1e-2) × 17 SNRs on linspace(-10, 40) dB.
 
 The commands come from this checkout's ``srbcbench/workloads.py``, which
 is only read.  The two directories are compared file by file: the tool
@@ -58,6 +59,7 @@ SEEDS = (11, 12, 13)
 THEORY_SCHEMES = ("ook", "fsk1", "fsk2")
 THEORY_SIZES = (64, 128, 256, 512)
 THEORY_GAMMAS = (0.25, 0.5, 1.0)
+THEORY_LINKS = ((1.0, 1e-3), (0.5, 1e-2))  # (sigma_v, pfa_target)
 THEORY_POINTS = 17
 
 
@@ -148,7 +150,7 @@ def theory_check(ref: Path, new: Path, rtol: float) -> tuple:
 def write_outputs(out: Path) -> None:
     """Write every output the digest compares under ``out``, from the srbc on sys.path."""
     import srbc.cli
-    from srbc import analysis
+    from srbc.harness import SystemConfig, _theory_curve
 
     sys.path.insert(0, str(ROOT / "srbcbench"))
     import workloads
@@ -164,15 +166,15 @@ def write_outputs(out: Path) -> None:
                     code = srbc.cli.main(cmd.argv(pass_seed, str(run_dir)))
                 (run_dir / f"{cmd.key}.txt").write_text(
                     f"exit {code}\n{stdout.getvalue()}--- stderr\n{stderr.getvalue()}")
-    snr = np.linspace(-10.0, 40.0, THEORY_POINTS)
+    snr = tuple(np.linspace(-10.0, 40.0, THEORY_POINTS))
     lines = []
-    for scheme, n, gamma in itertools.product(THEORY_SCHEMES, THEORY_SIZES,
-                                              THEORY_GAMMAS):
-        params = analysis.TheoryParams(scheme, n, gamma, 2 if scheme == "fsk2" else 1)
-        kind = "OOK_PMD" if scheme == "ook" else "FSK_BER"
-        values = analysis.theory_sweep(kind, snr, params).values
-        lines += [f"{scheme} {n} {gamma!r} {float(s)!r} {float(v).hex()}"
-                  for s, v in zip(snr, values)]
+    for scheme, n, gamma, (sigma_v, pfa) in itertools.product(
+            THEORY_SCHEMES, THEORY_SIZES, THEORY_GAMMAS, THEORY_LINKS):
+        cfg = SystemConfig(scheme=scheme, n=n, gamma_mag=gamma, sigma_v=sigma_v,
+                           pfa_target=pfa, snr_db=snr)
+        values = _theory_curve(cfg)[1].values
+        lines += [f"{scheme} {n} {gamma!r} {sigma_v!r} {pfa!r} {float(s)!r} "
+                  f"{float(v).hex()}" for s, v in zip(snr, values)]
     (out / "theory.txt").write_text("\n".join(lines) + "\n")
 
 
