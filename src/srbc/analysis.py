@@ -1,11 +1,19 @@
 """Analytical error probabilities for the non-coherent detectors.
 
+The per-bin SNR convention: direct and forward links are tapped delay
+lines with uniform power profiles normalized to unit total power, so
+every per-subcarrier response has unit mean-square gain.  The backward
+link from the tag is a single Rayleigh tap of mean-square gain
+sigma_v**2.  SNR is defined per data subcarrier after the receiver DFT
+on the direct link: with unit-power symbols, snr_db fixes the per-bin
+noise energy at 10**(-snr_db/10) (``noise_bin_variance``), which the
+simulator uses too.
+
 Every detector statistic here is a sum of independent exponentials:
 each hypothesis-set bin contributes |bin|**2 with mean equal to its
 total complex variance.  All variances are per-bin energies after the
-receiver DFT, so with unit-power symbols and unit-gain links the
-per-bin noise energy at snr_db is 10**(-snr_db/10) and a landing bin
-conditioned on backward gain v adds gamma_sq * v**2.
+receiver DFT, so a landing bin conditioned on backward gain v adds
+gamma_sq * v**2 to the bin noise energy.
 
 The noise-only OOK statistic of n_b bins at bin energy w is w times a
 Gamma(n_b, 1) (Erlang) variable, so its false-alarm probability is the
@@ -28,7 +36,8 @@ The backward link magnitude is Rayleigh, averaged with a 64-node rule
 on [0, 6*sigma_v] whose weights are normalized to unit mass over the
 truncated support, and each exact law is averaged node by node.
 ``theory_sweep`` is the one curve entry: the plan's scheme picks the
-law and its set size n_b.
+law and its set size n_b.  The module reads the plan, and with it the
+link geometry, from ``waveform`` only, never from the simulator.
 """
 from __future__ import annotations
 
@@ -39,7 +48,6 @@ import types
 
 import numpy as np
 
-from .channel import noise_bin_variance
 from .waveform import SubcarrierPlan, build_subcarrier_plan
 
 __all__ = [
@@ -51,6 +59,11 @@ _LOG_2PI = math.log(2.0 * math.pi)
 _NEWTON_REL_TOL = 1e-15
 _N_NODES = 64  # Gauss-Legendre nodes of the backward-gain average
 _POINT_BLOCK = 16  # SNR points per array pass: (16 * 64, terms) arrays of a few MB
+
+
+def noise_bin_variance(snr_db: float) -> float:
+    """Per-bin noise energy after the DFT at the given data-bin SNR."""
+    return 10.0 ** (-snr_db / 10.0)
 
 
 def _bin_count(n_b) -> int:

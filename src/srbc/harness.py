@@ -23,8 +23,10 @@ A carrier offset (tdl only) enters the kernel as one exact matrix per
 link from the data bins to the bins it reads: the detection bins for the
 tag bit, the data bins themselves for primary detection.  Without an
 offset the primary link's matrix is the identity on the direct term and
-zero on the tag's.  The tag bit's offset products run over cache-sized
-blocks of rows after the batch's draws, so the blocks change no number.
+zero on the tag's.  ``waveform`` builds the landing spectrum and these
+matrices; the kernel only draws and applies them.  The tag bit's offset
+products run over cache-sized blocks of rows after the batch's draws,
+so the blocks change no number.
 The tests check the kernel against a time-domain reference link and
 receiver, and its iid mode against a per-bin reference.
 
@@ -48,11 +50,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis
-from .backscatter import tag_shift
-from .channel import noise_bin_variance
+from .analysis import noise_bin_variance
 from .crc import crc5_check_many, crc5_encode_many
 from .detector import fsk_detect, ook_detect, primary_detect
-from .waveform import ConfigurationError, build_subcarrier_plan
+from .waveform import (ConfigurationError, build_subcarrier_plan, landing_spectrum,
+                       offset_leakage)
 
 CSV_HEADER = ("abscissa", "value", "ci95", "scheme", "N", "gamma",
               "pfa_target", "cfo", "seed", "trials")
@@ -70,6 +72,8 @@ _MAX_ABS_SNR_DB = 3000.0
 # the backward gain within 60 dB of unit gain leaves the same room for
 # its square and its Rayleigh density
 _SIGMA_V_RANGE = (1e-3, 1e3)
+# each batch in flight holds a worker thread and its draws
+_MAX_THREADS = 64
 
 
 @dataclass(frozen=True)
@@ -148,6 +152,9 @@ class SystemConfig:
             if getattr(self, name) < low:
                 raise ConfigurationError(
                     f"{name} must be >= {low}, got {getattr(self, name)}")
+        if self.threads > _MAX_THREADS:
+            raise ConfigurationError(
+                f"threads must be <= {_MAX_THREADS}, got {self.threads}")
 
     @property
     def cp_len(self) -> int:
@@ -307,23 +314,12 @@ class _TagLink:
     The link reads its bins as columns, in blocks of ``sizes`` bins: for
     the tag bit the detection sets side by side, kb0 then kb1 (kb0 alone
     for ook, whose sets coincide), for primary detection the data bins
-    as one block.  At zero offset a tag-bit link has its landing
-    spectrum: ``rank`` r, and per bit in ``landings`` None, when the bit
-    does not reflect, or (col, weights, bulk), the column its tone lands
-    on and the signal weight on each of r directions and on each of the
-    other n_b - r.  In tdl mode r = min(l_forward, n_b), the weights are
-    the r largest eigenvalues over l_forward (clipped at 0, ascending) of
-    the Gram G = R R^H of the matrix R that maps forward taps to Hf at
-    the set's source bins (landing sets are shifted data bins, so every
-    bin has a source), and bulk is 0; in iid mode, whose bins have
-    independent unit gains, r = 0 and bulk is 1.  At a nonzero offset,
-    and always for primary detection, ``spectra`` is the block-diagonal
-    matrix that maps [direct taps, forward taps] to [Hd, Hf] on the data
-    bins, and ``leakage`` holds per bit the matrix that maps the data-bin
-    terms [X*Hd, gamma*hb*X*Hf] onto every column: M_d stacked on the
-    bit's M_s, or M_d alone when the bit does not reflect.  ``unit_eta``
-    is the OOK CFAR threshold at unit bin noise that ``decide`` scales,
-    None for fsk and for primary detection.
+    as one block.  At zero offset a tag-bit link carries the landing
+    spectrum, ``rank`` and ``landings`` (``waveform.landing_spectrum``);
+    at a nonzero offset, and always for primary detection, ``spectra``
+    and ``leakage`` (``waveform.offset_leakage``).  ``unit_eta`` is the
+    OOK CFAR threshold at unit bin noise that ``decide`` scales, None
+    for fsk and for primary detection.
     """
 
     cfg: SystemConfig
@@ -342,11 +338,6 @@ class _TagLink:
         return ook_detect(energy[:, 0], self.unit_eta * noise)
 
 
-def _tap_response(n_taps: int, bins, n: int) -> np.ndarray:
-    """(n_taps, len(bins)) matrix mapping channel taps to their DFT at bins."""
-    return np.exp(-2j * np.pi * np.arange(n_taps)[:, None] * bins / n)
-
-
 def _tag_link(cfg: SystemConfig, target: str = "bd") -> _TagLink:
     """The kernel's link for ``cfg``, built once per configuration.
 
@@ -354,42 +345,17 @@ def _tag_link(cfg: SystemConfig, target: str = "bd") -> _TagLink:
     bins.
     """
     plan = cfg.plan()
-    shifts = [tag_shift(cfg.scheme, bit, plan.zeta) for bit in (0, 1)]
     sets = ((plan.data_idx,) if target == "primary"
             else (plan.kb0,) if plan.scheme == "ook" else (plan.kb0, plan.kb1))
-    read = np.concatenate(sets)
     sizes = np.array([len(b) for b in sets])
     unit_eta = (analysis.optimal_threshold(cfg.pfa_target, sizes[0])
                 if plan.scheme == "ook" and target == "bd" else None)
     if cfg.cfo_eps or target == "primary":
-        # the offset ramp starts on the first body sample, so it maps
-        # the spectrum Z to Y[k] = sum_m D[k-m] Z[m]; without an offset
-        # D is exactly a unit impulse
-        t = np.arange(plan.n)
-        d = np.fft.fft(np.exp(2j * np.pi * cfg.cfo_eps * t / plan.n)) / plan.n
-        lag = read[None, :] - plan.data_idx[:, None]
-        m_d = d[lag % plan.n]
-        leakage = tuple(m_d if s is None else np.vstack((m_d, d[(lag - s) % plan.n]))
-                        for s in shifts)
-        spectra = np.zeros((cfg.l_direct + cfg.l_forward, 2 * plan.n_data),
-                           dtype=np.complex128)
-        spectra[:cfg.l_direct, :plan.n_data] = _tap_response(
-            cfg.l_direct, plan.data_idx, plan.n)
-        spectra[cfg.l_direct:, plan.n_data:] = _tap_response(
-            cfg.l_forward, plan.data_idx, plan.n)
+        spectra, leakage = offset_leakage(plan, cfg.cfo_eps, np.concatenate(sets),
+                                          cfg.l_direct, cfg.l_forward)
         return _TagLink(cfg, sizes, unit_eta, spectra=spectra, leakage=leakage)
-    rank = min(cfg.l_forward, int(sizes[0])) if cfg.channel_mode == "tdl" else 0
-    landings = []
-    for bit, (s, kb) in enumerate(zip(shifts, (plan.kb0, plan.kb1))):
-        weights = np.zeros(0)
-        # iid mode makes no LAPACK call: a first one adds 1 MB to peak RSS
-        if s is not None and rank:
-            response = _tap_response(cfg.l_forward, (kb - s) % plan.n, plan.n)
-            weights = np.maximum(np.linalg.eigvalsh(
-                response @ response.conj().T)[-rank:], 0.0) / cfg.l_forward
-        landings.append(None if s is None else
-                        (0 if plan.scheme == "ook" else bit, weights, float(not rank)))
-    return _TagLink(cfg, sizes, unit_eta, landings=tuple(landings), rank=rank)
+    rank, landings = landing_spectrum(plan, cfg.l_forward, cfg.channel_mode)
+    return _TagLink(cfg, sizes, unit_eta, landings=landings, rank=rank)
 
 
 def _normal_pairs(rng, shape) -> np.ndarray:

@@ -1,9 +1,18 @@
-"""OFDM subcarrier planning.
+"""OFDM subcarrier planning and the link geometry it fixes.
 
 Subcarrier plans partition the DFT grid into data bins (used by the
-primary link) and null bins; a backscatter tag conveys its bit by
-shifting primary energy onto scheme-specific null bins, and each plan
-records the detection index sets for both bit hypotheses.
+primary link) and null bins.  A backscatter tag conveys one bit per OFDM
+symbol by multiplying the incident signal with a unit-modulus tone of
+integer frequency; after the receiver DFT that is exactly a circular
+shift of the spectrum by ``tag_shift`` bins, which moves primary energy
+from the data bins onto scheme-specific null bins.  Each plan derives
+its detection index sets for both bit hypotheses from those shifts.
+
+The same shifts fix what the link kernel reads of the channel: at zero
+carrier offset the landing spectrum of each detection set
+(``landing_spectrum``), and at an offset the exact maps from the
+data-bin terms onto the bins read (``offset_leakage``).  Both are built
+from ``tap_response``, the DFT of a tapped delay line at given bins.
 """
 from __future__ import annotations
 
@@ -18,6 +27,26 @@ DFT_SIZES = (64, 128, 256, 512)
 
 class ConfigurationError(ValueError):
     """Raised when a requested system configuration is not constructible."""
+
+
+def tag_shift(scheme: str, bit: int, zeta: int) -> int | None:
+    """Bins the tag's tone moves the incident spectrum for one bit.
+
+    OOK reflects the tone of frequency ``zeta`` for bit 1 and nothing
+    (None) for bit 0.  FSK1 shifts down one bin for bit 0 and up one for
+    bit 1.  FSK2 always reflects, shifting by one bin for bit 0 and two
+    for bit 1 (its plan spaces data bins ``zeta``+1 apart so both
+    landings stay on nulls).
+    """
+    if bit not in (0, 1):
+        raise ValueError(f"bit must be 0 or 1, got {bit}")
+    if scheme == "ook":
+        return zeta if bit else None
+    if scheme == "fsk1":
+        return 1 if bit else -1
+    if scheme == "fsk2":
+        return 2 if bit else 1
+    raise ConfigurationError(f"unknown scheme {scheme!r}")
 
 
 @dataclass(frozen=True)
@@ -47,14 +76,14 @@ def build_subcarrier_plan(scheme: str, n: int, zeta: int | None = None) -> Subca
     """Construct the data/null partition and detection sets for a scheme.
 
     OOK alternates blocks of ``zeta`` data bins and ``zeta`` null bins so
-    that a frequency shift of +zeta moves every data bin onto a null bin;
-    the detection set is that landing set.  FSK1 keeps data on even bins
-    up to n-4 and signals by shifting the whole spectrum one bin down
-    (bit 0) or up (bit 1); the detection sets are the bins reached under
-    exactly one hypothesis, found here by set difference rather than by
-    closed form.  FSK2 places a data bin every ``zeta``+1 bins starting
-    at bin 1, leaving bin 0 permanently unused, and signals with shifts
-    of +1 (bit 0) and +2 (bit 1), each landing on its own null set.
+    that a frequency shift of +zeta moves every data bin onto a null bin.
+    FSK1 keeps data on even bins up to n-4.  FSK2 places a data bin every
+    ``zeta``+1 bins starting at bin 1, leaving bin 0 permanently unused.
+    The detection sets follow from ``tag_shift``: bit b's tone lands the
+    data bins on (data + s_b) mod n.  OOK inspects the bit-1 landing
+    under both hypotheses; an FSK scheme inspects for each bit the bins
+    its landing reaches and the other's does not, which for fsk2, whose
+    landings are disjoint, is the whole landing.
     ``zeta`` None picks the scheme's natural spacing: 2 for fsk2, whose
     plan needs two nulls per data bin, else 1.  ``n`` must be one of
     ``DFT_SIZES``.  Each plan is built once per process, and its index
@@ -81,17 +110,10 @@ def _build_plan(scheme: str, n: int, zeta: int) -> SubcarrierPlan:
             raise ConfigurationError(f"ook supports zeta in (1, 2), got {zeta}")
         k = np.arange(n)
         data = k[(k % (2 * zeta)) < zeta]
-        land = np.sort((data + zeta) % n)
-        kb0 = land
-        kb1 = land
     elif scheme == "fsk1":
         if zeta != 1:
             raise ConfigurationError(f"fsk1 uses unit shifts only, got zeta={zeta}")
         data = np.arange(0, n - 2, 2)
-        land0 = {int(x) for x in (data - 1) % n}
-        land1 = {int(x) for x in (data + 1) % n}
-        kb0 = np.sort(np.array(sorted(land0 - land1), dtype=np.int64))
-        kb1 = np.sort(np.array(sorted(land1 - land0), dtype=np.int64))
     else:
         if zeta < 2:
             raise ConfigurationError(f"fsk2 needs zeta >= 2, got {zeta}")
@@ -99,13 +121,15 @@ def _build_plan(scheme: str, n: int, zeta: int) -> SubcarrierPlan:
         if m < 1:
             raise ConfigurationError(f"no room for data bins at n={n}, zeta={zeta}")
         data = 1 + (zeta + 1) * np.arange(m)
-        kb0 = np.sort((data + 1) % n)
-        kb1 = np.sort((data + 2) % n)
-
     data = np.asarray(data, dtype=np.int64)
+    lands = [None if s is None else np.unique((data + s) % n)
+             for s in (tag_shift(scheme, bit, zeta) for bit in (0, 1))]
+    if scheme == "ook":
+        kb0 = kb1 = lands[1]
+    else:
+        kb0, kb1 = np.setdiff1d(*lands), np.setdiff1d(*lands[::-1])
     null = np.setdiff1d(np.arange(n, dtype=np.int64), data)
-    plan = SubcarrierPlan(scheme, n, zeta, data, null, np.asarray(kb0, dtype=np.int64),
-                          np.asarray(kb1, dtype=np.int64))
+    plan = SubcarrierPlan(scheme, n, zeta, data, null, kb0, kb1)
     _validate_plan(plan)
     for part in (plan.data_idx, plan.null_idx, plan.kb0, plan.kb1):
         part.flags.writeable = False
@@ -127,3 +151,62 @@ def _validate_plan(plan: SubcarrierPlan) -> None:
         raise ConfigurationError("hypothesis sets must have equal size")
     if plan.scheme == "fsk2" and (0 in data or 0 in kb0 or 0 in kb1):
         raise ConfigurationError("bin 0 must stay unused under fsk2")
+
+
+def tap_response(n_taps: int, bins, n: int) -> np.ndarray:
+    """(n_taps, len(bins)) matrix mapping channel taps to their DFT at bins."""
+    return np.exp(-2j * np.pi * np.arange(n_taps)[:, None] * bins / n)
+
+
+def landing_spectrum(plan: SubcarrierPlan, l_forward: int, channel_mode: str):
+    """The tag's signal weights on its detection sets at zero offset.
+
+    Returns ``rank`` r and per bit in ``landings`` None, when the bit
+    does not reflect, or (col, weights, bulk): the detection set its tone
+    lands on (0 for ook, whose sets coincide, else the bit) and the
+    signal weight on each of r directions and on each of the other
+    n_b - r.  In "tdl" mode r = min(l_forward, n_b), the weights are the
+    r largest eigenvalues over l_forward (clipped at 0, ascending) of the
+    Gram G = R R^H of the matrix R that maps forward taps to Hf at the
+    set's source bins (landing sets are shifted data bins, so every bin
+    has a source), and bulk is 0; in "iid" mode, whose bins have
+    independent unit gains, r = 0 and bulk is 1.
+    """
+    rank = min(l_forward, len(plan.kb0)) if channel_mode == "tdl" else 0
+    landings = []
+    for bit, kb in enumerate((plan.kb0, plan.kb1)):
+        s = tag_shift(plan.scheme, bit, plan.zeta)
+        weights = np.zeros(0)
+        # iid mode makes no LAPACK call: a first one adds 1 MB to peak RSS
+        if s is not None and rank:
+            response = tap_response(l_forward, (kb - s) % plan.n, plan.n)
+            weights = np.maximum(np.linalg.eigvalsh(
+                response @ response.conj().T)[-rank:], 0.0) / l_forward
+        landings.append(None if s is None else
+                        (0 if plan.scheme == "ook" else bit, weights, float(not rank)))
+    return rank, tuple(landings)
+
+
+def offset_leakage(plan: SubcarrierPlan, cfo_eps: float, read, l_direct: int,
+                   l_forward: int):
+    """The exact maps of a carrier offset from the data bins onto the bins ``read``.
+
+    ``spectra`` is the block-diagonal matrix that maps [direct taps,
+    forward taps] to [Hd, Hf] on the data bins, and ``leakage`` holds per
+    bit the matrix that maps the data-bin terms [X*Hd, gamma*hb*X*Hf]
+    onto every bin of ``read``: M_d stacked on the bit's M_s, or M_d
+    alone when the bit does not reflect.  The offset ramp starts on the
+    first body sample, so it maps the spectrum Z to Y[k] = sum_m D[k-m]
+    Z[m]; without an offset D is exactly a unit impulse.
+    """
+    t = np.arange(plan.n)
+    d = np.fft.fft(np.exp(2j * np.pi * cfo_eps * t / plan.n)) / plan.n
+    lag = read[None, :] - plan.data_idx[:, None]
+    m_d = d[lag % plan.n]
+    shifts = [tag_shift(plan.scheme, bit, plan.zeta) for bit in (0, 1)]
+    leakage = tuple(m_d if s is None else np.vstack((m_d, d[(lag - s) % plan.n]))
+                    for s in shifts)
+    spectra = np.zeros((l_direct + l_forward, 2 * plan.n_data), dtype=np.complex128)
+    spectra[:l_direct, :plan.n_data] = tap_response(l_direct, plan.data_idx, plan.n)
+    spectra[l_direct:, plan.n_data:] = tap_response(l_forward, plan.data_idx, plan.n)
+    return spectra, leakage

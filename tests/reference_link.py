@@ -18,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from srbc.backscatter import tag_shift
-from srbc.channel import noise_bin_variance
-from srbc.waveform import ConfigurationError, SubcarrierPlan
+from srbc.analysis import noise_bin_variance
+from srbc.waveform import ConfigurationError, SubcarrierPlan, tag_shift
 
 
 @dataclass

@@ -25,7 +25,6 @@ from srbc.analysis import (
     optimal_threshold,
     pfa_of_threshold,
 )
-from srbc.backscatter import tag_shift
 from srbc.crc import crc5_check_many, crc5_encode_many
 from srbc.harness import (
     SystemConfig,
@@ -37,7 +36,7 @@ from srbc.harness import (
     run_retx,
     run_roc,
 )
-from srbc.waveform import build_subcarrier_plan
+from srbc.waveform import build_subcarrier_plan, tag_shift
 
 
 def verdict(number, name, ok, detail):

@@ -14,8 +14,7 @@ from reference_link import (
     ofdm_demodulate,
     ofdm_modulate,
 )
-from srbc.backscatter import tag_shift
-from srbc.waveform import build_subcarrier_plan
+from srbc.waveform import build_subcarrier_plan, tag_shift
 
 
 def tag_tone(shift, n):

@@ -24,8 +24,7 @@ from reference_link import (
     sample_channels,
     snr_to_noise_variance,
 )
-from srbc.backscatter import tag_shift
-from srbc.waveform import build_subcarrier_plan
+from srbc.waveform import build_subcarrier_plan, tag_shift
 
 
 def random_symbol(rng, n, cp_len):

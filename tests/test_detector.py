@@ -17,9 +17,8 @@ from reference_link import (
     ook_test_statistic,
     snr_to_noise_variance,
 )
-from srbc.backscatter import tag_shift
 from srbc.detector import fsk_detect, ook_detect, primary_detect
-from srbc.waveform import build_subcarrier_plan
+from srbc.waveform import build_subcarrier_plan, tag_shift
 
 
 def flat_channel(plan, gain=1.0 + 0j):

@@ -18,7 +18,6 @@ from reference_link import (NoiseSpec, fsk_metrics, iid_set_energies,
                             ook_test_statistic, snr_to_noise_variance, tdl_grid,
                             tdl_signal_power)
 from srbc import analysis
-from srbc.backscatter import tag_shift
 from srbc.detector import fsk_detect, ook_detect, primary_detect
 from srbc.harness import (
     CSV_HEADER,
@@ -38,7 +37,7 @@ from srbc.harness import (_ROW_BLOCK, _accumulate, _ci95, _leak_onto,
                           _theory_curve)
 from srbc import cli, harness
 from srbc.waveform import (DFT_SIZES, SCHEMES, ConfigurationError,
-                           build_subcarrier_plan)
+                           build_subcarrier_plan, tag_shift)
 
 
 def parse_csv(path) -> SimCurve:
@@ -97,6 +96,10 @@ def test_config_validation():
     with pytest.raises(ConfigurationError, match="seed must be >= 0"):
         SystemConfig(seed=-1)
     assert SystemConfig(seed=0).seed == 0
+    # each batch in flight holds a worker thread: the count is bounded
+    with pytest.raises(ConfigurationError, match="threads must be <= 64"):
+        SystemConfig(threads=65)
+    assert SystemConfig(threads=64).threads == 64
     # integer fields take integral values only: none is truncated
     fractional = {"n": 64.7, "zeta": 2.5, "l_direct": 2.5, "l_forward": 2.5,
                   "trials": 1000.5, "seed": 7.5, "crc_preset": 9.5,
@@ -642,6 +645,10 @@ def test_cli_rejects_bad_input(tmp_path, capsys):
             assert cli.main(argv + ["--out", str(out)]) == 2, argv
         assert "error: seed must be >= 0" in capsys.readouterr().err, argv
         assert not theory.called
+    # a thread count past the bound is refused before any batch runs
+    assert cli.main(["ber", "--scheme", "fsk2", "--threads", "100000", "--trials",
+                     "2048", "--out", str(out)]) == 2
+    assert "error: threads must be <= 64" in capsys.readouterr().err
 
 
 def _landing_weight_error(cfg, seed):

@@ -43,14 +43,22 @@ def test_fsk1_plan_reference_grid():
 
 
 def test_fsk1_detection_bins_are_landing_differences():
-    # the bit-0 detection bin is reachable only by the down-shift, the
-    # bit-1 bin only by the up-shift
+    # an fsk bit-0 detection bin is reachable only by the bit-0 shift, a
+    # bit-1 bin only by the bit-1 shift; ook's bit 0 does not reflect,
+    # so both of its sets are the whole bit-1 landing
+    cases = [("fsk1", 1, -1, 1), ("ook", 1, None, 1), ("ook", 2, None, 2),
+             ("fsk2", 2, 1, 2), ("fsk2", 3, 1, 2)]
     for n in DFT_SIZES:
-        plan = build_subcarrier_plan("fsk1", n)
-        down = landing_set(plan.data_idx, -1, n)
-        up = landing_set(plan.data_idx, 1, n)
-        assert set(plan.kb0.tolist()) == down - up
-        assert set(plan.kb1.tolist()) == up - down
+        for scheme, zeta, shift0, shift1 in cases:
+            plan = build_subcarrier_plan(scheme, n, zeta=zeta)
+            land0 = set() if shift0 is None else landing_set(plan.data_idx, shift0, n)
+            land1 = landing_set(plan.data_idx, shift1, n)
+            kb0, kb1 = plan.kb0.tolist(), plan.kb1.tolist()
+            if scheme == "ook":
+                assert kb0 == kb1 == sorted(land1), (n, zeta)
+            else:
+                assert kb0 == sorted(land0 - land1), (scheme, n, zeta)
+                assert kb1 == sorted(land1 - land0), (scheme, n, zeta)
 
 
 def test_fsk2_plan_reference_grid():

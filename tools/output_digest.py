@@ -10,6 +10,11 @@ writes into a directory of its own:
 - for every command of both workloads of ``srbcbench/workloads.py``, at
   pass 0 of the benchmark seeds 11, 12 and 13, every CSV it writes and
   a text file with its exit code, stdout and stderr;
+- for each of ``EXTRA_COMMANDS``, at seed ``EXTRA_SEED``, the same CSVs
+  and text file under ``extra``: the link paths the workloads never run
+  (primary detection at three offsets, fsk1 with and without an offset,
+  ook ``pmd`` and ``retx`` at an offset, a non-default zeta for ook and
+  fsk2, and iid ``ber`` and ``roc``), each at a small trial cap;
 - ``theory.txt``: 1 224 theory values as ``float.hex``, through
   ``harness._theory_curve``, for ook, fsk1 and fsk2 × n 64, 128, 256
   and 512 × gamma 0.25, 0.5 and 1 × (sigma_v, pfa_target) (1, 1e-3)
@@ -61,6 +66,31 @@ THEORY_SIZES = (64, 128, 256, 512)
 THEORY_GAMMAS = (0.25, 0.5, 1.0)
 THEORY_LINKS = ((1.0, 1e-3), (0.5, 1e-2))  # (sigma_v, pfa_target)
 THEORY_POINTS = 17
+EXTRA_SEED = 2027
+# (file key, srbc arguments) of every command run besides the workloads'
+EXTRA_COMMANDS = (
+    ("primary_fsk2_eps0", ["ber", "--scheme", "fsk2", "--target", "primary",
+                           "--snr", "0,10", "--trials", "256"]),
+    ("primary_fsk2_eps0.05", ["ber", "--scheme", "fsk2", "--target", "primary",
+                              "--cfo", "0.05", "--snr", "0,10", "--trials", "256"]),
+    ("primary_ook_eps0.1", ["ber", "--scheme", "ook", "--target", "primary",
+                            "--cfo", "0.1", "--snr", "0,10", "--trials", "256"]),
+    ("ber_fsk1", ["ber", "--scheme", "fsk1", "--snr", "0,20", "--trials", "2048"]),
+    ("cfo_fsk1", ["cfo", "--scheme", "fsk1", "--eps-grid", "0.05",
+                  "--snr", "0,20", "--trials", "2048"]),
+    ("pmd_ook_eps0.05", ["pmd", "--cfo", "0.05", "--pfa-target", "0.05",
+                         "--snr", "0,10", "--trials", "2048"]),
+    ("retx_ook_eps0.05", ["retx", "--scheme", "ook", "--cfo", "0.05",
+                          "--snr", "10,20", "--trials", "512"]),
+    ("pmd_ook_zeta2", ["pmd", "--zeta", "2", "--pfa-target", "0.05",
+                       "--snr", "0,10", "--trials", "2048"]),
+    ("ber_fsk2_zeta3", ["ber", "--scheme", "fsk2", "--zeta", "3",
+                        "--snr", "0,20", "--trials", "2048"]),
+    ("ber_fsk2_iid", ["ber", "--scheme", "fsk2", "--channel-mode", "iid",
+                      "--snr", "0,20", "--trials", "2048"]),
+    ("roc_ook_iid", ["roc", "--channel-mode", "iid", "--snr", "5",
+                     "--trials", "2048"]),
+)
 
 
 def differing(a: Path, b: Path) -> list:
@@ -155,17 +185,25 @@ def write_outputs(out: Path) -> None:
     sys.path.insert(0, str(ROOT / "srbcbench"))
     import workloads
 
+    def run(argv, run_dir, key):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = srbc.cli.main(argv)
+        (run_dir / f"{key}.txt").write_text(
+            f"exit {code}\n{stdout.getvalue()}--- stderr\n{stderr.getvalue()}")
+
     for seed in SEEDS:
         pass_seed = workloads.pass_seed(seed, 0)
         for name in workloads.WORKLOADS:
             run_dir = out / f"seed{seed}" / name
             run_dir.mkdir(parents=True)
             for cmd in workloads.commands(name, pass_seed):
-                stdout, stderr = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                    code = srbc.cli.main(cmd.argv(pass_seed, str(run_dir)))
-                (run_dir / f"{cmd.key}.txt").write_text(
-                    f"exit {code}\n{stdout.getvalue()}--- stderr\n{stderr.getvalue()}")
+                run(cmd.argv(pass_seed, str(run_dir)), run_dir, cmd.key)
+    run_dir = out / "extra"
+    run_dir.mkdir()
+    for key, argv in EXTRA_COMMANDS:
+        run(argv + ["--seed", str(EXTRA_SEED), "--out", str(run_dir / f"{key}.csv")],
+            run_dir, key)
     snr = tuple(np.linspace(-10.0, 40.0, THEORY_POINTS))
     lines = []
     for scheme, n, gamma, (sigma_v, pfa) in itertools.product(
