@@ -51,8 +51,7 @@ import numpy as np
 from .waveform import SubcarrierPlan, build_subcarrier_plan
 
 __all__ = [
-    "pfa_of_threshold", "optimal_threshold", "rayleigh_nodes", "theory_sweep",
-    "noise_bin_variance",
+    "optimal_threshold", "rayleigh_nodes", "theory_sweep", "noise_bin_variance",
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -124,19 +123,6 @@ def _erlang_log_tail(x, n_b: int) -> tuple[np.ndarray, np.ndarray]:
             lower = log_density[below] + np.log(_ratio_sum(ratios))
             log_tail[below] = np.log1p(-np.exp(lower))
     return np.minimum(log_tail, 0.0), log_density
-
-
-def pfa_of_threshold(x: float, n_b: int) -> float:
-    """False-alarm probability P(G > x), G ~ Gamma(n_b, 1), of n_b unit noise bins.
-
-    At per-bin noise energy w the statistic exceeds eta with P(G > eta/w).
-    """
-    n_b = _bin_count(n_b)
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
-    if x == 0:
-        return 1.0
-    return math.exp(float(_erlang_log_tail(x, n_b)[0]))
 
 
 def _node_average(weights: np.ndarray, values: np.ndarray) -> np.ndarray:

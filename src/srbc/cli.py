@@ -134,26 +134,37 @@ def _analytical_curve(cfg: SystemConfig, args):
     return [(f"analytical {kind}", curve, None)]
 
 
-# Curve commands: each runs on (config, args) and returns its curves as
-# (printed label, curve, CSV file suffix or None for the --out file).
-_CURVES = {
-    "pmd": lambda cfg, args: [
-        ("missed-detection probability vs SNR", run_pmd_sweep(cfg), None)],
-    "roc": lambda cfg, args: [
-        ("detection vs false-alarm probability",
-         run_roc(cfg, _eta_grid(cfg, args.eta_grid)), None)],
-    "ber": lambda cfg, args: [
-        (f"{args.target} bit error rate vs SNR",
-         run_ber_sweep(cfg, args.target), None)],
-    "cfo": _cfo_curves,
-    "retx": lambda cfg, args: [
-        ("frame retransmission probability vs SNR", run_retx(cfg), None)],
-    "theory": _analytical_curve,
+# Every subcommand: its help text, its own flag and that flag's argparse
+# options (or None), and for a curve command its run on (config, args),
+# which returns its curves as (printed label, curve, CSV file suffix or
+# None for the --out file).  compare runs through _cmd_compare.
+_COMMANDS = {
+    "pmd": ("missed-detection probability sweep (ook)", None,
+            lambda cfg, args: [("missed-detection probability vs SNR",
+                                run_pmd_sweep(cfg), None)]),
+    "roc": ("detection vs false-alarm curve (ook, single SNR)",
+            ("--eta-grid", dict(default="auto",
+                                help="comma-separated thresholds, or 'auto'")),
+            lambda cfg, args: [("detection vs false-alarm probability",
+                                run_roc(cfg, _eta_grid(cfg, args.eta_grid)), None)]),
+    "ber": ("bit error rate sweep",
+            ("--target", dict(choices=("bd", "primary"), default="bd")),
+            lambda cfg, args: [(f"{args.target} bit error rate vs SNR",
+                                run_ber_sweep(cfg, args.target), None)]),
+    "cfo": ("bit error rate under carrier offsets",
+            ("--eps-grid", dict(default="0.0,0.05",
+                                help="comma-separated carrier offsets")),
+            _cfo_curves),
+    "retx": ("frame retransmission probability sweep", None,
+             lambda cfg, args: [("frame retransmission probability vs SNR",
+                                 run_retx(cfg), None)]),
+    "theory": ("analytical curve without simulation", None, _analytical_curve),
+    "compare": ("analytical vs iid-mode simulation", None, None),
 }
 
 
 def _cmd_curve(args) -> int:
-    for label, curve, suffix in _CURVES[args.command](build_config(args), args):
+    for label, curve, suffix in _COMMANDS[args.command][2](build_config(args), args):
         _print_curve(curve, label)
         if args.out:
             emit_csv(curve, args.out if suffix is None
@@ -190,21 +201,7 @@ def _parser() -> argparse.ArgumentParser:
         description="Backscatter-over-OFDM link simulator and analytical toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    specs = (
-        ("pmd", "missed-detection probability sweep (ook)"),
-        ("roc", "detection vs false-alarm curve (ook, single SNR)",
-         "--eta-grid", dict(default="auto",
-                            help="comma-separated thresholds, or 'auto'")),
-        ("ber", "bit error rate sweep",
-         "--target", dict(choices=("bd", "primary"), default="bd")),
-        ("cfo", "bit error rate under carrier offsets",
-         "--eps-grid", dict(default="0.0,0.05",
-                            help="comma-separated carrier offsets")),
-        ("retx", "frame retransmission probability sweep"),
-        ("theory", "analytical curve without simulation"),
-        ("compare", "analytical vs iid-mode simulation"),
-    )
-    for name, help_text, *extra in specs:
+    for name, (help_text, extra, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         # "-1e-3" and "-5,10" are values: argparse before Python 3.13
         # takes only -<digits> and -<digits>.<digits> for numbers

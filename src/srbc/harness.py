@@ -51,7 +51,7 @@ import numpy as np
 
 from . import analysis
 from .analysis import noise_bin_variance
-from .crc import crc5_check_many, crc5_encode_many
+from .crc import CRC_BITS, crc5_check_many, crc5_encode_many
 from .detector import fsk_detect, ook_detect, primary_detect
 from .waveform import (ConfigurationError, build_subcarrier_plan, landing_spectrum,
                        offset_leakage)
@@ -61,7 +61,7 @@ CSV_HEADER = ("abscissa", "value", "ci95", "scheme", "N", "gamma",
 CHANNEL_MODES = ("tdl", "iid")
 TARGET_ERROR_EVENTS = 100
 FRAME_PAYLOAD_BITS = 7
-FRAME_BITS = 12
+FRAME_BITS = FRAME_PAYLOAD_BITS + CRC_BITS
 _BATCH_SYMBOLS = 2048
 _BATCH_FRAMES = 512
 _ROW_BLOCK = 128  # offset-kernel rows per block: its temporaries stay in L2
@@ -83,7 +83,8 @@ class SystemConfig:
     ``snr_db`` accepts a scalar or a strictly increasing grid and is
     stored as a tuple.  ``zeta`` is the plan's spacing, so None becomes
     the scheme's natural one.  ``trials`` caps the per-point Monte Carlo
-    budget; runs stop early once enough error events accumulate.
+    budget; runs stop early once enough error events accumulate.  A
+    carrier offset needs the tapped-delay-line channel.
     """
 
     scheme: str = "ook"
@@ -145,6 +146,9 @@ class SystemConfig:
         if self.channel_mode not in CHANNEL_MODES:
             raise ConfigurationError(
                 f"channel_mode must be one of {CHANNEL_MODES}, got {self.channel_mode!r}")
+        if self.cfo_eps and self.channel_mode != "tdl":
+            raise ConfigurationError(
+                "simulating a frequency offset needs channel_mode='tdl'")
         if not 0 <= self.crc_preset < 32:
             raise ConfigurationError(
                 f"crc_preset must be a 5-bit value, got {self.crc_preset}")
@@ -300,11 +304,6 @@ def _accumulate(batch_fn, total: int, seed: int, noises, *,
 
 # ---------------------------------------------------------------------------
 # Link simulation kernels
-
-
-def _require_tdl(cfg: SystemConfig, why: str) -> None:
-    if cfg.channel_mode != "tdl":
-        raise ConfigurationError(f"{why} needs channel_mode='tdl'")
 
 
 @dataclass(frozen=True)
@@ -525,8 +524,6 @@ def _sweep(cfg: SystemConfig, kernel, target_events: int | None,
     ``target_events`` (never, for None).  Returns the counts as a
     (points, counts per batch) array and the trials each point used.
     """
-    if cfg.cfo_eps:
-        _require_tdl(cfg, "simulating a frequency offset")
     counts, _, used = _accumulate(
         kernel, cfg.trials, cfg.seed, [noise_bin_variance(s) for s in cfg.snr_db],
         threads=cfg.threads, target_events=target_events, batch_size=batch_size)
@@ -606,8 +603,8 @@ def run_ber_sweep(cfg: SystemConfig, target: str = "bd",
     if target == "bd" and cfg.scheme not in ("fsk1", "fsk2"):
         raise ConfigurationError(
             "the tag bit error rate compares two hypothesis sets; use fsk1 or fsk2")
-    if target == "primary":
-        _require_tdl(cfg, "primary-link detection")
+    if target == "primary" and cfg.channel_mode != "tdl":
+        raise ConfigurationError("primary-link detection needs channel_mode='tdl'")
     link = _tag_link(cfg, target)
 
     def kernel(rng, size):
@@ -638,9 +635,9 @@ def run_cfo_study(cfg: SystemConfig, eps_grid,
     eps = np.atleast_1d(np.asarray(eps_grid, dtype=np.float64))
     if len(eps) == 0 or not np.isfinite(eps).all():
         raise ValueError("eps_grid must be a nonempty finite vector")
-    _require_tdl(cfg, "simulating a frequency offset")
-    return [run_ber_sweep(cfg.replace(cfo_eps=float(e)), "bd", target_events)
-            for e in eps]
+    # every offset's config first: one the config refuses runs no curve
+    configs = [cfg.replace(cfo_eps=float(e)) for e in eps]
+    return [run_ber_sweep(c, "bd", target_events) for c in configs]
 
 
 def run_retx(cfg: SystemConfig,
@@ -727,12 +724,11 @@ def run_compare(cfg: SystemConfig):
     """Analytical curve vs. iid-mode simulation on the config's SNR grid.
 
     The analysis has no carrier offset, and neither has iid mode, so a
-    config with one is rejected.  Returns (theory curve, simulated
-    curve, comparison rows, verdict).
+    config with one is refused as the iid config is built, before the
+    theory curve.  Returns (theory curve, simulated curve, comparison
+    rows, verdict).
     """
     iid = cfg.replace(channel_mode="iid")
-    if iid.cfo_eps:  # before the theory curve, which would be thrown away
-        _require_tdl(iid, "simulating a frequency offset")
     kind, theory = _theory_curve(cfg)
     run = run_pmd_sweep if kind == "OOK_PMD" else run_ber_sweep
     sim = run(iid)

@@ -21,9 +21,9 @@ from reference_link import (
     ofdm_modulate,
 )
 from srbc.analysis import (
+    _erlang_log_tail,
     noise_bin_variance,
     optimal_threshold,
-    pfa_of_threshold,
 )
 from srbc.crc import crc5_check_many, crc5_encode_many
 from srbc.harness import (
@@ -86,7 +86,7 @@ def test_criterion_01_tag_orthogonality():
 
 def erlang_cdf(x, n_b, mean):
     """P(G <= x) for G ~ Gamma(n_b) of scale mean, from the analysis tail."""
-    return 1.0 - pfa_of_threshold(float(x) / mean, n_b)
+    return 1.0 - math.exp(_erlang_log_tail(float(x) / mean, n_b)[0])
 
 
 def test_criterion_02_inversion_oracles():

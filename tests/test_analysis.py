@@ -15,11 +15,15 @@ from srbc import analysis
 from srbc.analysis import (
     noise_bin_variance,
     optimal_threshold,
-    pfa_of_threshold,
     rayleigh_nodes,
     theory_sweep,
 )
 from srbc.waveform import build_subcarrier_plan
+
+
+def erlang_tail(x, n_b):
+    """False-alarm probability P(G > x), G ~ Gamma(n_b, 1), from the Erlang log tail."""
+    return math.exp(float(analysis._erlang_log_tail(x, n_b)[0]))
 
 
 def pmd_given_v(eta, v, gamma_sq, sigma_w_sq, n_b):
@@ -49,14 +53,14 @@ def test_noise_bin_variance_convention():
 
 def test_pfa_limits_and_sampling():
     w = 0.1
-    assert pfa_of_threshold(0.0, 32) == 1.0
-    assert pfa_of_threshold(1e4 / w, 32) < 1e-12
+    assert erlang_tail(0.0, 32) == 1.0
+    assert erlang_tail(1e4 / w, 32) < 1e-12
     rng = np.random.default_rng(137)
     draws = rng.exponential(w, size=(1_000_000, 32)).sum(axis=1)
     eta = 4.0
     emp = np.mean(draws > eta)
     se = math.sqrt(emp * (1 - emp) / draws.size)
-    assert abs(pfa_of_threshold(eta / w, 32) - emp) < 3 * se
+    assert abs(erlang_tail(eta / w, 32) - emp) < 3 * se
 
 
 def test_pmd_given_v_closed_form():
@@ -73,7 +77,7 @@ def test_threshold_hits_requested_false_alarm():
     assert median == pytest.approx(stats.gamma.ppf(0.5, a=32), rel=1e-6)
     for target in (1e-1, 1e-2, 1e-3):
         x = optimal_threshold(target, 32)
-        assert pfa_of_threshold(x, 32) == pytest.approx(target, rel=1e-4)
+        assert erlang_tail(x, 32) == pytest.approx(target, rel=1e-4)
     assert optimal_threshold(1e-3, 32) > optimal_threshold(1e-1, 32)
 
 
@@ -85,7 +89,7 @@ def test_threshold_and_pfa_match_the_erlang_tail(n_b, log10_pfa):
     pfa = 10.0 ** log10_pfa
     x = optimal_threshold(pfa, n_b)
     assert x == pytest.approx(special.gammainccinv(n_b, pfa), rel=1e-12)
-    assert pfa_of_threshold(x, n_b) == pytest.approx(
+    assert erlang_tail(x, n_b) == pytest.approx(
         special.gammaincc(n_b, x), rel=1e-12)
 
 
@@ -105,8 +109,6 @@ def test_threshold_needs_a_positive_integer_bin_count():
     for n_b in (0, -3, 2.0, 2.5, True, "8", np.ones(2)):
         with pytest.raises(ValueError, match="positive integer"):
             optimal_threshold(1e-3, n_b)
-        with pytest.raises(ValueError, match="positive integer"):
-            pfa_of_threshold(1.0, n_b)
     # the plan's set sizes are numpy integers
     assert optimal_threshold(1e-3, np.int64(8)) == optimal_threshold(1e-3, 8)
 

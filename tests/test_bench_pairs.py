@@ -59,8 +59,34 @@ def test_tree_state_reports_head_and_uncommitted_changes(tmp_path):
     assert bench_pairs._tree_state(tmp_path) == {"head": head, "dirty": True}
 
 
+def test_snapshot_holds_the_working_tree_as_on_disk(tmp_path):
+    # the change side runs from a copy of the working tree: a modified
+    # tracked file's new contents and an untracked file, but no ignored
+    # file and no tracked file deleted on disk
+    root, dest = tmp_path / "root", tmp_path / "dest"
+    root.mkdir()
+    dest.mkdir()
+    _git(root, "init", "-q")
+    (root / ".gitignore").write_text("*.log\n")
+    (root / "src").mkdir()
+    (root / "src" / "a.py").write_text("one\n")
+    (root / "gone.txt").write_text("x\n")
+    _git(root, "add", ".")
+    _git(root, "commit", "-q", "-m", "first")
+    (root / "src" / "a.py").write_text("two\n")
+    (root / "src" / "new.py").write_text("new\n")
+    (root / "src" / "run.log").write_text("ignored\n")
+    (root / "gone.txt").unlink()
+    bench_pairs._snapshot(root, dest)
+    files = sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file())
+    assert files == [".gitignore", "src/a.py", "src/new.py"]
+    assert (dest / "src" / "a.py").read_text() == "two\n"
+
+
 _STUB_RUN = """\
-import json, resource
+import json, resource, sys
+print("gate: cfo_fsk2_n128_eps0.1: 1 of 7 points failed the gate", file=sys.stderr)
+print("a traceback line", file=sys.stderr)
 own = resource.getrusage(resource.RUSAGE_SELF)
 print("# " + json.dumps({"env": {"minflt": own.ru_minflt,
                                  "user_s": own.ru_utime}}))
@@ -75,6 +101,9 @@ def test_bench_records_the_run_and_its_usage(tmp_path):
     run = bench_pairs._bench(tmp_path, "tdl_link", 1, 1.0)
     assert run["metrics"] == {"cpu_s": 0.5}
     assert (run["attempted"], run["failed"]) == (3, 0)
+    # the gate's own lines of the run's stderr, and nothing else
+    assert run["gate_lines"] == [
+        "gate: cfo_fsk2_n128_eps0.1: 1 of 7 points failed the gate"]
     usage, own = run["rusage"], run["env"]
     assert set(usage) == {"user_s", "sys_s", "minflt"} and usage["sys_s"] >= 0
     # the usage is the child's: at least what it had counted itself

@@ -100,6 +100,13 @@ def test_config_validation():
     with pytest.raises(ConfigurationError, match="threads must be <= 64"):
         SystemConfig(threads=65)
     assert SystemConfig(threads=64).threads == 64
+    # the config owns the offset rule, so no runner sees an iid offset
+    with pytest.raises(ConfigurationError,
+                       match="simulating a frequency offset needs channel_mode='tdl'"):
+        SystemConfig(cfo_eps=0.1, channel_mode="iid")
+    with pytest.raises(ConfigurationError, match="frequency offset"):
+        SystemConfig(scheme="fsk2", cfo_eps=0.05).replace(channel_mode="iid")
+    assert SystemConfig(cfo_eps=0.0, channel_mode="iid").cfo_eps == 0.0
     # integer fields take integral values only: none is truncated
     fractional = {"n": 64.7, "zeta": 2.5, "l_direct": 2.5, "l_forward": 2.5,
                   "trials": 1000.5, "seed": 7.5, "crc_preset": 9.5,
@@ -610,6 +617,45 @@ def test_cli_offset_needs_tdl(capsys):
         assert cli.main(argv + ["--channel-mode", "iid", "--cfo", "0.1"]) == 2
         assert ("simulating a frequency offset needs channel_mode='tdl'"
                 in capsys.readouterr().err), argv
+
+
+def test_cli_theory_refuses_an_offset_in_iid_mode(tmp_path, capsys):
+    # the theory curve has no offset, but the config it is built from is
+    # refused like every other command's
+    out = tmp_path / "theory.csv"
+    assert cli.main(["theory", "--cfo", "0.1", "--channel-mode", "iid",
+                     "--out", str(out)]) == 2
+    assert ("error: simulating a frequency offset needs channel_mode='tdl'"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_cli_cfo_runs_a_zero_offset_in_iid_mode(tmp_path):
+    # no offset is set, so iid mode runs the zero-offset curve, as ber does
+    out = tmp_path / "c.csv"
+    assert cli.main(["cfo", "--scheme", "fsk2", "--channel-mode", "iid",
+                     "--eps-grid", "0", "--snr", "10", "--trials", "2048",
+                     "--out", str(out)]) == 0
+    curve = parse_csv(tmp_path / "c_eps0.csv")
+    assert curve.meta["cfo"] == "0.0" and curve.abscissa.tolist() == [10.0]
+    ber = tmp_path / "b.csv"
+    assert cli.main(["ber", "--scheme", "fsk2", "--channel-mode", "iid",
+                     "--snr", "10", "--trials", "2048", "--out", str(ber)]) == 0
+    assert filecmp.cmp(tmp_path / "c_eps0.csv", ber, shallow=False)
+
+
+def test_cli_subcommands_are_the_command_table():
+    # one table names every subcommand, its help text and its own flag
+    sub = next(a for a in cli._parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(cli._COMMANDS)
+    helps = {c.dest: c.help for c in sub._choices_actions}
+    common = {"-h", "--config", "--out"} | {flag for flag, _ in cli._FIELDS.values()}
+    for name, (help_text, extra, _) in cli._COMMANDS.items():
+        assert helps[name] == help_text
+        own = [a.option_strings[0] for a in sub.choices[name]._actions
+               if a.option_strings[0] not in common]
+        assert own == ([extra[0]] if extra else []), name
 
 
 def test_compare_rejects_an_offset_before_the_theory_curve(monkeypatch, capsys):

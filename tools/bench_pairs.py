@@ -3,20 +3,25 @@
     python3 tools/bench_pairs.py --against REV --pairs K --seconds S \\
         --seed0 N --out BENCH_<n>.json
 
-Run from anywhere inside the repository.  REV is extracted with
-``git archive REV | tar -x`` into a temporary directory, so no worktree
-is left behind.  Pair i runs each tree's own, unchanged
+Run from anywhere inside the repository.  Both sides run from copies
+side by side in one temporary directory, so no worktree is left behind
+and neither side runs from the checkout itself: REV is extracted with
+``git archive REV | tar -x``, and the change is a snapshot of the
+working tree, every tracked file as it is on disk plus every untracked
+file that git does not ignore.  Pair i runs each tree's own, unchanged
 ``srbcbench/run.py`` on every workload of ``BENCHMARK.json`` with seed
 N + i and S seconds, the parent first on even pairs and the change
 first on odd ones.  Each tree's Tier-1 suite is also timed once.  The
 JSON written holds, per workload and end-to-end metric, both sides'
 values per pair, their medians and quartiles and the change's wins, and
-beside them the seeds, the gate's attempted and failed counts, each
-run's user and system seconds and minor page faults (a diagnostic that
-no gate reads), the environment line each side printed and the Tier-1
-wall times.  The change side is the working tree, whose environment
-line names its HEAD even when the files differ from it, so the report
-also records that HEAD and a ``dirty`` flag from ``git status``.
+beside them the seeds, the gate's attempted and failed counts with the
+``gate:`` lines each run printed (each names a curve that missed and
+how many of its points did), each run's user and system seconds and
+minor page faults (a diagnostic that no gate reads), the environment
+line each side printed and the Tier-1 wall times.  The change's
+environment line names the checkout's HEAD even when the files differ
+from it, so the report also records that HEAD and a ``dirty`` flag
+from ``git status``.
 """
 from __future__ import annotations
 
@@ -24,6 +29,7 @@ import argparse
 import json
 import os
 import resource
+import shutil
 import statistics
 import subprocess
 import sys
@@ -94,6 +100,22 @@ def _extract(rev: str, dest: Path) -> str:
     return sha
 
 
+def _snapshot(root: Path, dest: Path) -> None:
+    """Copy the working tree at ``root`` under ``dest``.
+
+    It holds every tracked file as it is on disk and every untracked
+    file that git does not ignore.
+    """
+    listed = subprocess.run(["git", "-C", str(root), "ls-files", "-z", "-co",
+                             "--exclude-standard"], capture_output=True, check=True,
+                            text=True).stdout.split("\0")
+    for rel in filter(None, listed):
+        src = root / rel
+        if src.is_file():  # a tracked file deleted on disk is left out
+            (dest / rel).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dest / rel)
+
+
 def _tree_state(root: Path) -> dict:
     """HEAD of the checkout at ``root`` and whether its files differ from it."""
     def git(*args):
@@ -118,6 +140,8 @@ def _bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     result = json.loads(lines[-1])
     return {"metrics": {k: m["value"] for k, m in result["metrics"].items()},
             "attempted": result["attempted"], "failed": result["failed"],
+            "gate_lines": [line for line in proc.stderr.splitlines()
+                           if line.startswith("gate: ")],
             "env": json.loads(lines[-2][2:])["env"],
             "rusage": {"user_s": after.ru_utime - before.ru_utime,
                        "sys_s": after.ru_stime - before.ru_stime,
@@ -155,8 +179,11 @@ def main(argv=None) -> int:
     seeds = [args.seed0 + i for i in range(args.pairs)]
     change_tree = _tree_state(ROOT)
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        trees = {"parent": Path(tmp), "change": ROOT}
+        trees = {s: Path(tmp) / s for s in SIDES}
+        for tree in trees.values():
+            tree.mkdir()
         parent_sha = _extract(args.against, trees["parent"])
+        _snapshot(ROOT, trees["change"])
         runs = {w: [] for w in workloads}
         for i, seed in enumerate(seeds):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
@@ -180,9 +207,9 @@ def main(argv=None) -> int:
         "workloads": {
             w: {"metrics": summarize([{s: p[s]["metrics"] for s in SIDES}
                                       for p in pairs], metrics),
-                "gate": {s: [{"attempted": p[s]["attempted"],
-                              "failed": p[s]["failed"]} for p in pairs]
-                         for s in SIDES},
+                "gate": {s: [{k: p[s][k] for k in ("attempted", "failed",
+                                                   "gate_lines")}
+                             for p in pairs] for s in SIDES},
                 "rusage": {s: [p[s]["rusage"] for p in pairs] for s in SIDES}}
             for w, pairs in runs.items()},
     }
