@@ -30,22 +30,24 @@ so the blocks change no number.
 The tests check the kernel against a time-domain reference link and
 receiver, and its iid mode against a per-bin reference.
 
-Every simulated curve runs one loop over the shared batches,
-``_accumulate`` via ``_sweep``: each runner supplies only its validation
-and its batch kernel, which makes the batch's noise-free part and
-returns its scoring at a point's per-bin noise energy.  Nothing is drawn
-per time sample, so the kernel knows no other noise unit.  Every tag-bit
-decision is the link's own (``_TagLink.decide``): the OOK threshold test
-or the FSK comparison.
+Every simulated curve runs one walk over the shared batches,
+``_accumulate``, every SNR sweep through ``_sweep``, which returns its
+curve.  Each runner supplies its validation and its batch kernel, which
+makes the batch's noise-free part and returns its scoring at a point's
+per-bin noise energy.  Nothing is drawn per time sample, so the kernel
+knows no other noise unit.  Every tag-bit decision is the link's own
+(``_TagLink.decide``): the OOK threshold test or the FSK comparison.
 """
 from __future__ import annotations
 
+import builtins
+import contextlib
 import csv
 import dataclasses
 import math
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -245,17 +247,17 @@ def _accumulate(batch_fn, total: int, seed: int, noises, *,
     ``batch_fn(rng, size)`` makes one batch's draws and returns
     ``score(noise)``, the batch's counts vector at per-bin noise energy
     ``noise``.  Batch j is drawn once, from ``_batch_rng(seed, j)``, and
-    scored at every point of ``noises`` still running.  Point i stops
-    after the batch that brings its first count to ``target_events``
-    (never, for None) and is charged no later batch.  A score reads the
-    draws only, so a point's count for a batch does not depend on the
-    other points it is scored at: batches may run ahead on the pool,
-    scored at the points running when they were submitted, while the
-    walk over their results in batch order charges only the points still
-    running, so the outcome is schedule-independent.  The first batch
-    runs alone, as many curves stop on it; after it at most ``threads``
-    batches are in flight, the one the walk waits for included, so the
-    last stop throws away at most threads - 1 computed batches.
+    scored at points of ``noises``.  Point i stops after the batch that
+    brings its first count to ``target_events`` (never, for None) and is
+    charged no later batch.  Batch 0 runs alone, as many curves stop on
+    it; the rest run in waves of up to ``threads`` batches, each scored
+    at the points running when the wave starts.  A score reads the draws
+    only, so a point's count for a batch does not depend on the other
+    points it is scored at, and the walk over results in batch order
+    charges only the points still running: the outcome is
+    schedule-independent.  The walk ends with the wave in which the last
+    point stops, its queued batches cancelled, so it throws away at most
+    threads - 1 computed batches.
 
     Returns the (points, counts) sums, the trials taken from the stream
     and the trials each point used.
@@ -270,35 +272,23 @@ def _accumulate(batch_fn, total: int, seed: int, noises, *,
         score = batch_fn(_batch_rng(seed, j), sizes[j])
         return sizes[j], {i: score(noises[i]) for i in points}
 
-    def consume(result) -> bool:
-        size, scored = result
-        for i in tuple(running):
-            counts[i] = counts[i] + np.asarray(scored[i], dtype=np.int64)
-            used[i] += size
-            if target_events is not None and counts[i][0] >= target_events:
-                running.remove(i)
-        return not running
-
-    if threads == 1:
-        for j in range(len(sizes)):
-            if consume(run(j, running)):
-                break
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            ahead = deque()
-            try:
-                for j in range(len(sizes)):
-                    ahead.append(pool.submit(run, j, tuple(running)))
-                    if (len(ahead) == (threads if j else 1)
-                            and consume(ahead.popleft().result())):
-                        break
-                else:
-                    while ahead:
-                        if consume(ahead.popleft().result()):
-                            break
-            finally:
-                for future in ahead:
-                    future.cancel()
+    with (ThreadPoolExecutor(threads) if threads > 1
+          else contextlib.nullcontext()) as pool:
+        start = 0
+        while running and start < len(sizes):
+            wave = range(start, min(start + (threads if start else 1), len(sizes)))
+            points = tuple(running)
+            for size, scored in (pool or builtins).map(run, wave, repeat(points)):
+                for i in tuple(running):
+                    counts[i] = counts[i] + np.asarray(scored[i], dtype=np.int64)
+                    used[i] += size
+                    if target_events is not None and counts[i][0] >= target_events:
+                        running.remove(i)
+                if not running:
+                    break
+            start = wave.stop
+        if pool:
+            pool.shutdown(cancel_futures=True)
     return np.array(counts), int(used.max()), used
 
 
@@ -515,23 +505,21 @@ def _primary_grid(rng, size, link: _TagLink, bits):
 
 
 def _sweep(cfg: SystemConfig, kernel, target_events: int | None,
-           batch_size: int = _BATCH_SYMBOLS):
-    """Run the batch kernel at every point of the SNR grid under the stop rule.
+           per_trial: int = 1, batch_size: int = _BATCH_SYMBOLS) -> SimCurve:
+    """The curve of the batch kernel's first count across the SNR grid.
 
     ``kernel(rng, size)`` draws one batch and returns its scoring at a
     point's per-bin noise energy.  Every point reads the same (seed,
     batch index) streams and stops once its first count reaches
-    ``target_events`` (never, for None).  Returns the counts as a
-    (points, counts per batch) array and the trials each point used.
+    ``target_events`` (never, for None).  A point's value is its count
+    over the ``per_trial`` events each of its trials holds; its interval
+    counts trials.
     """
     counts, _, used = _accumulate(
         kernel, cfg.trials, cfg.seed, [noise_bin_variance(s) for s in cfg.snr_db],
         threads=cfg.threads, target_events=target_events, batch_size=batch_size)
-    return counts, used
-
-
-def _curve(cfg: SystemConfig, abscissa, p, used) -> SimCurve:
-    return SimCurve(abscissa, p, _ci95(p, used), _config_meta(cfg))
+    p = counts[:, 0] / (used * per_trial)
+    return SimCurve(cfg.snr_db, p, _ci95(p, used), _config_meta(cfg))
 
 
 def run_pmd_sweep(cfg: SystemConfig,
@@ -555,8 +543,7 @@ def run_pmd_sweep(cfg: SystemConfig,
         energies = _set_energies(rng, size, link, np.ones(size, dtype=np.int8))
         return lambda noise: [np.count_nonzero(link.decide(energies(noise), noise) == 0)]
 
-    counts, used = _sweep(cfg, kernel, target_events)
-    return _curve(cfg, cfg.snr_db, counts[:, 0] / used, used)
+    return _sweep(cfg, kernel, target_events)
 
 
 def run_roc(cfg: SystemConfig, eta_grid) -> SimCurve:
@@ -582,10 +569,12 @@ def run_roc(cfg: SystemConfig, eta_grid) -> SimCurve:
             [np.count_nonzero(energies(noise) > etas, axis=0) for energies in hypotheses])
 
     # one point, counting false alarms then detections, that never stops
-    counts, used = _sweep(cfg, kernel, None)
-    pfa, pd = np.split(counts[0] / used[0], 2)
+    counts, taken, _ = _accumulate(kernel, cfg.trials, cfg.seed,
+                                   [noise_bin_variance(cfg.snr_db[0])],
+                                   threads=cfg.threads)
+    pfa, pd = np.split(counts[0] / taken, 2)
     order = np.argsort(pfa, kind="stable")
-    return _curve(cfg, pfa[order], pd[order], used[0])
+    return SimCurve(pfa[order], pd[order], _ci95(pd[order], taken), _config_meta(cfg))
 
 
 def run_ber_sweep(cfg: SystemConfig, target: str = "bd",
@@ -617,9 +606,8 @@ def run_ber_sweep(cfg: SystemConfig, target: str = "bd",
         return lambda noise: [np.count_nonzero(
             primary_detect(received(noise), hd) != (signs < 0))]
 
-    counts, used = _sweep(cfg, kernel, target_events)
-    bits = used * (link.sizes[0] if target == "primary" else 1)
-    return _curve(cfg, cfg.snr_db, counts[:, 0] / bits, used)
+    return _sweep(cfg, kernel, target_events,
+                  link.sizes[0] if target == "primary" else 1)
 
 
 def run_cfo_study(cfg: SystemConfig, eps_grid,
@@ -633,8 +621,8 @@ def run_cfo_study(cfg: SystemConfig, eps_grid,
     exact law.
     """
     eps = np.atleast_1d(np.asarray(eps_grid, dtype=np.float64))
-    if len(eps) == 0 or not np.isfinite(eps).all():
-        raise ValueError("eps_grid must be a nonempty finite vector")
+    if len(eps) == 0:
+        raise ValueError("eps_grid must be a nonempty vector")
     # every offset's config first: one the config refuses runs no curve
     configs = [cfg.replace(cfo_eps=float(e)) for e in eps]
     return [run_ber_sweep(c, "bd", target_events) for c in configs]
@@ -661,8 +649,7 @@ def run_retx(cfg: SystemConfig,
             return [np.count_nonzero(~crc5_check_many(decided, cfg.crc_preset))]
         return score
 
-    counts, used = _sweep(cfg, kernel, target_events, _BATCH_FRAMES)
-    return _curve(cfg, cfg.snr_db, counts[:, 0] / used, used)
+    return _sweep(cfg, kernel, target_events, batch_size=_BATCH_FRAMES)
 
 
 # ---------------------------------------------------------------------------

@@ -217,22 +217,36 @@ def test_runs_are_thread_and_rerun_deterministic(tmp_path):
 
 
 def test_point_that_stops_on_its_first_batch_computes_only_it():
-    # the first batch runs alone, so a point that reaches its events on
-    # batch 0 computes no twin batch beside it
+    # the first batch runs alone, so a walk that stops on batch 0
+    # computes no twin batch beside it; one that stops on batch k ends
+    # with the wave holding k, so it computes k + 1 to k + threads
+    # batches, and its numbers are the one-thread walk's.  The points
+    # count their noise times the batch size: the first stops on batch
+    # k, the second on batch k / 2, rounded down
     calls = []
 
     def batch(rng, size):
         calls.append(size)
-        return lambda noise: [size]
+        return lambda noise: [noise * size]
 
-    counts, taken, used = _accumulate(batch, 10_000, 5, (1.0,), threads=2,
-                                      target_events=1, batch_size=1_000)
-    assert calls == [1_000] and taken == 1_000 and counts[0, 0] == 1_000
-    assert used.tolist() == [1_000]
+    for k in (0, 1, 4):
+        alone = None
+        for threads in (1, 2, 3, 5):
+            calls.clear()
+            counts, taken, used = _accumulate(
+                batch, 10_000, 5, (1, 2), threads=threads,
+                target_events=(k + 1) * 1_000, batch_size=1_000)
+            assert k + 1 <= len(calls) <= k + (threads if k else 1), (k, threads)
+            assert taken == (k + 1) * 1_000
+            assert used.tolist() == [(k + 1) * 1_000, (k // 2 + 1) * 1_000]
+            alone = alone or (counts.tolist(), used.tolist())
+            assert (counts.tolist(), used.tolist()) == alone, (k, threads)
+    # more threads than batches
     calls.clear()
-    _, taken, _ = _accumulate(batch, 10_000, 5, (1.0,), threads=2,
-                              target_events=2_500, batch_size=1_000)
-    assert taken == 3_000 and 3 <= len(calls) <= 4
+    counts, taken, used = _accumulate(batch, 2_500, 5, (1,), threads=5,
+                                      batch_size=1_000)
+    assert sorted(calls) == [500, 1_000, 1_000] and taken == 2_500
+    assert counts.tolist() == [[2_500]] and used.tolist() == [2_500]
 
 
 def test_each_point_is_charged_the_batches_up_to_its_own_stop():
@@ -556,6 +570,17 @@ def test_cli_cfo_rejects_offsets_that_share_a_file(tmp_path, capsys):
                      "--eps-grid", "0.1,0.1000001", "--out", str(out)]) == 2
     assert "collide" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_cli_cfo_refuses_a_non_finite_offset_before_any_curve(tmp_path, capsys):
+    # the config refuses a non-finite offset, and every offset's config
+    # is built before the first curve runs
+    out = tmp_path / "c.csv"
+    with mock.patch.object(harness, "_accumulate") as walk:
+        assert cli.main(["cfo", "--scheme", "fsk2", "--snr", "10", "--trials", "64",
+                         "--eps-grid", "0.05,nan", "--out", str(out)]) == 2
+    assert "cfo_eps must be finite" in capsys.readouterr().err
+    assert not walk.called and not list(tmp_path.iterdir())
 
 
 def test_cli_table_is_the_config_fields(tmp_path):
@@ -898,9 +923,9 @@ def _tag_error_rate(cfg, energies_of, trials, seed):
             count = np.count_nonzero(fsk_detect(energy[:, 0], energy[:, 1]) != bits)
         return lambda point_noise: [count]
 
-    counts, used, _ = _accumulate(kernel, trials, seed, (noise,), threads=2)
-    p = counts[0, 0] / used
-    return p, float(_ci95(p, used))
+    counts, taken, _ = _accumulate(kernel, trials, seed, (noise,), threads=2)
+    p = counts[0, 0] / taken
+    return p, float(_ci95(p, taken))
 
 
 @pytest.mark.parametrize("scheme, eps", (("ook", 0.0), ("fsk1", 0.0), ("fsk2", 0.0),
@@ -980,9 +1005,9 @@ def test_roc_point_matches_time_domain_statistically():
                 for bit in (0, 1)]
             return lambda point_noise: above
 
-        counts, used, _ = _accumulate(kernel, 200_000, seed, (noise,), threads=2)
-        p = counts[0] / used
-        return p, _ci95(p, used)
+        counts, taken, _ = _accumulate(kernel, 200_000, seed, (noise,), threads=2)
+        p = counts[0] / taken
+        return p, _ci95(p, taken)
 
     p_fd, ci_fd = rates(_kernel_energies(cfg), 269)
     p_td, ci_td = rates(_reference_energies(cfg), 271)
@@ -1043,9 +1068,9 @@ def test_primary_kernel_matches_time_domain_statistically():
             count = np.count_nonzero(errors_of(rng, size, bits))
             return lambda point_noise: [count]
 
-        counts, used, _ = _accumulate(kernel, 200_000, seed, (noise,), threads=2)
-        p = counts[0, 0] / (used * plan.n_data)
-        return p, float(_ci95(p, used))
+        counts, taken, _ = _accumulate(kernel, 200_000, seed, (noise,), threads=2)
+        p = counts[0, 0] / (taken * plan.n_data)
+        return p, float(_ci95(p, taken))
 
     p_fd, ci_fd = error_rate(kernel_errors, 257)
     p_td, ci_td = error_rate(time_errors, 263)

@@ -14,7 +14,8 @@ writes into a directory of its own:
   and text file under ``extra``: the link paths the workloads never run
   (primary detection at three offsets, fsk1 with and without an offset,
   ook ``pmd`` and ``retx`` at an offset, a non-default zeta for ook and
-  fsk2, and iid ``ber`` and ``roc``), each at a small trial cap;
+  fsk2, iid ``ber`` and ``roc``, and a ``ber`` and a ``retx`` curve on
+  3 and 2 threads over more than 2 batches), each at a small trial cap;
 - ``theory.txt``: 1 224 theory values as ``float.hex``, through
   ``harness._theory_curve``, for ook, fsk1 and fsk2 × n 64, 128, 256
   and 512 × gamma 0.25, 0.5 and 1 × (sigma_v, pfa_target) (1, 1e-3)
@@ -90,6 +91,10 @@ EXTRA_COMMANDS = (
                       "--snr", "0,20", "--trials", "2048"]),
     ("roc_ook_iid", ["roc", "--channel-mode", "iid", "--snr", "5",
                      "--trials", "2048"]),
+    ("ber_fsk2_threads3", ["ber", "--scheme", "fsk2", "--snr", "0,10,20,30",
+                           "--trials", "40000", "--threads", "3"]),
+    ("retx_ook_threads2", ["retx", "--scheme", "ook", "--snr", "10,20,30",
+                           "--trials", "6000", "--threads", "2"]),
 )
 
 
