@@ -16,10 +16,11 @@ import sys
 
 import numpy as np
 
-from . import analysis
 from .harness import (CHANNEL_MODES, SystemConfig, _theory_curve, emit_csv,
                       run_ber_sweep, run_cfo_study, run_compare, run_pmd_sweep,
                       run_retx, run_roc)
+# srbcbench/make_reference.py reads the default roc grid as cli._auto_eta_grid
+from .harness import _auto_eta_grid  # noqa: F401
 from .waveform import SCHEMES, ConfigurationError
 
 
@@ -103,21 +104,6 @@ def _suffixed(path: str, tag: str) -> str:
     return f"{stem}_{tag}{ext}"
 
 
-def _auto_eta_grid(cfg: SystemConfig) -> np.ndarray:
-    """Thresholds hitting a spread of design false-alarm points, plus 0."""
-    plan = cfg.plan()
-    w_bin = analysis.noise_bin_variance(cfg.snr_db[0])
-    pfas = np.geomspace(5e-3, 0.9, 12)
-    etas = w_bin * analysis.optimal_threshold(pfas, len(plan.kb0))
-    return np.concatenate(([0.0], etas))
-
-
-def _eta_grid(cfg: SystemConfig, text: str) -> np.ndarray:
-    if text == "auto":
-        return _auto_eta_grid(cfg)
-    return np.asarray(_parse_float_list(text))
-
-
 def _cfo_curves(cfg: SystemConfig, args):
     eps = np.asarray(_parse_float_list(args.eps_grid))
     # each offset's label and file suffix is its 6-significant-digit form
@@ -145,8 +131,9 @@ _COMMANDS = {
     "roc": ("detection vs false-alarm curve (ook, single SNR)",
             ("--eta-grid", dict(default="auto",
                                 help="comma-separated thresholds, or 'auto'")),
-            lambda cfg, args: [("detection vs false-alarm probability",
-                                run_roc(cfg, _eta_grid(cfg, args.eta_grid)), None)]),
+            lambda cfg, args: [("detection vs false-alarm probability", run_roc(
+                cfg, None if args.eta_grid == "auto"
+                else _parse_float_list(args.eta_grid)), None)]),
     "ber": ("bit error rate sweep",
             ("--target", dict(choices=("bd", "primary"), default="bd")),
             lambda cfg, args: [(f"{args.target} bit error rate vs SNR",

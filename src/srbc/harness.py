@@ -7,8 +7,8 @@ a scale on unit draws (common random numbers).  The adaptive stop rule
 scans batch results in index order, so a run's numbers depend only on
 its configuration — never on the worker-thread count or on completion
 order.  Results are curves (abscissa, value, 95% confidence halfwidth)
-plus a flat string metadata block, written to and read back from CSV
-losslessly.
+plus a flat string metadata block, written to CSV with every value in
+its ``repr``, so the file holds each float exactly.
 
 Every simulation runs one frequency-domain kernel that draws only what
 the receiver reads: for the tag bit the energy of each detection set,
@@ -546,18 +546,28 @@ def run_pmd_sweep(cfg: SystemConfig,
     return _sweep(cfg, kernel, target_events)
 
 
-def run_roc(cfg: SystemConfig, eta_grid) -> SimCurve:
+def _auto_eta_grid(cfg: SystemConfig) -> np.ndarray:
+    """Thresholds hitting a spread of design false-alarm points, plus 0."""
+    w_bin = noise_bin_variance(cfg.snr_db[0])
+    pfas = np.geomspace(5e-3, 0.9, 12)
+    etas = w_bin * analysis.optimal_threshold(pfas, len(cfg.plan().kb0))
+    return np.concatenate(([0.0], etas))
+
+
+def run_roc(cfg: SystemConfig, eta_grid=None) -> SimCurve:
     """Detection-vs-false-alarm pairs for OOK at one SNR point.
 
     Every threshold in ``eta_grid`` is applied to the same simulated
     statistic pools under both hypotheses; the curve comes back sorted
-    by false-alarm probability.
+    by false-alarm probability.  With no grid it thresholds at 0 and at
+    the CFAR thresholds of 12 design false-alarm points, 5e-3 to 0.9.
     """
     if cfg.scheme != "ook":
         raise ConfigurationError("the ROC sweep is defined for ook")
     if len(cfg.snr_db) != 1:
         raise ConfigurationError("the ROC is computed at exactly one SNR point")
-    etas = np.asarray(eta_grid, dtype=np.float64)
+    etas = np.asarray(_auto_eta_grid(cfg) if eta_grid is None else eta_grid,
+                      dtype=np.float64)
     if etas.ndim != 1 or len(etas) == 0 or np.any(~(etas >= 0)):
         raise ValueError("eta_grid must be a nonempty vector of thresholds >= 0")
     link = _tag_link(cfg)
@@ -697,9 +707,13 @@ def _theory_curve(cfg: SystemConfig):
     """The scheme's analytical curve on the config's SNR grid, as (kind, curve).
 
     The kind is OOK_PMD for ook and FSK_BER for the fsk schemes.  The
+    analysis has no carrier offset, so a nonzero one is refused.  The
     curve has zero halfwidths, and its meta reads offset, seed and
     trials as 0: the analysis has none of them.
     """
+    if cfg.cfo_eps:
+        raise ConfigurationError(
+            f"the analysis has no carrier offset; got cfo_eps={cfg.cfo_eps:g}")
     kind = "OOK_PMD" if cfg.scheme == "ook" else "FSK_BER"
     values = analysis.theory_sweep(cfg.plan(), cfg.gamma_mag, cfg.sigma_v,
                                    cfg.pfa_target, cfg.snr_db)

@@ -53,17 +53,16 @@ def tag_shift(scheme: str, bit: int, zeta: int) -> int | None:
 class SubcarrierPlan:
     """Frequency plan for one scheme at one DFT size.
 
-    ``data_idx`` holds the primary data bins and ``null_idx`` its
-    complement.  ``kb0``/``kb1`` are the null bins a detector inspects
-    under the bit-0 and bit-1 hypotheses; for OOK both name the single
-    landing set that carries energy only when the tag reflects.
+    ``data_idx`` holds the primary data bins; every other bin is a null.
+    ``kb0``/``kb1`` are the null bins a detector inspects under the
+    bit-0 and bit-1 hypotheses; for OOK both name the single landing set
+    that carries energy only when the tag reflects.
     """
 
     scheme: str
     n: int
     zeta: int
     data_idx: np.ndarray
-    null_idx: np.ndarray
     kb0: np.ndarray
     kb1: np.ndarray
 
@@ -83,7 +82,9 @@ def build_subcarrier_plan(scheme: str, n: int, zeta: int | None = None) -> Subca
     data bins on (data + s_b) mod n.  OOK inspects the bit-1 landing
     under both hypotheses; an FSK scheme inspects for each bit the bins
     its landing reaches and the other's does not, which for fsk2, whose
-    landings are disjoint, is the whole landing.
+    landings are disjoint, is the whole landing.  Every plan it accepts
+    keeps its sets apart by construction: the landings stay on nulls,
+    and an FSK scheme's two sets are disjoint and equal in size.
     ``zeta`` None picks the scheme's natural spacing: 2 for fsk2, whose
     plan needs two nulls per data bin, else 1.  ``n`` must be one of
     ``DFT_SIZES``.  Each plan is built once per process, and its index
@@ -128,29 +129,10 @@ def _build_plan(scheme: str, n: int, zeta: int) -> SubcarrierPlan:
         kb0 = kb1 = lands[1]
     else:
         kb0, kb1 = np.setdiff1d(*lands), np.setdiff1d(*lands[::-1])
-    null = np.setdiff1d(np.arange(n, dtype=np.int64), data)
-    plan = SubcarrierPlan(scheme, n, zeta, data, null, kb0, kb1)
-    _validate_plan(plan)
-    for part in (plan.data_idx, plan.null_idx, plan.kb0, plan.kb1):
+    plan = SubcarrierPlan(scheme, n, zeta, data, kb0, kb1)
+    for part in (plan.data_idx, plan.kb0, plan.kb1):
         part.flags.writeable = False
     return plan
-
-
-def _validate_plan(plan: SubcarrierPlan) -> None:
-    data = set(plan.data_idx.tolist())
-    null = set(plan.null_idx.tolist())
-    kb0 = set(plan.kb0.tolist())
-    kb1 = set(plan.kb1.tolist())
-    if data & null or len(data) + len(null) != plan.n:
-        raise ConfigurationError("data/null sets do not partition the grid")
-    if not (kb0 <= null and kb1 <= null):
-        raise ConfigurationError("detection sets must lie inside the null set")
-    if plan.scheme != "ook" and kb0 & kb1:
-        raise ConfigurationError("hypothesis detection sets must be disjoint")
-    if len(kb0) != len(kb1):
-        raise ConfigurationError("hypothesis sets must have equal size")
-    if plan.scheme == "fsk2" and (0 in data or 0 in kb0 or 0 in kb1):
-        raise ConfigurationError("bin 0 must stay unused under fsk2")
 
 
 def tap_response(n_taps: int, bins, n: int) -> np.ndarray:

@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import filecmp
 import math
+import re
 import warnings
 from unittest import mock
 
@@ -18,6 +19,7 @@ from reference_link import (NoiseSpec, fsk_metrics, iid_set_energies,
                             ook_test_statistic, snr_to_noise_variance, tdl_grid,
                             tdl_signal_power)
 from srbc import analysis
+from srbc.crc import crc5_encode_many
 from srbc.detector import fsk_detect, ook_detect, primary_detect
 from srbc.harness import (
     CSV_HEADER,
@@ -381,6 +383,12 @@ def test_roc_endpoints_and_monotonicity():
     assert (np.diff(curve.values) >= 0).all()
     with pytest.raises(ConfigurationError):
         run_roc(cfg.replace(snr_db=(0.0, 10.0)), etas)
+    # with no grid the thresholds are 0 and the CFAR ones of 12 design
+    # false-alarm points, which the simulated false-alarm rates track
+    design = np.geomspace(5e-3, 0.9, 12)
+    auto = run_roc(cfg)
+    assert auto.abscissa[-1] == 1.0 and len(auto.abscissa) == 13
+    assert (np.abs(auto.abscissa[:-1] - design) <= 4 * _ci95(design, cfg.trials)).all()
 
 
 def test_confidence_shrinks_with_trials():
@@ -465,8 +473,7 @@ def test_cli_theory_and_config_precedence(tmp_path):
                     "snr_db = 10, 20\nn = 64\n")
     out = tmp_path / "theory.csv"
     code = cli.main(["theory", "--config", str(conf), "--gamma", "0.25",
-                     "--cfo", "0.1", "--seed", "9", "--trials", "5000",
-                     "--out", str(out)])
+                     "--seed", "9", "--trials", "5000", "--out", str(out)])
     assert code == 0
     curve = parse_csv(out)
     assert curve.meta["scheme"] == "fsk2" and curve.meta["N"] == "64"
@@ -655,6 +662,38 @@ def test_cli_theory_refuses_an_offset_in_iid_mode(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_theory_refuses_an_offset(tmp_path, capsys):
+    # the analysis has no carrier offset, so a theory curve at one would
+    # be the zero-offset curve under a false header; a negative zero is
+    # no offset, and the header reads 0.0 as for every theory curve
+    out = tmp_path / "theory.csv"
+    assert cli.main(["theory", "--scheme", "fsk2", "--cfo", "0.05",
+                     "--out", str(out)]) == 2
+    assert ("error: the analysis has no carrier offset; got cfo_eps=0.05"
+            in capsys.readouterr().err)
+    assert not out.exists()
+    assert cli.main(["theory", "--scheme", "fsk2", "--cfo", "-0", "--snr", "10",
+                     "--out", str(out)]) == 0
+    assert parse_csv(out).meta["cfo"] == "0.0"
+
+
+def test_cli_compare_that_misses_its_band_exits_1(tmp_path, monkeypatch, capsys):
+    # a theory curve far from the simulation at 0 dB and under the
+    # checked floor at 10 dB: the comparison fails, and both curves are
+    # still written
+    monkeypatch.setattr(analysis, "theory_sweep",
+                        lambda *args: np.array([0.9, harness._MIN_PROB / 10]))
+    out = tmp_path / "c.csv"
+    assert cli.main(["compare", "--scheme", "fsk2", "--snr", "0,10",
+                     "--trials", "2048", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "comparison failed" in captured.err
+    lines = [line for line in captured.out.splitlines() if line.startswith("abscissa=")]
+    assert lines[0].endswith(" MISS") and lines[1].endswith(" below-floor")
+    assert parse_csv(tmp_path / "c_theory.csv").values.tolist() == [0.9, 1e-4]
+    assert parse_csv(tmp_path / "c_sim.csv").meta["trials"] == "2048"
+
+
 def test_cli_cfo_runs_a_zero_offset_in_iid_mode(tmp_path):
     # no offset is set, so iid mode runs the zero-offset curve, as ber does
     out = tmp_path / "c.csv"
@@ -720,6 +759,67 @@ def test_cli_rejects_bad_input(tmp_path, capsys):
     assert cli.main(["ber", "--scheme", "fsk2", "--threads", "100000", "--trials",
                      "2048", "--out", str(out)]) == 2
     assert "error: threads must be <= 64" in capsys.readouterr().err
+
+
+def _config_file_without_equals(tmp_path):
+    conf = tmp_path / "bad.conf"
+    conf.write_text("scheme fsk2\n")
+    cli.load_config_file(conf)
+
+
+_FSK2 = SystemConfig(scheme="fsk2", snr_db=(10.0,), trials=2048)
+_OOK = SystemConfig(snr_db=(10.0,), trials=2048)
+
+
+# Every refusal that no other test reaches: the call (on a scratch
+# directory), or an srbc command line that must exit 2, with its error
+# and message.
+@pytest.mark.parametrize("call, error, message", (
+    (lambda _: SystemConfig(snr_db=(0.0, math.nan)), ConfigurationError,
+     "snr_db must be a finite scalar or vector"),
+    (lambda _: SystemConfig(l_direct=0), ConfigurationError,
+     "channels need at least one tap"),
+    (lambda _: SystemConfig(crc_preset=32), ConfigurationError,
+     "crc_preset must be a 5-bit value, got 32"),
+    (lambda _: SimCurve(np.zeros((1, 1)), [0.5], [0.0], small_curve().meta),
+     ValueError, "curve columns must be one-dimensional"),
+    (lambda _: run_pmd_sweep(_FSK2), ConfigurationError,
+     "the missed-detection sweep is defined for ook"),
+    (lambda _: run_pmd_sweep(_OOK.replace(trials=99_999)), ConfigurationError,
+     "trials must be at least 100/pfa_target = 100000, got 99999"),
+    (lambda _: run_roc(_FSK2), ConfigurationError, "the ROC sweep is defined for ook"),
+    (lambda _: run_roc(_OOK, []), ValueError,
+     "eta_grid must be a nonempty vector of thresholds >= 0"),
+    (lambda _: run_roc(_OOK, [-1.0]), ValueError,
+     "eta_grid must be a nonempty vector of thresholds >= 0"),
+    (lambda _: run_ber_sweep(_FSK2, "x"), ValueError,
+     "target must be 'bd' or 'primary', got 'x'"),
+    (lambda _: run_ber_sweep(_OOK, "bd"), ConfigurationError,
+     "the tag bit error rate compares two hypothesis sets; use fsk1 or fsk2"),
+    (lambda _: run_ber_sweep(_FSK2.replace(channel_mode="iid"), "primary"),
+     ConfigurationError, "primary-link detection needs channel_mode='tdl'"),
+    (lambda _: compare_theory_sim(small_curve(), SimCurve(
+        [0.0, 20.0], [0.5, 0.25], [0.0, 0.0], small_curve().meta)),
+     ValueError, "curves are defined on different abscissas"),
+    (lambda _: analysis.optimal_threshold(0.0, 4), ValueError,
+     "pfa_target must be in (0, 1), got 0.0"),
+    (lambda _: analysis.optimal_threshold(1.0, 4), ValueError,
+     "pfa_target must be in (0, 1), got 1.0"),
+    (lambda _: crc5_encode_many(np.zeros((1, 7)), 32), ValueError,
+     "preset must be a 5-bit value, got 32"),
+    (_config_file_without_equals, ValueError, "bad.conf:1: expected key=value"),
+    (["cfo", "--eps-grid", ","], None, "eps_grid must be a nonempty vector"),
+))
+def test_every_reachable_refusal(call, error, message, tmp_path, capsys):
+    # each is refused before any batch runs
+    with mock.patch.object(harness, "_accumulate") as walk:
+        if isinstance(call, list):
+            assert cli.main(call) == 2
+            assert f"error: {message}" in capsys.readouterr().err
+        else:
+            with pytest.raises(error, match=re.escape(message)):
+                call(tmp_path)
+    assert not walk.called
 
 
 def _landing_weight_error(cfg, seed):

@@ -16,11 +16,25 @@ def landing_set(data_idx, shift, n):
     return {(int(k) + shift) % n for k in data_idx}
 
 
+def null_bins(plan):
+    """The plan's null bins: every bin that is not a data bin."""
+    return np.setdiff1d(np.arange(plan.n), plan.data_idx)
+
+
+def accepted_plans():
+    """Every plan the builder accepts: each scheme, size and spacing."""
+    for n in DFT_SIZES:
+        for scheme, zetas in (("ook", (1, 2)), ("fsk1", (1,)),
+                              ("fsk2", range(2, n - 1))):
+            for zeta in zetas:
+                yield build_subcarrier_plan(scheme, n, zeta=zeta)
+
+
 def test_ook_plan_small_grid():
     # the smallest grid: data on the even bins, the odd bins empty
     plan = build_subcarrier_plan("ook", 64, zeta=1)
     assert plan.data_idx.tolist() == list(range(0, 64, 2))
-    assert plan.null_idx.tolist() == list(range(1, 64, 2))
+    assert null_bins(plan).tolist() == list(range(1, 64, 2))
     assert plan.kb0.tolist() == plan.kb1.tolist() == list(range(1, 64, 2))
     assert plan.n_data == 32
 
@@ -29,15 +43,15 @@ def test_ook_plan_zeta_two_blocks():
     plan = build_subcarrier_plan("ook", 64, zeta=2)
     # alternating blocks of two data bins and two null bins
     assert plan.data_idx.tolist() == [4 * j + b for j in range(16) for b in (0, 1)]
-    assert plan.null_idx.tolist() == [4 * j + b for j in range(16) for b in (2, 3)]
-    assert plan.kb0.tolist() == plan.null_idx.tolist()
+    assert null_bins(plan).tolist() == [4 * j + b for j in range(16) for b in (2, 3)]
+    assert plan.kb0.tolist() == null_bins(plan).tolist()
 
 
 def test_fsk1_plan_reference_grid():
     plan = build_subcarrier_plan("fsk1", 64)
     assert plan.data_idx.tolist() == list(range(0, 62, 2))
     assert plan.n_data == 31
-    assert len(plan.null_idx) == 33
+    assert len(null_bins(plan)) == 33
     assert plan.kb0.tolist() == [63]
     assert plan.kb1.tolist() == [61]
 
@@ -67,37 +81,38 @@ def test_fsk2_plan_reference_grid():
     assert plan.kb0.tolist() == [2 + 3 * m for m in range(21)]
     assert plan.kb1.tolist() == [3 + 3 * m for m in range(21)]
     assert plan.n_data == 21
-    assert len(plan.null_idx) == 64 - 21
-    assert 0 in plan.null_idx.tolist()
+    assert len(null_bins(plan)) == 64 - 21
+    assert 0 in null_bins(plan).tolist()
     assert 0 not in plan.kb0.tolist() and 0 not in plan.kb1.tolist()
 
 
 def test_plan_invariants_across_sizes():
-    cases = [("ook", 1), ("ook", 2), ("fsk1", 1), ("fsk2", 2), ("fsk2", 3)]
+    # the builder checks none of these at run time: every plan it
+    # accepts holds them by construction
+    plans = list(accepted_plans())
+    assert len(plans) == 960
+    for plan in plans:
+        n, case = plan.n, (plan.scheme, plan.n, plan.zeta)
+        data = set(plan.data_idx.tolist())
+        kb0, kb1 = set(plan.kb0.tolist()), set(plan.kb1.tolist())
+        # the data bins are distinct bins of the grid, the rest its nulls
+        assert len(data) == plan.n_data and data <= set(range(n)), case
+        nulls = set(range(n)) - data
+        assert kb0 <= nulls and kb1 <= nulls, case
+        assert len(kb0) == len(kb1) >= 1, case
+        if plan.scheme != "ook":
+            assert not kb0 & kb1, case
+        if plan.scheme == "fsk2":
+            assert 0 not in data | kb0 | kb1, case
+        # every data-bin landing under the scheme's tone shifts stays
+        # on null bins, so the tag never hits a data bin
+        shifts = {"ook": (plan.zeta,), "fsk1": (-1, 1), "fsk2": (1, 2)}[plan.scheme]
+        for s in shifts:
+            assert landing_set(plan.data_idx, s, n) <= nulls, case
+    # one step past the widest fsk2 spacing leaves no room for data
     for n in DFT_SIZES:
-        for scheme, zeta in cases:
-            if scheme == "ook" and n % (2 * zeta):
-                continue
-            plan = build_subcarrier_plan(scheme, n, zeta=zeta)
-            data = set(plan.data_idx.tolist())
-            nulls = set(plan.null_idx.tolist())
-            kb0 = set(plan.kb0.tolist())
-            kb1 = set(plan.kb1.tolist())
-            assert data | nulls == set(range(n))
-            assert not data & nulls
-            assert kb0 <= nulls and kb1 <= nulls
-            if scheme == "ook":
-                shifts = (zeta,)
-            elif scheme == "fsk1":
-                shifts = (-1, 1)
-                assert not kb0 & kb1
-            else:
-                shifts = (1, 2)
-                assert not kb0 & kb1
-            # every data-bin landing under the scheme's tone shifts stays
-            # on null bins, so the tag never hits a data bin
-            for s in shifts:
-                assert landing_set(plan.data_idx, s, n) <= nulls
+        with pytest.raises(ConfigurationError, match="no room for data bins"):
+            build_subcarrier_plan("fsk2", n, zeta=n - 1)
 
 
 def test_plan_rejects_bad_arguments():
@@ -128,7 +143,7 @@ def test_each_plan_is_built_once_and_read_only():
     # one plan, whose index arrays no caller can change
     plan = build_subcarrier_plan("fsk2", 128)
     assert build_subcarrier_plan("fsk2", np.int64(128), 2.0) is plan
-    for part in (plan.data_idx, plan.null_idx, plan.kb0, plan.kb1):
+    for part in (plan.data_idx, plan.kb0, plan.kb1):
         with pytest.raises(ValueError, match="read-only"):
             part[0] = 0
     # unhashable or non-integral arguments are refused before the cache
@@ -161,7 +176,7 @@ def test_map_symbols_batched_and_length_checked():
     grid = map_symbols(symbols, plan)
     assert grid.values.shape == (5, 64)
     assert np.array_equal(grid.values[:, plan.data_idx], symbols)
-    assert not grid.values[:, plan.null_idx].any()
+    assert not grid.values[:, null_bins(plan)].any()
     with pytest.raises(ValueError):
         map_symbols(np.ones(plan.n_data + 1), plan)
 

@@ -14,8 +14,11 @@ writes into a directory of its own:
   and text file under ``extra``: the link paths the workloads never run
   (primary detection at three offsets, fsk1 with and without an offset,
   ook ``pmd`` and ``retx`` at an offset, a non-default zeta for ook and
-  fsk2, iid ``ber`` and ``roc``, and a ``ber`` and a ``retx`` curve on
-  3 and 2 threads over more than 2 batches), each at a small trial cap;
+  fsk2, iid ``ber`` and ``roc``, a ``ber`` and a ``retx`` curve on 3
+  and 2 threads over more than 2 batches, and ``roc`` on a given
+  threshold list), each at a small trial cap, and three ``cfo`` offset
+  grids that are refused (empty, colliding tags, a NaN), whose exit
+  code and stderr land in their text files;
 - ``theory.txt``: 1 224 theory values as ``float.hex``, through
   ``harness._theory_curve``, for ook, fsk1 and fsk2 × n 64, 128, 256
   and 512 × gamma 0.25, 0.5 and 1 × (sigma_v, pfa_target) (1, 1e-3)
@@ -95,6 +98,12 @@ EXTRA_COMMANDS = (
                            "--trials", "40000", "--threads", "3"]),
     ("retx_ook_threads2", ["retx", "--scheme", "ook", "--snr", "10,20,30",
                            "--trials", "6000", "--threads", "2"]),
+    ("roc_ook_eta_list", ["roc", "--snr", "5", "--eta-grid", "0,8,10,12,16",
+                          "--trials", "2048"]),
+    ("cfo_empty_grid", ["cfo", "--eps-grid", ","]),
+    ("cfo_colliding_tags", ["cfo", "--scheme", "fsk2",
+                            "--eps-grid", "0.05,0.0500000001"]),
+    ("cfo_nan", ["cfo", "--eps-grid", "0.05,nan"]),
 )
 
 
