@@ -37,6 +37,8 @@ makes the batch's noise-free part and returns its scoring at a point's
 per-bin noise energy.  Nothing is drawn per time sample, so the kernel
 knows no other noise unit.  Every tag-bit decision is the link's own
 (``_TagLink.decide``): the OOK threshold test or the FSK comparison.
+The primary link is read coherently: a data bit is 1 when Re(y/Hd) < 0
+at its bin's received value y and direct gain Hd.
 """
 from __future__ import annotations
 
@@ -54,7 +56,6 @@ import numpy as np
 from . import analysis
 from .analysis import noise_bin_variance
 from .crc import CRC_BITS, crc5_check_many, crc5_encode_many
-from .detector import fsk_detect, ook_detect, primary_detect
 from .waveform import (ConfigurationError, build_subcarrier_plan, landing_spectrum,
                        offset_leakage)
 
@@ -262,21 +263,21 @@ def _accumulate(batch_fn, total: int, seed: int, noises, *,
     Returns the (points, counts) sums, the trials taken from the stream
     and the trials each point used.
     """
-    full, last = divmod(total, batch_size)
-    sizes = [batch_size] * full + ([last] if last else [])
+    batches = -(-total // batch_size)
     running = list(range(len(noises)))
     counts = [0] * len(noises)
     used = np.zeros(len(noises), dtype=np.int64)
 
     def run(j, points):
-        score = batch_fn(_batch_rng(seed, j), sizes[j])
-        return sizes[j], {i: score(noises[i]) for i in points}
+        size = min(batch_size, total - j * batch_size)
+        score = batch_fn(_batch_rng(seed, j), size)
+        return size, {i: score(noises[i]) for i in points}
 
     with (ThreadPoolExecutor(threads) if threads > 1
           else contextlib.nullcontext()) as pool:
         start = 0
-        while running and start < len(sizes):
-            wave = range(start, min(start + (threads if start else 1), len(sizes)))
+        while running and start < batches:
+            wave = range(start, min(start + (threads if start else 1), batches))
             points = tuple(running)
             for size, scored in (pool or builtins).map(run, wave, repeat(points)):
                 for i in tuple(running):
@@ -305,7 +306,7 @@ class _TagLink:
     for ook, whose sets coincide), for primary detection the data bins
     as one block.  At zero offset a tag-bit link carries the landing
     spectrum, ``rank`` and ``landings`` (``waveform.landing_spectrum``);
-    at a nonzero offset, and always for primary detection, ``spectra``
+    at a nonzero offset, and always for primary detection, ``responses``
     and ``leakage`` (``waveform.offset_leakage``).  ``unit_eta`` is the
     OOK CFAR threshold at unit bin noise that ``decide`` scales, None
     for fsk and for primary detection.
@@ -316,15 +317,19 @@ class _TagLink:
     unit_eta: float | None
     landings: tuple = ()
     rank: int = 0
-    spectra: np.ndarray | None = None
+    responses: tuple = ()
     leakage: tuple = ()
 
     def decide(self, energy, noise: float) -> np.ndarray:
-        """The tag receiver: bits from (rows, sets) energies at bin noise ``noise``."""
+        """The tag receiver: bits from (rows, sets) energies at bin noise ``noise``.
+
+        FSK declares 1 when set kb1 holds more energy than kb0; OOK when
+        the landing set's energy exceeds the CFAR threshold, which at bin
+        energy w is w times the unit one.  A tie goes to bit 0.
+        """
         if self.unit_eta is None:
-            return fsk_detect(*energy.T)
-        # the noise-only statistic at bin energy w is w times the unit one
-        return ook_detect(energy[:, 0], self.unit_eta * noise)
+            return (energy[:, 1] > energy[:, 0]).astype(np.int8)
+        return (energy[:, 0] > self.unit_eta * noise).astype(np.int8)
 
 
 def _tag_link(cfg: SystemConfig, target: str = "bd") -> _TagLink:
@@ -340,9 +345,9 @@ def _tag_link(cfg: SystemConfig, target: str = "bd") -> _TagLink:
     unit_eta = (analysis.optimal_threshold(cfg.pfa_target, sizes[0])
                 if plan.scheme == "ook" and target == "bd" else None)
     if cfg.cfo_eps or target == "primary":
-        spectra, leakage = offset_leakage(plan, cfg.cfo_eps, np.concatenate(sets),
-                                          cfg.l_direct, cfg.l_forward)
-        return _TagLink(cfg, sizes, unit_eta, spectra=spectra, leakage=leakage)
+        responses, leakage = offset_leakage(plan, cfg.cfo_eps, np.concatenate(sets),
+                                            cfg.l_direct, cfg.l_forward)
+        return _TagLink(cfg, sizes, unit_eta, responses=responses, leakage=leakage)
     rank, landings = landing_spectrum(plan, cfg.l_forward, cfg.channel_mode)
     return _TagLink(cfg, sizes, unit_eta, landings=landings, rank=rank)
 
@@ -361,17 +366,17 @@ def _leak_onto(out, link: _TagLink, bits, hb, taps, direct, signs) -> np.ndarray
     """Add each row's offset-spread direct and tag terms on every column.
 
     ``taps`` and ``direct`` are the forward and direct taps, ``signs``
-    the +-1 data symbols on the data bins.  Returns the data-bin terms
-    [X*Hd, gamma*hb*X*Hf].
+    the +-1 data symbols on the data bins; the terms spread are the
+    data-bin terms [X*Hd, gamma*hb*X*Hf].  Returns the direct gains Hd.
     """
-    size, n_data = signs.shape
-    terms = np.concatenate(
-        (direct, taps * (link.cfg.gamma_mag * hb[:, None])), axis=1) @ link.spectra
-    terms.reshape(size, 2, n_data)[...] *= signs[:, None, :]
+    r_d, r_f = link.responses
+    hd = direct @ r_d
+    hf = (taps * (link.cfg.gamma_mag * hb[:, None])) @ r_f
+    terms = np.concatenate((hd * signs, hf * signs), axis=1)
     for bit, leak in enumerate(link.leakage):
         rows = np.flatnonzero(bits == bit)
         out[rows] += terms[rows, :len(leak)] @ leak
-    return terms
+    return hd
 
 
 def _signal_power(link: _TagLink, bits, hb, taps, direct, signs) -> np.ndarray:
@@ -465,7 +470,7 @@ def _set_energies(rng, size, link: _TagLink, bits):
     pairs = _normal_pairs(rng, (size, sets))
     hb = _complex_normal_draw(rng, (size,), cfg.sigma_v ** 2)
     taps = _complex_normal_draw(rng, (size, cfg.l_forward), 1.0 / cfg.l_forward)
-    signs = _data_signs(rng, (size, link.spectra.shape[1] // 2))
+    signs = _data_signs(rng, (size, link.responses[0].shape[1]))
     direct = _complex_normal_draw(rng, (size, cfg.l_direct), 1.0 / cfg.l_direct)
     amplitude = np.sqrt(_signal_power(link, bits, hb, taps, direct, signs))
 
@@ -492,12 +497,11 @@ def _primary_grid(rng, size, link: _TagLink, bits):
     signs = _data_signs(rng, (size, n_data))
     pairs = _normal_pairs(rng, (size, n_data))
     clean = np.zeros((size, n_data), dtype=np.complex128)
-    terms = _leak_onto(clean, link, np.asarray(bits), hb, taps, direct, signs)
+    hd = _leak_onto(clean, link, np.asarray(bits), hb, taps, direct, signs)
 
     def received(noise: float) -> np.ndarray:
         return pairs * math.sqrt(noise / 2.0) + clean
-    # the signs are +-1, so a second product undoes the first exactly
-    return received, terms[:, :n_data] * signs, signs
+    return received, hd, signs
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +618,7 @@ def run_ber_sweep(cfg: SystemConfig, target: str = "bd",
                 link.decide(energies(noise), noise) != bits)]
         received, hd, signs = _primary_grid(rng, size, link, bits)
         return lambda noise: [np.count_nonzero(
-            primary_detect(received(noise), hd) != (signs < 0))]
+            ((received(noise) / hd).real < 0) != (signs < 0))]
 
     return _sweep(cfg, kernel, target_events,
                   link.sizes[0] if target == "primary" else 1)

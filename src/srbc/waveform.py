@@ -173,11 +173,11 @@ def offset_leakage(plan: SubcarrierPlan, cfo_eps: float, read, l_direct: int,
                    l_forward: int):
     """The exact maps of a carrier offset from the data bins onto the bins ``read``.
 
-    ``spectra`` is the block-diagonal matrix that maps [direct taps,
-    forward taps] to [Hd, Hf] on the data bins, and ``leakage`` holds per
-    bit the matrix that maps the data-bin terms [X*Hd, gamma*hb*X*Hf]
-    onto every bin of ``read``: M_d stacked on the bit's M_s, or M_d
-    alone when the bit does not reflect.  The offset ramp starts on the
+    ``responses`` holds the ``tap_response`` of the direct and of the
+    forward link on the data bins, which map their taps to Hd and Hf
+    there.  ``leakage`` holds per bit the matrix that maps the data-bin
+    terms [X*Hd, gamma*hb*X*Hf] onto every bin of ``read``: M_d stacked
+    on the bit's M_s, or M_d alone when the bit does not reflect.  The offset ramp starts on the
     first body sample, so it maps the spectrum Z to Y[k] = sum_m D[k-m]
     Z[m]; without an offset D is exactly a unit impulse.
     """
@@ -188,7 +188,6 @@ def offset_leakage(plan: SubcarrierPlan, cfo_eps: float, read, l_direct: int,
     shifts = [tag_shift(plan.scheme, bit, plan.zeta) for bit in (0, 1)]
     leakage = tuple(m_d if s is None else np.vstack((m_d, d[(lag - s) % plan.n]))
                     for s in shifts)
-    spectra = np.zeros((l_direct + l_forward, 2 * plan.n_data), dtype=np.complex128)
-    spectra[:l_direct, :plan.n_data] = tap_response(l_direct, plan.data_idx, plan.n)
-    spectra[l_direct:, plan.n_data:] = tap_response(l_forward, plan.data_idx, plan.n)
-    return spectra, leakage
+    responses = tuple(tap_response(taps, plan.data_idx, plan.n)
+                      for taps in (l_direct, l_forward))
+    return responses, leakage

@@ -1,5 +1,5 @@
-"""Tests for the decision rules, the reference receiver's set energies
-and the coherent primary receiver."""
+"""Tests for the tag link's decision rules, the reference receiver's set
+energies and the coherent primary receiver."""
 
 import math
 
@@ -17,13 +17,13 @@ from reference_link import (
     ook_test_statistic,
     snr_to_noise_variance,
 )
-from srbc.detector import fsk_detect, ook_detect, primary_detect
-from srbc.waveform import build_subcarrier_plan, tag_shift
+from srbc.harness import SystemConfig, _tag_link, run_ber_sweep
+from srbc.waveform import SCHEMES, build_subcarrier_plan, tag_shift
 
 
-def flat_channel(plan, gain=1.0 + 0j):
-    """The direct link's gain on the plan's data bins for a one-tap link."""
-    return np.full(plan.n_data, gain, dtype=np.complex128)
+def flat_channel(plan):
+    """The direct link's unit gain on the plan's data bins for a one-tap link."""
+    return np.ones(plan.n_data, dtype=np.complex128)
 
 
 def test_ook_statistic_reference_values():
@@ -47,11 +47,16 @@ def test_ook_statistic_matches_naive_sum():
 
 
 def test_ook_decision_rule():
-    assert ook_detect(0.0, 0.1) == 0
-    assert ook_detect(5.0, 0.1) == 1
-    assert ook_detect(0.1, 0.1) == 0  # tie: no reflection
-    with pytest.raises(ValueError):
-        ook_detect(1.0, -0.5)
+    # the landing-set energy against the threshold unit_eta * noise:
+    # just below, at (a tie: no reflection) and just above it
+    link = _tag_link(SystemConfig(scheme="ook", n=64))
+    noise = 0.3
+    eta = link.unit_eta * noise
+    energy = np.array([[0.0], [np.nextafter(eta, 0.0)], [eta],
+                       [np.nextafter(eta, np.inf)], [5.0 * eta]])
+    bits = link.decide(energy, noise)
+    assert bits.dtype == np.int8
+    assert bits.tolist() == [0, 0, 0, 1, 1]
 
 
 def test_fsk_metrics_reference_values():
@@ -66,54 +71,52 @@ def test_fsk_metrics_reference_values():
 
 
 def test_fsk_decision_rule():
-    assert fsk_detect(5.0, 3.0) == 0
-    assert fsk_detect(3.0, 5.0) == 1
-    assert fsk_detect(4.0, 4.0) == 0  # tie
+    # the set with more energy wins and a tie goes to bit 0
+    link = _tag_link(SystemConfig(scheme="fsk2", n=64))
+    energy = np.array([[5.0, 3.0], [3.0, 5.0], [4.0, 4.0], [0.0, 0.0]])
+    bits = link.decide(energy, 1.0)
+    assert bits.dtype == np.int8
+    assert bits.tolist() == [0, 1, 0, 0]
 
 
 def test_fsk_decision_antisymmetry():
+    # swapping the sets flips every decision but a tie
+    link = _tag_link(SystemConfig(scheme="fsk2", n=64))
     rng = np.random.default_rng(103)
-    a = rng.exponential(size=500)
-    b = rng.exponential(size=500)
-    distinct = a != b
-    forward = fsk_detect(a, b)[distinct]
-    backward = fsk_detect(b, a)[distinct]
-    assert np.array_equal(forward, 1 - backward)
+    energy = rng.exponential(size=(500, 2))
+    energy[::10, 1] = energy[::10, 0]
+    distinct = energy[:, 0] != energy[:, 1]
+    forward = link.decide(energy, 1.0)
+    backward = link.decide(energy[:, ::-1], 1.0)
+    assert np.array_equal(forward[distinct], 1 - backward[distinct])
+    assert not forward[~distinct].any() and not backward[~distinct].any()
 
 
 def test_decisions_are_scale_equivariant():
+    # scaling the reference receiver's energies and the bin noise by
+    # one factor leaves every decision of both links unchanged
     rng = np.random.default_rng(107)
-    plan = build_subcarrier_plan("fsk2", 64, zeta=2)
     grid = FreqGrid(rng.standard_normal((50, 64)) + 1j * rng.standard_normal((50, 64)))
-    scaled = FreqGrid(3.7 * grid.values)
-    assert np.array_equal(fsk_detect(*fsk_metrics(grid, plan)),
-                          fsk_detect(*fsk_metrics(scaled, plan)))
-    ook_plan = build_subcarrier_plan("ook", 64)
-    stat = ook_test_statistic(grid, ook_plan)
-    stat_scaled = ook_test_statistic(scaled, ook_plan)
-    eta = float(np.median(stat))
-    assert np.array_equal(ook_detect(stat, eta),
-                          ook_detect(stat_scaled, eta * 3.7 ** 2))
+    c = 3.7 ** 2
+    fsk = _tag_link(SystemConfig(scheme="fsk2", n=64))
+    energy = np.stack(fsk_metrics(grid, fsk.cfg.plan()), axis=1)
+    assert np.array_equal(fsk.decide(c * energy, c), fsk.decide(energy, 1.0))
+    ook = _tag_link(SystemConfig(scheme="ook", n=64))
+    stat = ook_test_statistic(grid, ook.cfg.plan())[:, None]
+    noise = float(np.median(stat)) / ook.unit_eta
+    bits = ook.decide(stat, noise)
+    assert 0 < bits.sum() < len(bits)
+    assert np.array_equal(ook.decide(c * stat, c * noise), bits)
 
 
-def test_primary_detect_reference_cases():
-    plan = build_subcarrier_plan("ook", 64)
-    grid = map_symbols(np.ones(plan.n_data), plan)
-    bits = primary_detect(grid.values[..., plan.data_idx], flat_channel(plan))
-    assert not bits.any()
-    flipped = map_symbols(-np.ones(plan.n_data), plan)
-    received = FreqGrid(1j * flipped.values)  # what a gain-j channel delivers
-    bits = primary_detect(received.values[..., plan.data_idx],
-                          flat_channel(plan, gain=1j))
-    assert (bits == 1).all()
-
-
-def test_primary_detect_marks_dead_bins():
-    plan = build_subcarrier_plan("ook", 64)
-    grid = map_symbols(np.ones(plan.n_data), plan)
-    bits = primary_detect(grid.values[..., plan.data_idx],
-                          flat_channel(plan, gain=0.0))
-    assert (bits == -1).all()
+def test_primary_link_is_error_free_without_noise():
+    # at 200 dB and zero offset every data bin holds Hd*X plus noise
+    # 1e-20 below it, so the coherent rule reads every bit right
+    for scheme in SCHEMES:
+        cfg = SystemConfig(scheme=scheme, n=64, gamma_mag=1.0, snr_db=(200.0,),
+                           trials=4096)
+        curve = run_ber_sweep(cfg, target="primary", target_events=None)
+        assert curve.values.tolist() == [0.0], scheme
 
 
 def test_primary_ber_matches_bpsk_formula():
@@ -128,8 +131,8 @@ def test_primary_ber_matches_bpsk_formula():
         grid = map_symbols(1.0 - 2.0 * data_bits, plan)
         sig = ofdm_modulate(grid, cp_len=8)
         noisy = add_awgn(sig, snr_to_noise_variance(snr_db, plan), rng)
-        decided = primary_detect(ofdm_demodulate(noisy).values[..., plan.data_idx],
-                                 chan)
+        # the coherent rule: bit 1 where Re(y/hd) < 0
+        decided = (ofdm_demodulate(noisy).values[..., plan.data_idx] / chan).real < 0
         ber = np.mean(decided != data_bits)
         expect = 0.5 * math.erfc(math.sqrt(10 ** (snr_db / 10)))
         assert abs(ber - expect) < 0.05 * expect, (snr_db, ber, expect)
@@ -152,10 +155,11 @@ def test_end_to_end_interference_freedom():
             received = ofdm_demodulate(
                 type(sig)(direct + reflected, sig.cp_len))
             assert np.array_equal(
-                primary_detect(received.values[..., plan.data_idx], chan),
+                (received.values[..., plan.data_idx] / chan).real < 0,
                 data_bits), (scheme, bit)
             if scheme == "ook":
-                decided = ook_detect(ook_test_statistic(received, plan), 1e-6)
+                decided = ook_test_statistic(received, plan) > 1e-6
             else:
-                decided = fsk_detect(*fsk_metrics(received, plan))
+                ts0, ts1 = fsk_metrics(received, plan)
+                decided = ts1 > ts0
             assert decided == bit, (scheme, bit)

@@ -6,6 +6,7 @@ import dataclasses
 import filecmp
 import math
 import re
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -20,7 +21,6 @@ from reference_link import (NoiseSpec, fsk_metrics, iid_set_energies,
                             tdl_signal_power)
 from srbc import analysis
 from srbc.crc import crc5_encode_many
-from srbc.detector import fsk_detect, ook_detect, primary_detect
 from srbc.harness import (
     CSV_HEADER,
     SimCurve,
@@ -251,6 +251,22 @@ def test_point_that_stops_on_its_first_batch_computes_only_it():
     assert counts.tolist() == [[2_500]] and used.tolist() == [2_500]
 
 
+def test_a_large_trial_cap_costs_no_memory_before_the_stop():
+    # a point that stops on batch 0 costs the same at any cap: the walk
+    # sizes each batch as it runs it, not every batch of the cap up front
+    cfg = SystemConfig(snr_db=(0.0,), trials=10 ** 6)
+    small = run_pmd_sweep(cfg)
+    tracemalloc.start()
+    try:
+        large = run_pmd_sweep(cfg.replace(trials=10 ** 10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20, peak
+    assert np.array_equal(large.values, small.values)
+    assert np.array_equal(large.confidence_halfwidth, small.confidence_halfwidth)
+
+
 def test_each_point_is_charged_the_batches_up_to_its_own_stop():
     # a fake kernel whose first count per batch is the point's noise:
     # at a target of 3 events the points stop after 3, 2 and 1 batches
@@ -421,6 +437,21 @@ def test_primary_ber_ignores_tag_amplitude():
                          target_events=None)
     assert np.array_equal(quiet.values, loud.values)
     assert 0.0 < quiet.values[0] < 0.5
+
+
+def test_primary_ber_feels_the_tag_at_an_offset():
+    # an offset spreads the tag's terms onto the data bins, so at 30 dB
+    # a full reflection raises the primary bit error rate clear of a
+    # silent tag's, beyond both intervals
+    base = SystemConfig(scheme="fsk2", n=64, snr_db=(30.0,), cfo_eps=0.05,
+                        trials=200_000, seed=199, threads=2)
+    quiet = run_ber_sweep(base.replace(gamma_mag=0.0), target="primary",
+                          target_events=None)
+    loud = run_ber_sweep(base.replace(gamma_mag=1.0), target="primary",
+                         target_events=None)
+    gap = loud.values[0] - quiet.values[0]
+    assert gap > loud.confidence_halfwidth[0] + quiet.confidence_halfwidth[0], (
+        loud.values, quiet.values)
 
 
 def test_cfo_study_zero_offset_matches_plain_sweep():
@@ -940,8 +971,8 @@ def _leaked_bins_error(cfg, rows, seed, target="bd"):
     grid, ch, data_bits = tdl_grid(rng, rows, cfg, bits, NoiseSpec(0.0))
     out = np.zeros((rows, link.sizes.sum()), dtype=np.complex128)
     signs = 1.0 - 2.0 * data_bits
-    terms = _leak_onto(out, link, bits, ch.taps_backward[:, 0],
-                       ch.taps_forward, ch.taps_direct, signs)
+    hd = _leak_onto(out, link, bits, ch.taps_backward[:, 0],
+                    ch.taps_forward, ch.taps_direct, signs)
     if target == "primary":
         read = plan.data_idx
     else:
@@ -953,7 +984,6 @@ def _leaked_bins_error(cfg, rows, seed, target="bd"):
     error = np.abs(out - expected).max() / scale
     if target == "primary":
         h = ch.freq_direct[:, plan.data_idx]
-        hd = terms[:, :plan.n_data] * signs
         error = max(error, np.abs(hd - h).max() / np.abs(h).max())
     return error
 
@@ -1007,20 +1037,16 @@ def _kernel_energies(cfg):
 
 def _tag_error_rate(cfg, energies_of, trials, seed):
     # energies_of(rng, size, bits, noise) is a batch's set energies at
-    # per-bin noise energy noise
+    # per-bin noise energy noise, scored by the kernel's own receiver;
+    # the ook tag sends 1 only
     noise = analysis.noise_bin_variance(cfg.snr_db[0])
-    if cfg.scheme == "ook":
-        eta = analysis.optimal_threshold(cfg.pfa_target, len(cfg.plan().kb0)) * noise
+    link = _tag_link(cfg)
 
     def kernel(rng, size):
-        if cfg.scheme == "ook":
-            bits = np.ones(size, dtype=np.int8)
-            energy = energies_of(rng, size, bits, noise)
-            count = np.count_nonzero(ook_detect(energy[:, 0], eta) == 0)
-        else:
-            bits = rng.integers(0, 2, size=size).astype(np.int8)
-            energy = energies_of(rng, size, bits, noise)
-            count = np.count_nonzero(fsk_detect(energy[:, 0], energy[:, 1]) != bits)
+        bits = (np.ones(size, dtype=np.int8) if cfg.scheme == "ook"
+                else rng.integers(0, 2, size=size).astype(np.int8))
+        energy = energies_of(rng, size, bits, noise)
+        count = np.count_nonzero(link.decide(energy, noise) != bits)
         return lambda point_noise: [count]
 
     counts, taken, _ = _accumulate(kernel, trials, seed, (noise,), threads=2)
@@ -1152,28 +1178,31 @@ def test_primary_kernel_matches_time_domain_statistically():
     link = _tag_link(cfg, "primary")
     noise = analysis.noise_bin_variance(10.0)
 
-    def kernel_errors(rng, size, bits):
+    def kernel_bins(rng, size, bits):
         received, hd, signs = _primary_grid(rng, size, link, bits)
-        return primary_detect(received(noise), hd) != (signs < 0)
+        return received(noise), hd, signs < 0
 
-    def time_errors(rng, size, bits):
+    def time_bins(rng, size, bits):
         grid, ch, data_bits = tdl_grid(rng, size, cfg, bits,
                                        snr_to_noise_variance(10.0, plan))
-        hd = ch.freq_direct[:, plan.data_idx]
-        return primary_detect(grid.values[..., plan.data_idx], hd) != data_bits
+        return (grid.values[..., plan.data_idx], ch.freq_direct[:, plan.data_idx],
+                data_bits)
 
-    def error_rate(errors_of, seed):
+    def error_rate(bins_of, seed):
+        # each side's received data bins y, direct gains hd and sent
+        # bits, read by the coherent rule: bit 1 when Re(y/hd) < 0
         def kernel(rng, size):
             bits = rng.integers(0, 2, size=size).astype(np.int8)
-            count = np.count_nonzero(errors_of(rng, size, bits))
+            y, hd, sent = bins_of(rng, size, bits)
+            count = np.count_nonzero(((y / hd).real < 0) != sent)
             return lambda point_noise: [count]
 
         counts, taken, _ = _accumulate(kernel, 200_000, seed, (noise,), threads=2)
         p = counts[0, 0] / (taken * plan.n_data)
         return p, float(_ci95(p, taken))
 
-    p_fd, ci_fd = error_rate(kernel_errors, 257)
-    p_td, ci_td = error_rate(time_errors, 263)
+    p_fd, ci_fd = error_rate(kernel_bins, 257)
+    p_td, ci_td = error_rate(time_bins, 263)
     assert 0.005 < p_fd < 0.5
     assert abs(p_fd - p_td) <= ci_fd + ci_td, (p_fd, ci_fd, p_td, ci_td)
 

@@ -12,13 +12,15 @@ writes into a directory of its own:
   a text file with its exit code, stdout and stderr;
 - for each of ``EXTRA_COMMANDS``, at seed ``EXTRA_SEED``, the same CSVs
   and text file under ``extra``: the link paths the workloads never run
-  (primary detection at three offsets, fsk1 with and without an offset,
-  ook ``pmd`` and ``retx`` at an offset, a non-default zeta for ook and
-  fsk2, iid ``ber`` and ``roc``, a ``ber`` and a ``retx`` curve on 3
-  and 2 threads over more than 2 batches, and ``roc`` on a given
-  threshold list), each at a small trial cap, and three ``cfo`` offset
-  grids that are refused (empty, colliding tags, a NaN), whose exit
-  code and stderr land in their text files;
+  (primary detection at three offsets and once at fsk2, n 512 and gamma
+  1 under a 0.05 offset, where the tag leaks hardest onto the data
+  bins, fsk1 ``ber`` with and without an offset, fsk1 ``retx`` under
+  the CRC, ook ``pmd`` and ``retx`` at an offset, a non-default zeta
+  for ook and fsk2, iid ``ber`` and ``roc``, a ``ber`` and a ``retx``
+  curve on 3 and 2 threads over more than 2 batches, and ``roc`` on a
+  given threshold list), each at a small trial cap, and three ``cfo``
+  offset grids that are refused (empty, colliding tags, a NaN), whose
+  exit code and stderr land in their text files;
 - ``theory.txt``: 1 224 theory values as ``float.hex``, through
   ``harness._theory_curve``, for ook, fsk1 and fsk2 × n 64, 128, 256
   and 512 × gamma 0.25, 0.5 and 1 × (sigma_v, pfa_target) (1, 1e-3)
@@ -79,6 +81,9 @@ EXTRA_COMMANDS = (
                               "--cfo", "0.05", "--snr", "0,10", "--trials", "256"]),
     ("primary_ook_eps0.1", ["ber", "--scheme", "ook", "--target", "primary",
                             "--cfo", "0.1", "--snr", "0,10", "--trials", "256"]),
+    ("primary_fsk2_n512_gamma1_eps0.05",
+     ["ber", "--scheme", "fsk2", "--n", "512", "--target", "primary", "--gamma", "1",
+      "--cfo", "0.05", "--snr", "10,30", "--trials", "256"]),
     ("ber_fsk1", ["ber", "--scheme", "fsk1", "--snr", "0,20", "--trials", "2048"]),
     ("cfo_fsk1", ["cfo", "--scheme", "fsk1", "--eps-grid", "0.05",
                   "--snr", "0,20", "--trials", "2048"]),
@@ -86,6 +91,7 @@ EXTRA_COMMANDS = (
                          "--snr", "0,10", "--trials", "2048"]),
     ("retx_ook_eps0.05", ["retx", "--scheme", "ook", "--cfo", "0.05",
                           "--snr", "10,20", "--trials", "512"]),
+    ("retx_fsk1", ["retx", "--scheme", "fsk1", "--snr", "10,20", "--trials", "512"]),
     ("pmd_ook_zeta2", ["pmd", "--zeta", "2", "--pfa-target", "0.05",
                        "--snr", "0,10", "--trials", "2048"]),
     ("ber_fsk2_zeta3", ["ber", "--scheme", "fsk2", "--zeta", "3",
