@@ -19,14 +19,13 @@ one law, and the channel modes differ only in the landing spectrum.
 "tdl" has the Gram eigenvalues of tapped-delay-line fading; "iid" has
 unit gains on independent subcarriers, the analytical model's own
 assumptions, and exists to validate the analysis module.
-A carrier offset (tdl only) enters the kernel as one exact matrix per
-link from the data bins to the bins it reads: the detection bins for the
-tag bit, the data bins themselves for primary detection.  Without an
-offset the primary link's matrix is the identity on the direct term and
-zero on the tag's.  ``waveform`` builds the landing spectrum and these
-matrices; the kernel only draws and applies them.  The tag bit's offset
-products run over cache-sized blocks of rows after the batch's draws,
-so the blocks change no number.
+A carrier offset (tdl only) enters the kernel as an exact map from the
+data bins to the bins a link reads (the detection bins for the tag bit,
+the data bins for primary detection): a real matrix between unit
+phases.  ``waveform`` builds the landing spectrum and these maps; the
+kernel only draws and applies them, the tag bit's products over
+cache-sized runs of rows after the batch's draws, so the runs change no
+number.
 The tests check the kernel against a time-domain reference link and
 receiver, and its iid mode against a per-bin reference.
 
@@ -57,7 +56,7 @@ from . import analysis
 from .analysis import noise_bin_variance
 from .crc import CRC_BITS, crc5_check_many, crc5_encode_many
 from .waveform import (ConfigurationError, build_subcarrier_plan, landing_spectrum,
-                       offset_leakage)
+                       offset_leakage, tap_response)
 
 CSV_HEADER = ("abscissa", "value", "ci95", "scheme", "N", "gamma",
               "pfa_target", "cfo", "seed", "trials")
@@ -67,7 +66,7 @@ FRAME_PAYLOAD_BITS = 7
 FRAME_BITS = FRAME_PAYLOAD_BITS + CRC_BITS
 _BATCH_SYMBOLS = 2048
 _BATCH_FRAMES = 512
-_ROW_BLOCK = 128  # offset-kernel rows per block: its temporaries stay in L2
+_ROW_BLOCK = 128  # offset-kernel rows per run of one bit: its temporaries stay in L2
 _MIN_PROB = 1e-3  # smallest analytical value compare_theory_sim checks
 # 10**(-snr_db/10) within [1e-300, 1e300] leaves the analysis room to
 # scale it by thresholds and gains without overflow
@@ -240,15 +239,15 @@ def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
     return np.random.default_rng(seq)
 
 
-def _accumulate(batch_fn, total: int, seed: int, noises, *,
+def _accumulate(batch_fn, total: int, seed: int, points, *,
                 threads: int = 1, target_events: int | None = None,
                 batch_size: int = _BATCH_SYMBOLS):
     """Sum batch counts at every point under the in-order adaptive stop rule.
 
     ``batch_fn(rng, size)`` makes one batch's draws and returns
-    ``score(noise)``, the batch's counts vector at per-bin noise energy
-    ``noise``.  Batch j is drawn once, from ``_batch_rng(seed, j)``, and
-    scored at points of ``noises``.  Point i stops after the batch that
+    ``score(point)``, the batch's counts vector at one of ``points``
+    (most runners' are per-bin noise energies).  Batch j is drawn once,
+    from ``_batch_rng(seed, j)``.  Point i stops after the batch that
     brings its first count to ``target_events`` (never, for None) and is
     charged no later batch.  Batch 0 runs alone, as many curves stop on
     it; the rest run in waves of up to ``threads`` batches, each scored
@@ -264,22 +263,22 @@ def _accumulate(batch_fn, total: int, seed: int, noises, *,
     and the trials each point used.
     """
     batches = -(-total // batch_size)
-    running = list(range(len(noises)))
-    counts = [0] * len(noises)
-    used = np.zeros(len(noises), dtype=np.int64)
+    running = list(range(len(points)))
+    counts = [0] * len(points)
+    used = np.zeros(len(points), dtype=np.int64)
 
-    def run(j, points):
+    def run(j, live):
         size = min(batch_size, total - j * batch_size)
         score = batch_fn(_batch_rng(seed, j), size)
-        return size, {i: score(noises[i]) for i in points}
+        return size, {i: score(points[i]) for i in live}
 
     with (ThreadPoolExecutor(threads) if threads > 1
           else contextlib.nullcontext()) as pool:
         start = 0
         while running and start < batches:
             wave = range(start, min(start + (threads if start else 1), batches))
-            points = tuple(running)
-            for size, scored in (pool or builtins).map(run, wave, repeat(points)):
+            live = tuple(running)
+            for size, scored in (pool or builtins).map(run, wave, repeat(live)):
                 for i in tuple(running):
                     counts[i] = counts[i] + np.asarray(scored[i], dtype=np.int64)
                     used[i] += size
@@ -306,19 +305,21 @@ class _TagLink:
     for ook, whose sets coincide), for primary detection the data bins
     as one block.  At zero offset a tag-bit link carries the landing
     spectrum, ``rank`` and ``landings`` (``waveform.landing_spectrum``);
-    at a nonzero offset, and always for primary detection, ``responses``
-    and ``leakage`` (``waveform.offset_leakage``).  ``unit_eta`` is the
-    OOK CFAR threshold at unit bin noise that ``decide`` scales, None
-    for fsk and for primary detection.
+    at a nonzero offset ``responses``, ``leakage`` and ``phases``
+    (``waveform.offset_leakage``); without one a primary link only the
+    direct ``tap_response`` on the data bins.  ``unit_eta`` is the OOK
+    CFAR threshold at unit bin noise that ``decide`` scales, None for
+    fsk and for primary detection.
     """
 
     cfg: SystemConfig
     sizes: np.ndarray
     unit_eta: float | None
-    landings: tuple = ()
-    rank: int = 0
     responses: tuple = ()
     leakage: tuple = ()
+    phases: tuple = ()
+    landings: tuple = ()
+    rank: int = 0
 
     def decide(self, energy, noise: float) -> np.ndarray:
         """The tag receiver: bits from (rows, sets) energies at bin noise ``noise``.
@@ -344,10 +345,12 @@ def _tag_link(cfg: SystemConfig, target: str = "bd") -> _TagLink:
     sizes = np.array([len(b) for b in sets])
     unit_eta = (analysis.optimal_threshold(cfg.pfa_target, sizes[0])
                 if plan.scheme == "ook" and target == "bd" else None)
-    if cfg.cfo_eps or target == "primary":
-        responses, leakage = offset_leakage(plan, cfg.cfo_eps, np.concatenate(sets),
-                                            cfg.l_direct, cfg.l_forward)
-        return _TagLink(cfg, sizes, unit_eta, responses=responses, leakage=leakage)
+    if cfg.cfo_eps:
+        return _TagLink(cfg, sizes, unit_eta, *offset_leakage(
+            plan, cfg.cfo_eps, np.concatenate(sets), cfg.l_direct, cfg.l_forward))
+    if target == "primary":
+        return _TagLink(cfg, sizes, unit_eta,
+                        responses=(tap_response(cfg.l_direct, plan.data_idx, plan.n),))
     rank, landings = landing_spectrum(plan, cfg.l_forward, cfg.channel_mode)
     return _TagLink(cfg, sizes, unit_eta, landings=landings, rank=rank)
 
@@ -362,40 +365,60 @@ def _complex_normal_draw(rng, shape, variance) -> np.ndarray:
     return _normal_pairs(rng, shape) * math.sqrt(variance / 2.0)
 
 
+def _leaked_runs(link: _TagLink, bits, hb, taps, direct, signs):
+    """Yield (rows, the real and imaginary parts of their bins read short of
+    the read phase) over runs of up to ``_ROW_BLOCK`` rows of one bit.
+
+    The phased terms, signs times w*Hd and w(s_b)*gamma*hb*w*Hf, go
+    through the bit's real leakage matrix as one real product.  A run's
+    temporaries stay in cache; a batch's would be fresh pages each time.
+    """
+    order = np.argsort(bits, kind="stable")
+    ends = np.cumsum(np.bincount(bits, minlength=2))
+    for bit, (start, stop) in enumerate(zip((0, ends[0]), ends)):
+        leak, shift = link.leakage[bit]
+        for lo in range(start, stop, _ROW_BLOCK):
+            rows = order[lo:min(lo + _ROW_BLOCK, stop)]
+            sign = signs[rows]
+            gains = [direct[rows] @ link.responses[0]]
+            if shift is not None:
+                gains.append((taps[rows] * (link.cfg.gamma_mag * shift * hb[rows, None]))
+                             @ link.responses[1])
+            terms = np.empty((2, len(rows), len(gains), sign.shape[1]))
+            for k, gain in enumerate(gains):
+                np.multiply(gain.real, sign, out=terms[0, :, k])
+                np.multiply(gain.imag, sign, out=terms[1, :, k])
+            yield rows, (terms.reshape(2 * len(rows), -1) @ leak).reshape(2, len(rows), -1)
+
+
 def _leak_onto(out, link: _TagLink, bits, hb, taps, direct, signs) -> np.ndarray:
     """Add each row's offset-spread direct and tag terms on every column.
 
     ``taps`` and ``direct`` are the forward and direct taps, ``signs``
     the +-1 data symbols on the data bins; the terms spread are the
-    data-bin terms [X*Hd, gamma*hb*X*Hf].  Returns the direct gains Hd.
+    data-bin terms [X*Hd, gamma*hb*X*Hf], or X*Hd alone on a primary
+    link without an offset.  Returns the direct gains Hd.
     """
-    r_d, r_f = link.responses
-    hd = direct @ r_d
-    hf = (taps * (link.cfg.gamma_mag * hb[:, None])) @ r_f
-    terms = np.concatenate((hd * signs, hf * signs), axis=1)
-    for bit, leak in enumerate(link.leakage):
-        rows = np.flatnonzero(bits == bit)
-        out[rows] += terms[rows, :len(leak)] @ leak
-    return hd
+    hd = direct @ link.responses[0]
+    if not link.leakage:
+        out += hd * signs
+        return hd
+    w, read_phase = link.phases
+    for rows, (re, im) in _leaked_runs(link, bits, hb, taps, direct, signs):
+        out[rows] += read_phase * (re + 1j * im)
+    return hd * np.conj(w)
 
 
 def _signal_power(link: _TagLink, bits, hb, taps, direct, signs) -> np.ndarray:
     """(size, sets) noise-free energy ||s||^2 of each set at a nonzero offset.
 
-    It sums |.|^2 per set over what ``_leak_onto`` adds to zeros,
-    ``_ROW_BLOCK`` rows at a time: a whole batch's (rows, columns)
-    temporaries would be fresh pages every batch, while a block's stay
-    in cache and reuse the same memory.
+    A set's energy does not read the unit phases of its bins, so it is
+    the sum of squares of ``_leaked_runs`` over its block of n_b columns.
     """
-    power = np.zeros((len(bits), len(link.sizes)))
-    # the sets lie side by side, each complex column two float ones
-    starts = 2 * (np.cumsum(link.sizes) - link.sizes)
-    for lo in range(0, len(bits), _ROW_BLOCK):
-        rows = slice(lo, lo + _ROW_BLOCK)
-        out = np.zeros((len(bits[rows]), link.sizes.sum()), dtype=np.complex128)
-        _leak_onto(out, link, bits[rows], hb[rows], taps[rows], direct[rows],
-                   signs[rows])
-        power[rows] = np.add.reduceat(out.view(np.float64) ** 2, starts, axis=1)
+    power = np.empty((len(bits), len(link.sizes)))
+    for rows, leaked in _leaked_runs(link, bits, hb, taps, direct, signs):
+        leaked = leaked.reshape(2, len(rows), len(link.sizes), -1)
+        power[rows] = np.einsum("irsk,irsk->rs", leaked, leaked)
     return power
 
 
@@ -447,9 +470,11 @@ def _set_energies(rng, size, link: _TagLink, bits):
     the law of sigma^2*Gamma(n_b - 1) + |(||s||) + w|^2, w ~ CN(0,
     sigma^2): one gamma and one complex normal draw per set, drawn
     first, then hb, the forward taps, the data signs and the direct
-    taps, all for the whole batch before ``_signal_power`` walks its row
-    blocks, so the block size leaves the streams alone.  An offset run
-    shares only its bits with the zero-offset run.
+    taps.  None of them reads the offset, so ``energies(noise, at)``
+    scores them at the offset of any link ``at`` whose config is
+    ``link``'s but for the offset, making ``_signal_power``'s products
+    when it first reads that offset.  An offset run shares only its bits
+    with the zero-offset run.
 
     The noise-free part is computed once per batch; ``energies`` scales
     the unit noise to the point's, so every point reads the same draws.
@@ -472,11 +497,14 @@ def _set_energies(rng, size, link: _TagLink, bits):
     taps = _complex_normal_draw(rng, (size, cfg.l_forward), 1.0 / cfg.l_forward)
     signs = _data_signs(rng, (size, link.responses[0].shape[1]))
     direct = _complex_normal_draw(rng, (size, cfg.l_direct), 1.0 / cfg.l_direct)
-    amplitude = np.sqrt(_signal_power(link, bits, hb, taps, direct, signs))
+    amplitudes = {}
 
-    def energies(noise: float) -> np.ndarray:
+    def energies(noise: float, at: _TagLink = link) -> np.ndarray:
+        if at.cfg.cfo_eps not in amplitudes:
+            amplitudes[at.cfg.cfo_eps] = np.sqrt(
+                _signal_power(at, bits, hb, taps, direct, signs))
         w = pairs * math.sqrt(noise / 2.0)
-        return (amplitude + w.real) ** 2 + w.imag ** 2 + noise * rest
+        return (amplitudes[at.cfg.cfo_eps] + w.real) ** 2 + w.imag ** 2 + noise * rest
     return energies
 
 
@@ -485,9 +513,11 @@ def _primary_grid(rng, size, link: _TagLink, bits):
 
     Bin k holds Hd[k]*X[k] + W[k], W of per-bin variance ``noise``, plus
     the direct and tag terms an offset spreads onto it through the
-    link's leakage matrices; without an offset those add exact zeros, as
-    every tag tone lands on nulls.  ``received(noise)`` scales the unit
-    noise to the point's and adds it to the noise-free bins.
+    link's leakage matrices.  Without an offset there are none, as every
+    tag tone lands on nulls, but hb and the forward taps are drawn all
+    the same, so the data signs and noise after them are an offset
+    run's.  ``received(noise)`` scales the unit noise to the point's and
+    adds it to the noise-free bins.
     """
     cfg = link.cfg
     direct = _complex_normal_draw(rng, (size, cfg.l_direct), 1.0 / cfg.l_direct)
@@ -522,7 +552,12 @@ def _sweep(cfg: SystemConfig, kernel, target_events: int | None,
     counts, _, used = _accumulate(
         kernel, cfg.trials, cfg.seed, [noise_bin_variance(s) for s in cfg.snr_db],
         threads=cfg.threads, target_events=target_events, batch_size=batch_size)
-    p = counts[:, 0] / (used * per_trial)
+    return _curve(cfg, counts[:, 0], used, per_trial)
+
+
+def _curve(cfg: SystemConfig, counts, used, per_trial: int = 1) -> SimCurve:
+    """The curve of ``counts`` over the ``per_trial`` events of ``used`` trials."""
+    p = counts / (used * per_trial)
     return SimCurve(cfg.snr_db, p, _ci95(p, used), _config_meta(cfg))
 
 
@@ -601,14 +636,7 @@ def run_ber_sweep(cfg: SystemConfig, target: str = "bd",
     reflecting random bits in the background.  The bits of one symbol
     share its direct channel, so there the interval counts symbols.
     """
-    if target not in ("bd", "primary"):
-        raise ValueError(f"target must be 'bd' or 'primary', got {target!r}")
-    if target == "bd" and cfg.scheme not in ("fsk1", "fsk2"):
-        raise ConfigurationError(
-            "the tag bit error rate compares two hypothesis sets; use fsk1 or fsk2")
-    if target == "primary" and cfg.channel_mode != "tdl":
-        raise ConfigurationError("primary-link detection needs channel_mode='tdl'")
-    link = _tag_link(cfg, target)
+    link = _ber_link(cfg, target)
 
     def kernel(rng, size):
         bits = rng.integers(0, 2, size=size).astype(np.int8)
@@ -624,22 +652,51 @@ def run_ber_sweep(cfg: SystemConfig, target: str = "bd",
                   link.sizes[0] if target == "primary" else 1)
 
 
+def _ber_link(cfg: SystemConfig, target: str) -> _TagLink:
+    """``run_ber_sweep``'s link, built once its config passes the sweep's checks."""
+    if target not in ("bd", "primary"):
+        raise ValueError(f"target must be 'bd' or 'primary', got {target!r}")
+    if target == "bd" and cfg.scheme not in ("fsk1", "fsk2"):
+        raise ConfigurationError(
+            "the tag bit error rate compares two hypothesis sets; use fsk1 or fsk2")
+    if target == "primary" and cfg.channel_mode != "tdl":
+        raise ConfigurationError("primary-link detection needs channel_mode='tdl'")
+    return _tag_link(cfg, target)
+
+
 def run_cfo_study(cfg: SystemConfig, eps_grid,
                   target_events: int | None = TARGET_ERROR_EVENTS) -> list:
-    """One tag BER curve per frequency offset.
+    """One tag BER curve per frequency offset, each ``run_ber_sweep``'s.
 
-    Every curve runs the frequency-domain kernel on the same (seed,
-    batch) streams, shared by all its points, and the zero-offset curve
-    is the plain sweep.  An offset curve shares only the bits of the
-    zero-offset one, whose kernel draws each set's energy from its
-    exact law.
+    A zero offset runs that sweep, as its kernel draws each set's energy
+    from its exact law.  The nonzero offsets are the points of one walk:
+    each batch is drawn once (``_set_energies``), and an offset's
+    energies are made when the batch first scores one of its points, so
+    an offset whose points have all stopped costs nothing.
     """
     eps = np.atleast_1d(np.asarray(eps_grid, dtype=np.float64))
     if len(eps) == 0:
         raise ValueError("eps_grid must be a nonempty vector")
     # every offset's config first: one the config refuses runs no curve
     configs = [cfg.replace(cfo_eps=float(e)) for e in eps]
-    return [run_ber_sweep(c, "bd", target_events) for c in configs]
+    links = [_ber_link(c, "bd") for c in configs if c.cfo_eps]
+
+    def kernel(rng, size):
+        bits = rng.integers(0, 2, size=size).astype(np.int8)
+        energies = _set_energies(rng, size, links[0], bits)
+        return lambda point: [np.count_nonzero(
+            point[0].decide(energies(point[1], point[0]), point[1]) != bits)]
+
+    shifted = iter(())
+    if links:
+        counts, _, used = _accumulate(
+            kernel, cfg.trials, cfg.seed,
+            [(link, noise_bin_variance(s)) for link in links for s in cfg.snr_db],
+            threads=cfg.threads, target_events=target_events)
+        shifted = map(_curve, [link.cfg for link in links],
+                      counts[:, 0].reshape(len(links), -1), used.reshape(len(links), -1))
+    return [next(shifted) if c.cfo_eps else run_ber_sweep(c, "bd", target_events)
+            for c in configs]
 
 
 def run_retx(cfg: SystemConfig,

@@ -10,9 +10,10 @@ its detection index sets for both bit hypotheses from those shifts.
 
 The same shifts fix what the link kernel reads of the channel: at zero
 carrier offset the landing spectrum of each detection set
-(``landing_spectrum``), and at an offset the exact maps from the
-data-bin terms onto the bins read (``offset_leakage``).  Both are built
-from ``tap_response``, the DFT of a tapped delay line at given bins.
+(``landing_spectrum``), and at an offset the exact map from the
+data-bin terms onto the bins read, a real matrix between unit phases
+(``offset_leakage``).  Both are built from ``tap_response``, the DFT of
+a tapped delay line at given bins.
 """
 from __future__ import annotations
 
@@ -171,23 +172,32 @@ def landing_spectrum(plan: SubcarrierPlan, l_forward: int, channel_mode: str):
 
 def offset_leakage(plan: SubcarrierPlan, cfo_eps: float, read, l_direct: int,
                    l_forward: int):
-    """The exact maps of a carrier offset from the data bins onto the bins ``read``.
+    """The exact map of a carrier offset from the data bins onto the bins ``read``.
 
-    ``responses`` holds the ``tap_response`` of the direct and of the
-    forward link on the data bins, which map their taps to Hd and Hf
-    there.  ``leakage`` holds per bit the matrix that maps the data-bin
-    terms [X*Hd, gamma*hb*X*Hf] onto every bin of ``read``: M_d stacked
-    on the bit's M_s, or M_d alone when the bit does not reflect.  The offset ramp starts on the
-    first body sample, so it maps the spectrum Z to Y[k] = sum_m D[k-m]
-    Z[m]; without an offset D is exactly a unit impulse.
+    The offset ramp, from the first body sample, maps the spectrum Z to
+    Y[c] = sum_q D(c-q) Z[q], D its DFT over n, which at the unreduced
+    lag k is kappa*conj(w(k))*Dn(eps-k): Dn the real Dirichlet kernel,
+    w(q) = exp(i*pi*q*(n-1)/n), kappa = w(eps) (Moose 1994).  So Y[c] =
+    kappa*conj(w(c)) * sum_q Dn w(q) Z[q], a real matrix between unit
+    phases; Dn is read off the FFT, which keeps an integer offset exact.
+    ``responses`` holds the direct and forward ``tap_response`` on the
+    data bins times w; ``leakage`` per bit the real matrix from the
+    phased terms [w*X*Hd, w(s_b)*gamma*hb*w*X*Hf] onto ``read`` and
+    w(s_b) (the first block alone and None when the bit does not
+    reflect); ``phases`` w on the data bins and kappa*conj(w(read)).
     """
-    t = np.arange(plan.n)
-    d = np.fft.fft(np.exp(2j * np.pi * cfo_eps * t / plan.n)) / plan.n
-    lag = read[None, :] - plan.data_idx[:, None]
-    m_d = d[lag % plan.n]
-    shifts = [tag_shift(plan.scheme, bit, plan.zeta) for bit in (0, 1)]
-    leakage = tuple(m_d if s is None else np.vstack((m_d, d[(lag - s) % plan.n]))
-                    for s in shifts)
-    responses = tuple(tap_response(taps, plan.data_idx, plan.n)
+    n, data = plan.n, plan.data_idx
+    d = np.fft.fft(np.exp(2j * np.pi * cfo_eps * np.arange(n) / n)) / n
+    kappa = np.exp(1j * np.pi * cfo_eps * (n - 1) / n)
+    # w and Dn at k mod 2n, their period in k, the angle of w reduced exactly
+    k = np.arange(2 * n)
+    w = np.exp(1j * np.pi * (k * (n - 1) % (2 * n)) / n)
+    dn = (d[k % n] * np.conj(kappa) * w).real
+    leakage = []
+    for s in (tag_shift(plan.scheme, bit, plan.zeta) for bit in (0, 1)):
+        src = data if s is None else np.concatenate((data, data + s))
+        leakage.append((dn[(read[None, :] - src[:, None]) % (2 * n)],
+                        None if s is None else w[s % (2 * n)]))
+    responses = tuple(tap_response(taps, data, n) * w[data]
                       for taps in (l_direct, l_forward))
-    return responses, leakage
+    return responses, tuple(leakage), (w[data], kappa * np.conj(w[read]))

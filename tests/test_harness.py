@@ -464,6 +464,56 @@ def test_cfo_study_zero_offset_matches_plain_sweep():
     assert shifted.values[0] > zero.values[0]
 
 
+@pytest.mark.parametrize("threads", (1, 3))
+def test_cfo_study_is_its_offsets_run_one_at_a_time(threads):
+    # the nonzero offsets share one walk, yet each curve is the plain
+    # sweep at its offset; at 0.3 both points stop on batch 0, so that
+    # offset's products run for batch 0 only, while at 0.02 the 30 dB
+    # point runs to the cap of four batches
+    cfg = SystemConfig(scheme="fsk2", n=64, snr_db=(0.0, 30.0), trials=8192,
+                       threads=threads)
+    products = []
+
+    def counting(link, *args):
+        products.append(link.cfg.cfo_eps)
+        return _signal_power(link, *args)
+
+    with mock.patch.object(harness, "_signal_power", counting):
+        study = run_cfo_study(cfg, (0.0, 0.3, 0.02))
+    assert products.count(0.3) == 1 and products.count(0.02) == 4
+    for eps, curve in zip((0.0, 0.3, 0.02), study):
+        alone = run_ber_sweep(cfg.replace(cfo_eps=eps), "bd")
+        assert np.array_equal(curve.abscissa, alone.abscissa)
+        assert np.array_equal(curve.values, alone.values), eps
+        assert np.array_equal(curve.confidence_halfwidth,
+                              alone.confidence_halfwidth), eps
+        assert curve.meta == alone.meta
+    assert study[1].confidence_halfwidth[1] == _ci95(study[1].values[1], 2048)
+    assert study[2].confidence_halfwidth[1] == _ci95(study[2].values[1], 8192)
+
+
+@pytest.mark.parametrize("scheme", ("ook", "fsk2"))
+def test_signal_power_with_one_bit_on_every_row(scheme):
+    # one bit's run is empty; every row's energy is the one it has
+    # among rows of both bits
+    cfg = SystemConfig(scheme=scheme, n=64, cfo_eps=0.1, snr_db=(10.0,))
+    link = _tag_link(cfg)
+    rng = np.random.default_rng(317)
+    rows = _ROW_BLOCK + 3
+
+    def normals(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    draws = (normals(rows), normals(rows, cfg.l_forward), normals(rows, cfg.l_direct),
+             rng.choice((-1.0, 1.0), size=(rows, cfg.plan().n_data)))
+    mixed = np.arange(rows) % 2
+    both = _signal_power(link, mixed.astype(np.int8), *draws)
+    for bit in (0, 1):
+        alone = _signal_power(link, np.full(rows, bit, dtype=np.int8), *draws)
+        assert alone.shape == both.shape
+        assert np.allclose(alone[mixed == bit], both[mixed == bit], rtol=1e-12, atol=0)
+
+
 def test_compare_smoke():
     cfg = SystemConfig(scheme="fsk2", n=64, gamma_mag=0.5,
                        snr_db=(5.0, 15.0), trials=50_000,

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from reference_link import FreqGrid, map_symbols, ofdm_demodulate, ofdm_modulate
-from srbc.waveform import DFT_SIZES, ConfigurationError, build_subcarrier_plan
+from srbc.waveform import (DFT_SIZES, SCHEMES, ConfigurationError, build_subcarrier_plan,
+                           offset_leakage, tag_shift)
 
 
 def landing_set(data_idx, shift, n):
@@ -226,3 +227,38 @@ def test_modulate_rejects_bad_prefix():
         ofdm_modulate(grid, cp_len=16)
     with pytest.raises(ConfigurationError):
         ofdm_modulate(grid, cp_len=-1)
+
+
+@pytest.mark.parametrize("eps", (0.05, -0.2, 0.3, 0.5, 1.0, -1.0))
+@pytest.mark.parametrize("n", DFT_SIZES)
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_factored_offset_map_is_the_dirichlet_map(scheme, n, eps):
+    # kappa*w(src)*conj(w(read))*R_b is the ramp's DFT d at the lag from
+    # each source bin (the data bins, then the bit's landing sources) to
+    # each bin read; R_b is real, and d at an unreduced lag k times
+    # exp(-i*pi*(eps-k)*(n-1)/n) is the real Dirichlet kernel, whose
+    # closed form R_b equals off the integer offsets
+    plan = build_subcarrier_plan(scheme, n)
+    read = np.concatenate((plan.kb0, plan.kb1))
+    d = np.fft.fft(np.exp(2j * np.pi * eps * np.arange(n) / n)) / n
+    (r_d, r_f), leakage, (w, read_phase) = offset_leakage(plan, eps, read, 3, 2)
+    for bit, (leak, shift) in enumerate(leakage):
+        s = tag_shift(scheme, bit, plan.zeta)
+        src = plan.data_idx if s is None else np.concatenate((plan.data_idx,
+                                                              plan.data_idx + s))
+        phased_src = w if s is None else np.concatenate((w, w * shift))
+        assert (shift is None) == (s is None)
+        assert leak.dtype == np.float64 and leak.shape == (len(src), len(read))
+        lag = read[None, :] - src[:, None]
+        full = read_phase[None, :] * phased_src[:, None] * leak
+        assert np.abs(full - d[lag % n]).max() <= 1e-13
+        # the phase exp(i*pi*k*(n-1)/n) with its angle reduced mod 2*pi
+        kernel = (d[lag % n] * np.exp(-1j * np.pi * eps * (n - 1) / n)
+                  * np.exp(1j * np.pi * ((lag * (n - 1)) % (2 * n)) / n))
+        assert np.abs(kernel.imag).max() <= 1e-14
+        if eps != round(eps):
+            x = np.pi * (eps - lag)
+            assert np.abs(leak - np.sin(x) / (n * np.sin(x / n))).max() <= 1e-13
+    direct = np.exp(-2j * np.pi * np.arange(3)[:, None] * plan.data_idx / n)
+    assert np.abs(r_d - direct * w).max() <= 1e-13
+    assert np.abs(r_f - direct[:2] * w).max() <= 1e-13

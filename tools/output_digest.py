@@ -17,10 +17,12 @@ writes into a directory of its own:
   bins, fsk1 ``ber`` with and without an offset, fsk1 ``retx`` under
   the CRC, ook ``pmd`` and ``retx`` at an offset, a non-default zeta
   for ook and fsk2, iid ``ber`` and ``roc``, a ``ber`` and a ``retx``
-  curve on 3 and 2 threads over more than 2 batches, and ``roc`` on a
-  given threshold list), each at a small trial cap, and three ``cfo``
-  offset grids that are refused (empty, colliding tags, a NaN), whose
-  exit code and stderr land in their text files;
+  curve on 3 and 2 threads over more than 2 batches, ``roc`` on a given
+  threshold list, a ``cfo`` grid that mixes a zero offset with one whose
+  points stop on the first batch and one that runs to the cap, on 3
+  threads, and a ``cfo`` grid at n 512), each at a small trial cap, and
+  four ``cfo`` offset grids that are refused (empty, colliding tags, a
+  NaN, ook), whose exit code and stderr land in their text files;
 - ``theory.txt``: 1 224 theory values as ``float.hex``, through
   ``harness._theory_curve``, for ook, fsk1 and fsk2 × n 64, 128, 256
   and 512 × gamma 0.25, 0.5 and 1 × (sigma_v, pfa_target) (1, 1e-3)
@@ -110,6 +112,12 @@ EXTRA_COMMANDS = (
     ("cfo_colliding_tags", ["cfo", "--scheme", "fsk2",
                             "--eps-grid", "0.05,0.0500000001"]),
     ("cfo_nan", ["cfo", "--eps-grid", "0.05,nan"]),
+    ("cfo_fsk2_mixed_threads3", ["cfo", "--scheme", "fsk2", "--n", "64",
+                                 "--eps-grid", "0,0.3,0.02", "--snr", "0,30",
+                                 "--trials", "8192", "--threads", "3"]),
+    ("cfo_fsk2_n512", ["cfo", "--scheme", "fsk2", "--n", "512", "--eps-grid",
+                       "0.01,0.05", "--snr", "10,30", "--trials", "2048"]),
+    ("cfo_ook_refused", ["cfo", "--scheme", "ook", "--eps-grid", "0,0.05"]),
 )
 
 
