@@ -30,14 +30,16 @@ The tests check the kernel against a time-domain reference link and
 receiver, and its iid mode against a per-bin reference.
 
 Every simulated curve runs one walk over the shared batches,
-``_accumulate``, every SNR sweep through ``_sweep``, which returns its
-curve.  Each runner supplies its validation and its batch kernel, which
-makes the batch's noise-free part and returns its scoring at a point's
-per-bin noise energy.  Nothing is drawn per time sample, so the kernel
-knows no other noise unit.  Every tag-bit decision is the link's own
-(``_TagLink.decide``): the OOK threshold test or the FSK comparison.
-The primary link is read coherently: a data bit is 1 when Re(y/Hd) < 0
-at its bin's received value y and direct gain Hd.
+``_accumulate``, every SNR sweep through ``_sweep``, which walks (link,
+per-bin noise energy) points and returns one curve per link.  Each
+runner supplies its validation and its batch kernel, which makes the
+batch's noise-free part and returns its scoring at a point.  Nothing is
+drawn per time sample, so the kernel knows no other noise unit.  Every
+tag-bit curve (pmd, ber, retx, the cfo study) scores through one kernel,
+``_tag_kernel``, with the link's own decisions (``_TagLink.decide``):
+the OOK threshold test or the FSK comparison.  The primary link is read
+coherently: a data bit is 1 when Re(y/Hd) < 0 at its bin's received
+value y and direct gain Hd.
 """
 from __future__ import annotations
 
@@ -54,7 +56,7 @@ import numpy as np
 
 from . import analysis
 from .analysis import noise_bin_variance
-from .crc import CRC_BITS, crc5_check_many, crc5_encode_many
+from .crc import crc5_check_many, crc5_encode_many
 from .waveform import (ConfigurationError, build_subcarrier_plan, landing_spectrum,
                        offset_leakage, tap_response)
 
@@ -63,7 +65,6 @@ CSV_HEADER = ("abscissa", "value", "ci95", "scheme", "N", "gamma",
 CHANNEL_MODES = ("tdl", "iid")
 TARGET_ERROR_EVENTS = 100
 FRAME_PAYLOAD_BITS = 7
-FRAME_BITS = FRAME_PAYLOAD_BITS + CRC_BITS
 _BATCH_SYMBOLS = 2048
 _BATCH_FRAMES = 512
 _ROW_BLOCK = 128  # offset-kernel rows per run of one bit: its temporaries stay in L2
@@ -148,6 +149,10 @@ class SystemConfig:
         if self.channel_mode not in CHANNEL_MODES:
             raise ConfigurationError(
                 f"channel_mode must be one of {CHANNEL_MODES}, got {self.channel_mode!r}")
+        if abs(self.cfo_eps) > self.n / 2:
+            raise ConfigurationError(
+                f"cfo_eps must lie in [-n/2, n/2] = [{-self.n / 2:g}, {self.n / 2:g}], "
+                f"as offsets n apart act alike; got {self.cfo_eps:g}")
         if self.cfo_eps and self.channel_mode != "tdl":
             raise ConfigurationError(
                 "simulating a frequency offset needs channel_mode='tdl'")
@@ -246,7 +251,8 @@ def _accumulate(batch_fn, total: int, seed: int, points, *,
 
     ``batch_fn(rng, size)`` makes one batch's draws and returns
     ``score(point)``, the batch's counts vector at one of ``points``
-    (most runners' are per-bin noise energies).  Batch j is drawn once,
+    (``_sweep``'s are (link, per-bin noise energy) pairs, ``run_roc``'s
+    noise energies).  Batch j is drawn once,
     from ``_batch_rng(seed, j)``.  Point i stops after the batch that
     brings its first count to ``target_events`` (never, for None) and is
     charged no later batch.  Batch 0 runs alone, as many curves stop on
@@ -474,7 +480,8 @@ def _set_energies(rng, size, link: _TagLink, bits):
     scores them at the offset of any link ``at`` whose config is
     ``link``'s but for the offset, making ``_signal_power``'s products
     when it first reads that offset.  An offset run shares only its bits
-    with the zero-offset run.
+    with the zero-offset run, so a zero-offset link always sweeps alone
+    and its ``energies`` ignores ``at``.
 
     The noise-free part is computed once per batch; ``energies`` scales
     the unit noise to the point's, so every point reads the same draws.
@@ -490,7 +497,7 @@ def _set_energies(rng, size, link: _TagLink, bits):
         gain = cfg.gamma_mag ** 2 * cfg.sigma_v ** 2 * rng.standard_exponential(size)
         power = _landing_power(link, bits, gain, spread, rest)
         total = rest + spread.sum(axis=0)
-        return lambda noise: power + noise * total
+        return lambda noise, at=link: power + noise * total
     rest = rng.standard_gamma(float(link.sizes[0] - 1), size=(size, sets))
     pairs = _normal_pairs(rng, (size, sets))
     hb = _complex_normal_draw(rng, (size,), cfg.sigma_v ** 2)
@@ -534,31 +541,53 @@ def _primary_grid(rng, size, link: _TagLink, bits):
     return received, hd, signs
 
 
+def _random_bits(rng, size) -> np.ndarray:
+    """A batch's fair, independent tag bits, as one integer draw."""
+    return rng.integers(0, 2, size=size).astype(np.int8)
+
+
+def _tag_kernel(link: _TagLink, draw_bits, wrong=np.not_equal):
+    """The tag-bit batch kernel.  A batch sends ``draw_bits(rng, size)``,
+    bits of any shape, one per symbol; at a point (link ``at``, noise)
+    it counts the true entries of ``wrong(decided, bits)``, with ``at``'s
+    decisions in the bits' shape."""
+    def kernel(rng, size):
+        bits = draw_bits(rng, size)
+        energies = _set_energies(rng, bits.size, link, bits.reshape(-1))
+
+        def score(point):
+            at, noise = point
+            decided = at.decide(energies(noise, at), noise).reshape(bits.shape)
+            return [np.count_nonzero(wrong(decided, bits))]
+        return score
+    return kernel
+
+
 # ---------------------------------------------------------------------------
 # Experiment runners
 
 
-def _sweep(cfg: SystemConfig, kernel, target_events: int | None,
-           per_trial: int = 1, batch_size: int = _BATCH_SYMBOLS) -> SimCurve:
-    """The curve of the batch kernel's first count across the SNR grid.
+def _sweep(links, kernel, target_events: int | None,
+           per_trial: int = 1, batch_size: int = _BATCH_SYMBOLS) -> list:
+    """One curve per link of the batch kernel's first count across the SNR grid.
 
-    ``kernel(rng, size)`` draws one batch and returns its scoring at a
-    point's per-bin noise energy.  Every point reads the same (seed,
-    batch index) streams and stops once its first count reaches
-    ``target_events`` (never, for None).  A point's value is its count
-    over the ``per_trial`` events each of its trials holds; its interval
-    counts trials.
+    The links' configs differ at most in the offset.  ``kernel(rng,
+    size)`` draws one batch and returns its scoring at a point, a (link,
+    per-bin noise energy) pair; the points run link-major.  Every point
+    reads the same (seed, batch index) streams and stops once its first
+    count reaches ``target_events`` (never, for None).  A point's value
+    is its count over the ``per_trial`` events each of its trials holds;
+    its interval counts trials.
     """
+    cfg = links[0].cfg
     counts, _, used = _accumulate(
-        kernel, cfg.trials, cfg.seed, [noise_bin_variance(s) for s in cfg.snr_db],
+        kernel, cfg.trials, cfg.seed,
+        [(link, noise_bin_variance(s)) for link in links for s in cfg.snr_db],
         threads=cfg.threads, target_events=target_events, batch_size=batch_size)
-    return _curve(cfg, counts[:, 0], used, per_trial)
-
-
-def _curve(cfg: SystemConfig, counts, used, per_trial: int = 1) -> SimCurve:
-    """The curve of ``counts`` over the ``per_trial`` events of ``used`` trials."""
-    p = counts / (used * per_trial)
-    return SimCurve(cfg.snr_db, p, _ci95(p, used), _config_meta(cfg))
+    used = used.reshape(len(links), -1)
+    p = counts[:, 0].reshape(used.shape) / (used * per_trial)
+    return [SimCurve(cfg.snr_db, values, ci, _config_meta(link.cfg))
+            for link, values, ci in zip(links, p, _ci95(p, used))]
 
 
 def run_pmd_sweep(cfg: SystemConfig,
@@ -577,12 +606,9 @@ def run_pmd_sweep(cfg: SystemConfig,
             f"trials must be at least {TARGET_ERROR_EVENTS}/pfa_target "
             f"= {math.ceil(TARGET_ERROR_EVENTS / cfg.pfa_target)}, got {cfg.trials}")
     link = _tag_link(cfg)
-
-    def kernel(rng, size):
-        energies = _set_energies(rng, size, link, np.ones(size, dtype=np.int8))
-        return lambda noise: [np.count_nonzero(link.decide(energies(noise), noise) == 0)]
-
-    return _sweep(cfg, kernel, target_events)
+    # the tag always reflects: a bit decided 0 is a miss
+    present = _tag_kernel(link, lambda rng, size: np.ones(size, dtype=np.int8))
+    return _sweep([link], present, target_events)[0]
 
 
 def _auto_eta_grid(cfg: SystemConfig) -> np.ndarray:
@@ -631,72 +657,53 @@ def run_ber_sweep(cfg: SystemConfig, target: str = "bd",
     """Bit error rate across the SNR grid.
 
     ``target="bd"`` measures the tag bit through the non-coherent
-    detector (fsk1/fsk2); ``target="primary"`` measures the coherent
-    BPSK data bits on the direct link, per data bit, with the tag
-    reflecting random bits in the background.  The bits of one symbol
-    share its direct channel, so there the interval counts symbols.
+    detector (fsk1/fsk2), as the one-offset ``run_cfo_study``;
+    ``target="primary"`` measures the coherent BPSK data bits on the
+    direct link, per data bit, with the tag reflecting random bits in
+    the background.  The bits of one symbol share its direct channel, so
+    there the interval counts symbols.
     """
-    link = _ber_link(cfg, target)
+    if target == "bd":
+        return run_cfo_study(cfg, (cfg.cfo_eps,), target_events)[0]
+    if target != "primary":
+        raise ValueError(f"target must be 'bd' or 'primary', got {target!r}")
+    if cfg.channel_mode != "tdl":
+        raise ConfigurationError("primary-link detection needs channel_mode='tdl'")
+    link = _tag_link(cfg, target)
 
     def kernel(rng, size):
-        bits = rng.integers(0, 2, size=size).astype(np.int8)
-        if target == "bd":
-            energies = _set_energies(rng, size, link, bits)
-            return lambda noise: [np.count_nonzero(
-                link.decide(energies(noise), noise) != bits)]
-        received, hd, signs = _primary_grid(rng, size, link, bits)
-        return lambda noise: [np.count_nonzero(
-            ((received(noise) / hd).real < 0) != (signs < 0))]
+        received, hd, signs = _primary_grid(rng, size, link, _random_bits(rng, size))
+        return lambda point: [np.count_nonzero(
+            ((received(point[1]) / hd).real < 0) != (signs < 0))]
 
-    return _sweep(cfg, kernel, target_events,
-                  link.sizes[0] if target == "primary" else 1)
-
-
-def _ber_link(cfg: SystemConfig, target: str) -> _TagLink:
-    """``run_ber_sweep``'s link, built once its config passes the sweep's checks."""
-    if target not in ("bd", "primary"):
-        raise ValueError(f"target must be 'bd' or 'primary', got {target!r}")
-    if target == "bd" and cfg.scheme not in ("fsk1", "fsk2"):
-        raise ConfigurationError(
-            "the tag bit error rate compares two hypothesis sets; use fsk1 or fsk2")
-    if target == "primary" and cfg.channel_mode != "tdl":
-        raise ConfigurationError("primary-link detection needs channel_mode='tdl'")
-    return _tag_link(cfg, target)
+    return _sweep([link], kernel, target_events, link.sizes[0])[0]
 
 
 def run_cfo_study(cfg: SystemConfig, eps_grid,
                   target_events: int | None = TARGET_ERROR_EVENTS) -> list:
-    """One tag BER curve per frequency offset, each ``run_ber_sweep``'s.
+    """One tag BER curve per frequency offset, in the grid's order.
 
-    A zero offset runs that sweep, as its kernel draws each set's energy
-    from its exact law.  The nonzero offsets are the points of one walk:
-    each batch is drawn once (``_set_energies``), and an offset's
-    energies are made when the batch first scores one of its points, so
-    an offset whose points have all stopped costs nothing.
+    The study owns the fsk check and groups its links by law.  Each zero
+    offset sweeps alone, as its kernel draws each set's energy from its
+    exact law.  The nonzero offsets' draws never read the offset, so
+    they run as one sweep that draws each batch once and makes an
+    offset's energies only while a point of it still runs.
     """
     eps = np.atleast_1d(np.asarray(eps_grid, dtype=np.float64))
     if len(eps) == 0:
         raise ValueError("eps_grid must be a nonempty vector")
     # every offset's config first: one the config refuses runs no curve
     configs = [cfg.replace(cfo_eps=float(e)) for e in eps]
-    links = [_ber_link(c, "bd") for c in configs if c.cfo_eps]
-
-    def kernel(rng, size):
-        bits = rng.integers(0, 2, size=size).astype(np.int8)
-        energies = _set_energies(rng, size, links[0], bits)
-        return lambda point: [np.count_nonzero(
-            point[0].decide(energies(point[1], point[0]), point[1]) != bits)]
-
-    shifted = iter(())
-    if links:
-        counts, _, used = _accumulate(
-            kernel, cfg.trials, cfg.seed,
-            [(link, noise_bin_variance(s)) for link in links for s in cfg.snr_db],
-            threads=cfg.threads, target_events=target_events)
-        shifted = map(_curve, [link.cfg for link in links],
-                      counts[:, 0].reshape(len(links), -1), used.reshape(len(links), -1))
-    return [next(shifted) if c.cfo_eps else run_ber_sweep(c, "bd", target_events)
-            for c in configs]
+    if cfg.scheme not in ("fsk1", "fsk2"):
+        raise ConfigurationError(
+            "the tag bit error rate compares two hypothesis sets; use fsk1 or fsk2")
+    links = [_tag_link(c) for c in configs]
+    shifted = [link for link in links if link.cfg.cfo_eps]
+    curves = iter(_sweep(shifted, _tag_kernel(shifted[0], _random_bits), target_events)
+                  if shifted else ())
+    return [next(curves) if link.cfg.cfo_eps
+            else _sweep([link], _tag_kernel(link, _random_bits), target_events)[0]
+            for link in links]
 
 
 def run_retx(cfg: SystemConfig,
@@ -709,18 +716,10 @@ def run_retx(cfg: SystemConfig,
     the frame count per point.
     """
     link = _tag_link(cfg)
-
-    def kernel(rng, size):
-        payloads = rng.integers(0, 2, size=(size, FRAME_PAYLOAD_BITS))
-        tx = crc5_encode_many(payloads, cfg.crc_preset)
-        energies = _set_energies(rng, size * FRAME_BITS, link, tx.reshape(-1))
-
-        def score(noise):
-            decided = link.decide(energies(noise), noise).reshape(size, FRAME_BITS)
-            return [np.count_nonzero(~crc5_check_many(decided, cfg.crc_preset))]
-        return score
-
-    return _sweep(cfg, kernel, target_events, batch_size=_BATCH_FRAMES)
+    frames = _tag_kernel(link, lambda rng, size: crc5_encode_many(
+        rng.integers(0, 2, size=(size, FRAME_PAYLOAD_BITS)), cfg.crc_preset),
+        lambda decided, _: ~crc5_check_many(decided, cfg.crc_preset))
+    return _sweep([link], frames, target_events, batch_size=_BATCH_FRAMES)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,17 @@ def test_config_validation():
     with pytest.raises(ConfigurationError, match="frequency offset"):
         SystemConfig(scheme="fsk2", cfo_eps=0.05).replace(channel_mode="iid")
     assert SystemConfig(cfo_eps=0.0, channel_mode="iid").cfo_eps == 0.0
+    # offsets n apart act alike, so the config takes one period, |eps| <=
+    # n/2: a huge offset used to overflow the leakage ramp into NaN
+    # energies, a warning and a silent curve of bits all decided 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n, eps in ((64, 1e308), (64, -1e308), (64, 32.5), (64, -33.0),
+                       (512, 1e17), (512, 256.001)):
+            with pytest.raises(ConfigurationError, match="offsets n apart act alike"):
+                SystemConfig(scheme="fsk2", n=n, cfo_eps=eps)
+        for n, eps in ((64, 32.0), (64, -32.0), (512, 256.0), (512, -256.0)):
+            assert SystemConfig(scheme="fsk2", n=n, cfo_eps=eps).cfo_eps == eps
     # integer fields take integral values only: none is truncated
     fractional = {"n": 64.7, "zeta": 2.5, "l_direct": 2.5, "l_forward": 2.5,
                   "trials": 1000.5, "seed": 7.5, "crc_preset": 9.5,
@@ -418,10 +429,16 @@ def test_confidence_shrinks_with_trials():
 
 
 def test_retx_floor_and_clean_channel():
+    # with a silent tag every fsk2 decision is a fair coin, so a frame
+    # reads as a uniform 12-bit word, which passes CRC-5 with probability
+    # 2**-5 whatever the preset: the floor is 31/32, where a rule that
+    # failed a frame on any wrong bit would read 1 - 2**-12
     silent = SystemConfig(scheme="fsk2", n=64, gamma_mag=0.0, snr_db=(10.0,),
-                          trials=2_000, seed=181)
-    floor = run_retx(silent, target_events=None)
-    assert floor.values[0] > 0.9
+                          trials=20_000, seed=181)
+    for preset in (0, 0b01001):
+        floor = run_retx(silent.replace(crc_preset=preset), target_events=None)
+        assert abs(floor.values[0] - 31 / 32) <= 3 * floor.confidence_halfwidth[0], (
+            preset, floor.values[0], floor.confidence_halfwidth[0])
     clean = SystemConfig(scheme="fsk2", n=64, gamma_mag=1.0, snr_db=(200.0,),
                          trials=2_000, seed=191)
     spotless = run_retx(clean, target_events=None)
@@ -890,6 +907,12 @@ _OOK = SystemConfig(snr_db=(10.0,), trials=2048)
      "preset must be a 5-bit value, got 32"),
     (_config_file_without_equals, ValueError, "bad.conf:1: expected key=value"),
     (["cfo", "--eps-grid", ","], None, "eps_grid must be a nonempty vector"),
+    (["ber", "--scheme", "fsk2", "--cfo", "1e308", "--snr", "10", "--trials", "64"],
+     None, "cfo_eps must lie in [-n/2, n/2] = [-32, 32], as offsets n apart act "
+     "alike; got 1e+308"),
+    (["cfo", "--scheme", "fsk2", "--n", "128", "--eps-grid", "0.05,-64.5"],
+     None, "cfo_eps must lie in [-n/2, n/2] = [-64, 64], as offsets n apart act "
+     "alike; got -64.5"),
 ))
 def test_every_reachable_refusal(call, error, message, tmp_path, capsys):
     # each is refused before any batch runs

@@ -20,7 +20,10 @@ writes into a directory of its own:
   curve on 3 and 2 threads over more than 2 batches, ``roc`` on a given
   threshold list, a ``cfo`` grid that mixes a zero offset with one whose
   points stop on the first batch and one that runs to the cap, on 3
-  threads, and a ``cfo`` grid at n 512), each at a small trial cap, and
+  threads, a ``cfo`` grid at n 512, a tag ``ber`` curve at an offset on
+  2 threads over several waves, an fsk2 ``retx`` curve at an offset,
+  and a ``cfo`` grid whose negative zero runs the zero-offset sweep and
+  writes ``cfo`` -0.0), each at a small trial cap, and
   four ``cfo`` offset grids that are refused (empty, colliding tags, a
   NaN, ook), whose exit code and stderr land in their text files;
 - ``theory.txt``: 1 224 theory values as ``float.hex``, through
@@ -118,6 +121,13 @@ EXTRA_COMMANDS = (
     ("cfo_fsk2_n512", ["cfo", "--scheme", "fsk2", "--n", "512", "--eps-grid",
                        "0.01,0.05", "--snr", "10,30", "--trials", "2048"]),
     ("cfo_ook_refused", ["cfo", "--scheme", "ook", "--eps-grid", "0,0.05"]),
+    ("ber_fsk2_eps0.05_threads2", ["ber", "--scheme", "fsk2", "--cfo", "0.05",
+                                   "--snr", "0,10,20,30", "--trials", "20000",
+                                   "--threads", "2"]),
+    ("retx_fsk2_eps0.1", ["retx", "--scheme", "fsk2", "--cfo", "0.1",
+                          "--snr", "10,20", "--trials", "1024"]),
+    ("cfo_fsk2_negzero", ["cfo", "--scheme", "fsk2", "--eps-grid", "-0,0.05",
+                          "--snr", "0,20", "--trials", "4096"]),
 )
 
 
